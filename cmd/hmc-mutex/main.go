@@ -12,7 +12,6 @@
 //	hmc-mutex -csv out.csv     # machine-readable sweep dump
 //	hmc-mutex -workers 0       # sweep across all schedulable cores (default)
 //	hmc-mutex -workers 1       # serial sweep
-//	hmc-mutex -exec-workers 8  # pooled vault execution inside each run
 //
 // Observability:
 //
@@ -53,7 +52,6 @@ func main() {
 	faultRate := flag.Float64("fault-rate", 0, "per-traversal link fault probability in [0,1] (0 disables injection)")
 	faultSeed := flag.Uint64("fault-seed", 1, "fault injection seed; the same seed reproduces the exact fault sequence")
 	faultKinds := flag.String("fault-kinds", "all", "comma-separated fault kinds: crc, flip, drop, down or all")
-	execWorkers := flag.Int("exec-workers", 1, "parallel cycle engine workers inside each simulation (1 = serial; -workers sizes the sweep pool, this sizes the per-run vault/device stepping pool)")
 	eventClock := flag.Bool("event-clock", true, "event-driven cycle scheduler: fast-forward provably idle spans (false = per-cycle reference engine)")
 	spanFlags := spanflag.Register()
 	flag.Parse()
@@ -64,9 +62,6 @@ func main() {
 	}
 
 	var opts []hmcsim.Option
-	if *execWorkers > 1 {
-		opts = append(opts, hmcsim.WithParallelClock(*execWorkers))
-	}
 	if !*eventClock {
 		opts = append(opts, hmcsim.WithEventClock(false))
 	}

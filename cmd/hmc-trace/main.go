@@ -13,7 +13,7 @@
 // With -spans it switches from offline analysis to recording: it runs
 // the CMC mutex workload with the request-lifecycle flight recorder
 // attached (the same engine controls the other CLIs expose:
-// -event-clock, -exec-workers), prints the per-stage latency
+// -event-clock and the fault flags), prints the per-stage latency
 // attribution, and writes a Chrome/Perfetto trace for -span-out.
 //
 // Usage:
@@ -43,7 +43,6 @@ func main() {
 	ghz := flag.Float64("ghz", 1.25, "device clock in GHz for bandwidth/power columns")
 	cfgName := flag.String("config", "4link4gb", "span run: device configuration (4link4gb or 8link8gb)")
 	threads := flag.Int("threads", 64, "span run: simulated thread count")
-	execWorkers := flag.Int("exec-workers", 1, "parallel cycle engine workers inside the span run (1 = serial)")
 	eventClock := flag.Bool("event-clock", true, "event-driven cycle scheduler: fast-forward provably idle spans (false = per-cycle reference engine)")
 	faultRate := flag.Float64("fault-rate", 0, "span run: per-traversal link fault probability in [0,1] (0 disables injection)")
 	faultSeed := flag.Uint64("fault-seed", 1, "span run: fault injection seed")
@@ -52,7 +51,7 @@ func main() {
 	flag.Parse()
 
 	if spanFlags.Spans {
-		if err := runSpans(spanFlags, *cfgName, *threads, *execWorkers, *eventClock,
+		if err := runSpans(spanFlags, *cfgName, *threads, *eventClock,
 			*faultRate, *faultSeed, *faultKinds); err != nil {
 			fatal(err)
 		}
@@ -96,7 +95,7 @@ func main() {
 
 // runSpans drives one span-instrumented mutex run and dumps the flight
 // recorder: attribution table to stdout, Perfetto JSON to -span-out.
-func runSpans(sf *spanflag.Flags, cfgName string, threads, execWorkers int, eventClock bool,
+func runSpans(sf *spanflag.Flags, cfgName string, threads int, eventClock bool,
 	faultRate float64, faultSeed uint64, faultKinds string) error {
 	var cfg hmcsim.Config
 	switch cfgName {
@@ -109,9 +108,6 @@ func runSpans(sf *spanflag.Flags, cfgName string, threads, execWorkers int, even
 	}
 	tr := sf.Tracer()
 	opts := []hmcsim.Option{hmcsim.WithSpans(tr)}
-	if execWorkers > 1 {
-		opts = append(opts, hmcsim.WithParallelClock(execWorkers))
-	}
 	if !eventClock {
 		opts = append(opts, hmcsim.WithEventClock(false))
 	}

@@ -52,7 +52,6 @@ func main() {
 	faultRate := flag.Float64("fault-rate", 0, "per-traversal link fault probability in [0,1] (0 disables injection)")
 	faultSeed := flag.Uint64("fault-seed", 1, "fault injection seed; the same seed reproduces the exact fault sequence")
 	faultKinds := flag.String("fault-kinds", "all", "comma-separated fault kinds: crc, flip, drop, down or all")
-	execWorkers := flag.Int("exec-workers", 1, "parallel cycle engine workers per simulation: vault execution and multi-cube stepping (1 = serial)")
 	eventClock := flag.Bool("event-clock", true, "event-driven cycle scheduler: fast-forward provably idle spans (false = per-cycle reference engine)")
 	spanFlags := spanflag.Register()
 	flag.Parse()
@@ -129,9 +128,6 @@ func main() {
 		plan := hmcsim.FaultPlan{Rate: *faultRate, Seed: *faultSeed, Kinds: kinds}
 		opts = append(opts, hmcsim.WithFaults(plan))
 		fmt.Printf("fault injection: %v\n", plan)
-	}
-	if *execWorkers > 1 {
-		opts = append(opts, hmcsim.WithParallelClock(*execWorkers))
 	}
 	if !*eventClock {
 		opts = append(opts, hmcsim.WithEventClock(false))

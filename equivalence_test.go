@@ -4,27 +4,21 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/queue"
-	"repro/internal/trace"
 )
 
 // The fast paths introduced by the hot-path overhaul — sharded memory,
-// flight pooling, idle-vault skipping and the parallel clock — must be
-// invisible: same config and workload ⇒ identical responses, cycle
-// counts, statistics and traces. These tests pin that guarantee by
-// running the mutex workload in three modes:
+// flight pooling and idle-vault skipping — must be invisible: same
+// config and workload ⇒ identical responses, cycle counts, statistics
+// and traces. These tests pin that guarantee by running the mutex
+// workload in two modes:
 //
 //   - walk:  ForceWalk=true, the seed's walk-every-component behaviour
-//   - skip:  the default idle-skipping serial clock
-//   - par:   WithParallelClock(8)
+//   - skip:  the default idle-skipping clock
 //
-// and comparing every observable. Serial traces must match byte for
-// byte; the parallel clock documents that only the interleaving of
-// event emission *within* one cycle is unordered, so its trace is
-// compared after a canonical sort.
+// and comparing every observable, traces byte for byte.
 
 // eqCapture is everything observable from one mutex run.
 type eqCapture struct {
@@ -40,8 +34,7 @@ type eqCapture struct {
 }
 
 // runMutexMode executes one traced mutex run. forceWalk restores the
-// walk-everything clock; extra options (e.g. WithParallelClock) apply on
-// top.
+// walk-everything clock; extra options (e.g. WithSpans) apply on top.
 func runMutexMode(t *testing.T, cfg Config, threads int, forceWalk bool, opts ...Option) eqCapture {
 	t.Helper()
 	var buf bytes.Buffer
@@ -85,10 +78,7 @@ func runMutexMode(t *testing.T, cfg Config, threads int, forceWalk bool, opts ..
 }
 
 // compareCaptures checks every observable of b against the reference a.
-// exactTrace selects byte-exact trace comparison (serial modes) versus
-// canonically sorted comparison (parallel mode, where within-cycle
-// emission order is unordered by design).
-func compareCaptures(t *testing.T, label string, a, b eqCapture, exactTrace bool) {
+func compareCaptures(t *testing.T, label string, a, b eqCapture) {
 	t.Helper()
 	if a.run != b.run {
 		t.Errorf("%s: run results diverge:\n  ref %+v\n  got %+v", label, a.run, b.run)
@@ -111,72 +101,16 @@ func compareCaptures(t *testing.T, label string, a, b eqCapture, exactTrace bool
 			t.Errorf("%s: %s queue stats diverge", label, q.name)
 		}
 	}
-	if exactTrace {
-		if !bytes.Equal(a.trace, b.trace) {
-			t.Errorf("%s: JSONL traces diverge byte-for-byte (%d vs %d bytes)",
-				label, len(a.trace), len(b.trace))
-		}
-		return
+	if !bytes.Equal(a.trace, b.trace) {
+		t.Errorf("%s: JSONL traces diverge byte-for-byte (%d vs %d bytes)",
+			label, len(a.trace), len(b.trace))
 	}
-	ref, err := trace.ParseJSONL(bytes.NewReader(a.trace))
-	if err != nil {
-		t.Fatalf("%s: parse ref trace: %v", label, err)
-	}
-	got, err := trace.ParseJSONL(bytes.NewReader(b.trace))
-	if err != nil {
-		t.Fatalf("%s: parse got trace: %v", label, err)
-	}
-	sortEvents(ref)
-	sortEvents(got)
-	if !reflect.DeepEqual(ref, got) {
-		n := len(ref)
-		if len(got) < n {
-			n = len(got)
-		}
-		for i := 0; i < n; i++ {
-			if !reflect.DeepEqual(ref[i], got[i]) {
-				t.Errorf("%s: canonical traces diverge at event %d:\n  ref %+v\n  got %+v",
-					label, i, ref[i], got[i])
-				return
-			}
-		}
-		t.Errorf("%s: canonical traces diverge in length: %d vs %d events",
-			label, len(ref), len(got))
-	}
-}
-
-// sortEvents orders a trace canonically: by cycle, then by every other
-// field. Within one cycle the parallel clock may emit vault events in
-// any interleaving; the sort erases exactly that freedom and nothing
-// else.
-func sortEvents(evs []trace.Event) {
-	sort.Slice(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		switch {
-		case a.Cycle != b.Cycle:
-			return a.Cycle < b.Cycle
-		case a.Vault != b.Vault:
-			return a.Vault < b.Vault
-		case a.Tag != b.Tag:
-			return a.Tag < b.Tag
-		case a.Kind != b.Kind:
-			return a.Kind < b.Kind
-		case a.Cmd != b.Cmd:
-			return a.Cmd < b.Cmd
-		case a.Addr != b.Addr:
-			return a.Addr < b.Addr
-		case a.Value != b.Value:
-			return a.Value < b.Value
-		default:
-			return a.Detail < b.Detail
-		}
-	})
 }
 
 // TestClockModeEquivalence is the acceptance test for the hot-path
 // overhaul: at 2, 50 and 100 threads on both paper configurations, the
-// idle-skipping clock and the parallel clock must reproduce the
-// walk-everything results exactly.
+// idle-skipping clock must reproduce the walk-everything results
+// exactly.
 func TestClockModeEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full equivalence matrix is not short")
@@ -193,9 +127,7 @@ func TestClockModeEquivalence(t *testing.T) {
 			label := fmt.Sprintf("%s/%d-threads", c.name, threads)
 			walk := runMutexMode(t, c.cfg, threads, true)
 			skip := runMutexMode(t, c.cfg, threads, false)
-			par := runMutexMode(t, c.cfg, threads, false, WithParallelClock(8))
-			compareCaptures(t, label+"/idle-skip", walk, skip, true)
-			compareCaptures(t, label+"/parallel", walk, par, false)
+			compareCaptures(t, label+"/idle-skip", walk, skip)
 		}
 	}
 }

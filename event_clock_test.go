@@ -15,22 +15,12 @@ import (
 
 // runWorkloadEngine runs one workload under the chosen engine mode and
 // renders everything observable into one comparable string.
-func runWorkloadEngine(t *testing.T, run func(opts ...Option) (any, error), event, pooled bool) string {
+func runWorkloadEngine(t *testing.T, run func(opts ...Option) (any, error), event bool) string {
 	t.Helper()
 	var sim *Simulator
-	opts := []Option{WithObserver(func(s *Simulator) {
-		sim = s
-		if pooled {
-			for _, d := range s.Devices() {
-				d.MinFanout = 1
-			}
-		}
-	})}
+	opts := []Option{WithObserver(func(s *Simulator) { sim = s })}
 	if !event {
 		opts = append(opts, WithEventClock(false))
-	}
-	if pooled {
-		opts = append(opts, WithParallelClock(8))
 	}
 	res, err := run(opts...)
 	if err != nil {
@@ -45,8 +35,7 @@ func runWorkloadEngine(t *testing.T, run func(opts ...Option) (any, error), even
 }
 
 // TestEventClockWorkloadEquivalence is the scheduler's acceptance test:
-// per-cycle reference, event-driven serial and event-driven pooled runs
-// are bit-identical for all six workloads on both presets. The mutex
+// per-cycle reference and event-driven runs are bit-identical for all six workloads on both presets. The mutex
 // family is the scheduler's stress case — its backoff phases are exactly
 // the idle spans the calendar fast-forwards.
 func TestEventClockWorkloadEquivalence(t *testing.T) {
@@ -77,14 +66,10 @@ func TestEventClockWorkloadEquivalence(t *testing.T) {
 		}
 		for _, w := range workloads {
 			t.Run(c.name+"/"+w.name, func(t *testing.T) {
-				percycle := runWorkloadEngine(t, w.run, false, false)
-				event := runWorkloadEngine(t, w.run, true, false)
-				pooled := runWorkloadEngine(t, w.run, true, true)
+				percycle := runWorkloadEngine(t, w.run, false)
+				event := runWorkloadEngine(t, w.run, true)
 				if percycle != event {
 					t.Errorf("per-cycle and event-driven runs diverge:\n--- percycle\n%s\n--- event\n%s", percycle, event)
-				}
-				if percycle != pooled {
-					t.Errorf("per-cycle and event-driven pooled runs diverge:\n--- percycle\n%s\n--- pooled\n%s", percycle, pooled)
 				}
 			})
 		}
@@ -97,13 +82,10 @@ func TestEventClockWorkloadEquivalence(t *testing.T) {
 // timeout, or a forwarded packet's hop delay) would surface. Every
 // response's arrival cycle, every send stall and every device report
 // lands in the capture string.
-func runChainEngine(t *testing.T, plan FaultPlan, event bool, workers int) string {
+func runChainEngine(t *testing.T, plan FaultPlan, event bool) string {
 	t.Helper()
 	cfg := FourLink4GB()
 	opts := []Option{WithDevices(4, TopoChain)}
-	if workers > 1 {
-		opts = append(opts, WithParallelClock(workers))
-	}
 	if !event {
 		opts = append(opts, WithEventClock(false))
 	}
@@ -114,7 +96,6 @@ func runChainEngine(t *testing.T, plan FaultPlan, event bool, workers int) strin
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	rng := uint64(0x9E3779B97F4A7C15)
 	next := func() uint64 {
 		rng ^= rng << 13
@@ -171,9 +152,8 @@ func runChainEngine(t *testing.T, plan FaultPlan, event bool, workers int) strin
 }
 
 // TestEventClockChainFaultEquivalence pins the topology-level jump
-// gating under fault injection: per-cycle, event-driven serial and
-// event-driven pooled runs of the chained burst schedule are
-// bit-identical for a 1% mixed plan and for heavy Down and Drop plans
+// gating under fault injection: per-cycle and event-driven runs of the
+// chained burst schedule are bit-identical for a 1% mixed plan and for heavy Down and Drop plans
 // whose park windows dominate the timeline.
 func TestEventClockChainFaultEquivalence(t *testing.T) {
 	plans := []struct {
@@ -187,14 +167,10 @@ func TestEventClockChainFaultEquivalence(t *testing.T) {
 	}
 	for _, p := range plans {
 		t.Run(p.name, func(t *testing.T) {
-			percycle := runChainEngine(t, p.plan, false, 1)
-			event := runChainEngine(t, p.plan, true, 1)
-			pooled := runChainEngine(t, p.plan, true, 4)
+			percycle := runChainEngine(t, p.plan, false)
+			event := runChainEngine(t, p.plan, true)
 			if percycle != event {
 				t.Errorf("per-cycle and event-driven chain runs diverge:\n--- percycle\n%s\n--- event\n%s", percycle, event)
-			}
-			if percycle != pooled {
-				t.Errorf("per-cycle and event-driven pooled chain runs diverge:\n--- percycle\n%s\n--- pooled\n%s", percycle, pooled)
 			}
 		})
 	}

@@ -137,14 +137,6 @@ var (
 	WithPowerModel = sim.WithPowerModel
 	// WithObserver hands the caller the simulator handle at construction.
 	WithObserver = sim.WithObserver
-	// WithParallelClock enables the deterministic parallel cycle engine:
-	// a persistent worker pool services active vaults in each device's
-	// execute phase (above the adaptive ExecMinFanout threshold) and
-	// steps the devices of a multi-cube topology concurrently, with
-	// results bit-identical to serial clocking. Simulator.Close releases
-	// the pools; Simulator.ClockN is the batched clock driver that keeps
-	// them hot across cycles.
-	WithParallelClock = sim.WithParallelClock
 	// WithEventClock selects the cycle scheduler. It defaults to true —
 	// the event-driven calendar that fast-forwards provably idle spans
 	// and skips quiescent cubes, bit-identical to per-cycle stepping.
@@ -152,11 +144,6 @@ var (
 	// topology-level analogue of the device ForceWalk escape hatch).
 	WithEventClock = sim.WithEventClock
 )
-
-// ExecMinFanout is the parallel engine's default fan-out threshold:
-// cycles with fewer active vaults than this execute serially even under
-// WithParallelClock, because waking the pool costs more than the work.
-const ExecMinFanout = device.DefaultMinFanout
 
 // Topology kinds for WithDevices.
 const (

@@ -293,133 +293,24 @@ func (d *Device) corrupt(dir *linkDir, kind fault.Kind, f *Flight, rqst *packet.
 	}
 }
 
-// executePhase services the request queue of every active vault. With
-// Workers > 1 the active vaults are serviced concurrently: the address
-// map partitions memory by vault, so vault executions are independent
-// (each touches only its own queues, banks, address shard and scratch);
-// per-worker statistics are merged afterwards so the counters match the
-// serial mode exactly.
-//
-// Parallel mode requires any loaded CMC operations to access only their
-// target block (true of every shipped operation) and a thread-safe
-// ExecHook; the sim layer enforces the latter. Mask updates and Flight
-// recycling happen in a single-threaded pass after the workers join.
+// executePhase services the request queue of every active vault in
+// ascending vault order; each vault reconciles its own dirty bits as it
+// finishes (execVault). Iterating a copy of each mask word keeps the
+// visit set fixed to the vaults active when the phase began.
 func (d *Device) executePhase() {
-	// Snapshot the active set: workers must not mutate the mask, and the
-	// pass below needs to revisit exactly the vaults that ran.
-	active := d.execScratch[:0]
 	if d.ForceWalk {
 		for i := range d.vaults {
-			active = append(active, i)
+			d.execVault(i)
 		}
-	} else {
-		for wi, w := range d.vaultRqstMask {
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				w &^= 1 << b
-				active = append(active, wi<<6+b)
-			}
-		}
+		return
 	}
-	d.execScratch = active
-
-	if len(active) > 0 {
-		// Adaptive fan-out: waking the pool costs one channel handoff
-		// per worker, so small active sets (the common case for
-		// hot-spot workloads like the paper's mutex evaluation) stay on
-		// the serial path, which allocates nothing and touches no
-		// synchronization. The threshold compares the active-vault
-		// count, the proxy for this cycle's execute work.
-		if d.Workers > 1 && len(active) >= d.fanoutMin() {
-			d.execParallel()
-		} else {
-			for _, i := range active {
-				d.execVault(&d.vaults[i], &d.stats)
-			}
+	for wi, w := range d.vaultRqstMask {
+		for w != 0 {
+			b := bits.TrailingZeros64(w)
+			w &^= 1 << b
+			d.execVault(wi<<6 + b)
 		}
 	}
-
-	// Single-threaded post-pass: reconcile the dirty masks with the
-	// queues the workers drained/filled, and recycle flights retired
-	// without a response (posted and flow commands).
-	for _, i := range active {
-		v := &d.vaults[i]
-		if v.rqst.Empty() {
-			clearBit(d.vaultRqstMask, i)
-		}
-		if !v.rsp.Empty() {
-			setBit(d.vaultRspMask, i)
-		}
-		for _, f := range v.dead {
-			if f.Rqst != nil {
-				d.putRqst(f.Rqst)
-			}
-			d.putFlight(f)
-		}
-		clear(v.dead)
-		v.dead = v.dead[:0]
-	}
-}
-
-// execParallel fans the active-vault list out across the persistent
-// worker pool. The pool is created lazily on the first fan-out (and
-// re-created if Workers changed since), so devices that never cross the
-// fan-out threshold never start a goroutine; Close releases it.
-//
-// Determinism: worker w always services the w-th contiguous chunk of
-// the active list (itself in ascending vault order), accumulating into
-// partial w, and the partials are merged in ascending worker order
-// after the barrier — so the device statistics are bit-identical to
-// serial execution on every run.
-func (d *Device) execParallel() {
-	if d.pool == nil || d.pool.Size() != d.Workers {
-		d.pool.Close()
-		// Workers access the store concurrently; restore shard locking
-		// before the first one starts (construction elides it).
-		d.store.SetSerial(false)
-		d.pool = NewPool(d.Workers)
-		// Bind the worker method once: passing a fresh closure to Run
-		// would allocate every cycle.
-		d.poolTask = d.execWorker
-	}
-	n := d.pool.Size()
-	if cap(d.partialScratch) < n {
-		d.partialScratch = make([]Stats, n)
-	}
-	partials := d.partialScratch[:n]
-	for i := range partials {
-		partials[i] = Stats{}
-	}
-	d.pool.Run(d.poolTask)
-	for i := range partials {
-		d.stats.merge(&partials[i])
-	}
-}
-
-// execWorker is the pool task: worker w services its fixed chunk of the
-// active-vault snapshot, accumulating statistics into its own partial.
-// Workers whose chunk is empty (Workers > len(active)) return
-// immediately — they still cost one wake/park round trip, which is why
-// the fan-out threshold exists.
-func (d *Device) execWorker(w int) {
-	active := d.execScratch
-	n := d.pool.Size()
-	chunk := (len(active) + n - 1) / n
-	lo := min(w*chunk, len(active))
-	hi := min(lo+chunk, len(active))
-	st := &d.partialScratch[w]
-	for _, i := range active[lo:hi] {
-		d.execVault(&d.vaults[i], st)
-	}
-}
-
-// fanoutMin returns the smallest active-vault count worth fanning out,
-// DefaultMinFanout unless the device overrides it via MinFanout.
-func (d *Device) fanoutMin() int {
-	if d.MinFanout > 0 {
-		return d.MinFanout
-	}
-	return DefaultMinFanout
 }
 
 // requestPhase advances requests into the device: host link request

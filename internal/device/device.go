@@ -31,30 +31,13 @@
 //
 // # Concurrency
 //
-// The host API (Send/Recv/Clock) is single-goroutine, as in the
-// original simulator. With Workers > 1 only the execute phase fans out,
-// one persistent pool worker per chunk of active vaults (see Pool; the
-// pool is created lazily and released by Close); every shared surface a
-// worker can reach is either synchronized or single-writer by
-// construction:
-//
-//   - mem.Store: sharded on the address map's vault bits, one RWMutex
-//     per shard, so concurrent vault workers never contend — and are
-//     correct even if a CMC op reaches outside its vault's shard.
-//   - RegFile: all access (including PostError from posted-fault paths
-//     on worker goroutines) is behind its mutex.
-//   - trace tracers: Text, JSONL and Recorder all serialize Emit with a
-//     mutex; only the interleaving of same-cycle events is unordered.
-//   - cmc.Table: read-only after Load; ExecContext is per-vault scratch
-//     touched only by the vault's worker; script programs keep all
-//     execution state on the per-call stack.
-//   - amo.Unit: stateless aside from the store.
-//   - Stats: workers accumulate into per-worker partials merged after
-//     the join; the dirty bitsets, flight free list and per-vault dead
-//     lists are only read and written in single-threaded phase code
-//     (the post-execute pass runs after the workers join).
-//   - ExecHook: called concurrently, so it must be thread-safe; the sim
-//     layer wraps the power hook in a mutex when Workers > 1.
+// The host API (Send/Recv/Clock) and every clock phase run on the
+// caller's goroutine, as in the original simulator: a Device, its store
+// and its free lists belong to one goroutine at a time and take no
+// locks. Parallelism comes from running independent simulators side by
+// side (sweep workers, session-server shards); those share only the
+// process-wide store page pool and packet response pool, both
+// sync.Pools.
 package device
 
 import (
@@ -165,7 +148,7 @@ type Stats struct {
 	LinkRetries uint64
 	// RqstFlits and RspFlits count FLITs serialized across host links in
 	// each direction — the numerators of the effective link bandwidth
-	// (stats.LinkBandwidthGBs). Counted in the single-threaded link phases.
+	// (stats.LinkBandwidthGBs).
 	RqstFlits, RspFlits uint64
 	// RowHits and RowMisses count open-page outcomes when the row-buffer
 	// model is enabled (Config.RowMissPenaltyCycles).
@@ -189,21 +172,6 @@ type Stats struct {
 
 // RqstsOfClass returns the executed-request count for one command class.
 func (s Stats) RqstsOfClass(c hmccmd.Class) uint64 { return s.Rqsts[c] }
-
-// merge folds a partial counter set (from one parallel-clock worker) into
-// the device totals. Cycle and link-side counters are never collected in
-// partials, so only the execute-phase fields are summed.
-func (s *Stats) merge(o *Stats) {
-	for i := range s.Rqsts {
-		s.Rqsts[i] += o.Rqsts[i]
-	}
-	s.BankConflicts += o.BankConflicts
-	s.RspBackpressure += o.RspBackpressure
-	s.RowHits += o.RowHits
-	s.RowMisses += o.RowMisses
-	s.ErrResponses += o.ErrResponses
-	s.PoisonedRqsts += o.PoisonedRqsts
-}
 
 // Device is one simulated HMC device.
 type Device struct {
@@ -235,27 +203,9 @@ type Device struct {
 	// ExecHook, when non-nil, is invoked for every executed request with
 	// its command class, request/response FLIT counts and the number of
 	// 16-byte DRAM blocks touched. The simulator layer uses it to drive
-	// the optional power model without coupling the device to it. With
-	// Workers > 1 the hook is called concurrently and must be
-	// thread-safe.
+	// the optional power model without coupling the device to it. It
+	// runs on the clocking goroutine, in vault order.
 	ExecHook func(class hmccmd.Class, rqstFlits, rspFlits, dramBlocks int)
-
-	// Workers selects how many pool workers service vaults during the
-	// execute phase (values <= 1 mean serial). The vault partitioning of
-	// the address space makes parallel execution semantically identical
-	// to serial, except for the interleaving of trace-event emission
-	// within a cycle. The pool goroutines are started lazily on the
-	// first cycle that crosses the fan-out threshold and released by
-	// Close.
-	Workers int
-
-	// MinFanout is the smallest active-vault count the execute phase
-	// will fan out across the worker pool; smaller active sets run
-	// serially even with Workers > 1 (the pool barrier costs more than
-	// executing a handful of vaults inline). Zero selects
-	// DefaultMinFanout. The threshold changes only where the work runs,
-	// never the results.
-	MinFanout int
 
 	// ForceWalk disables idle skipping, making every clock phase walk
 	// every vault and sample every queue exactly as the original
@@ -267,29 +217,15 @@ type Device struct {
 	// flightPool recycles Flight envelopes and rqstPool recycles the
 	// device-owned request packets they carry: Send draws from both (it
 	// adopts the caller's request by deep copy, so the caller may reuse
-	// its buffers immediately), Recv and the post-execute pass return to
-	// them. Both are touched only from the host goroutine
-	// (Send/Recv/Clock), never from execute-phase workers, so they need
-	// no lock. Misses allocate in chunks to amortize warm-up.
+	// its buffers immediately), Recv and the execute phase return to
+	// them. Misses allocate in chunks to amortize warm-up.
 	flightPool []*Flight
 	rqstPool   []*packet.Rqst
 
 	// vaultRqstMask and vaultRspMask are bitsets of vaults whose request
 	// (resp. response) queues are non-empty, maintained at push/pop so
-	// the clock phases touch only active vaults. Updated only from
-	// single-threaded phase code (never from execute workers).
+	// the clock phases touch only active vaults.
 	vaultRqstMask, vaultRspMask []uint64
-
-	// execScratch and partialScratch are reusable per-cycle buffers for
-	// the execute phase (active-vault list and per-worker stat partials).
-	execScratch    []int
-	partialScratch []Stats
-
-	// pool is the persistent execute-phase worker pool, created lazily
-	// by the first fan-out and released by Close; poolTask is the
-	// execWorker method value bound once so Run stays allocation-free.
-	pool     *Pool
-	poolTask func(int)
 
 	// latHist, when RegisterMetrics has run, holds one end-to-end latency
 	// histogram per command class; Recv observes the send-to-recv cycle
@@ -331,17 +267,12 @@ func New(id int, cfg config.Config, tracer trace.Tracer) (*Device, error) {
 		Cfg:  cfg,
 		regs: newRegFile(cfg),
 		amap: amap,
-		// Shard the page table on the vault bits of the address map:
-		// requests are partitioned by vault, so under WithParallelClock
-		// no two workers ever contend for the same shard lock.
+		// Shard the page table on the vault bits of the address map so
+		// each vault's granules pack into whole pages (see mem).
 		store:  mem.NewSharded(cfg.CapacityBytes(), cfg.OffsetBits(), cfg.VaultBits()),
 		cmcTab: cmc.NewTable(),
 		tracer: tracer,
 	}
-	// Only execute-phase pool workers ever touch the store from more
-	// than one goroutine; run lock-free until that pool actually starts
-	// (execParallel restores locking first).
-	d.store.SetSerial(true)
 	d.amoU = amo.New(d.store)
 	// Queue ring buffers — two per link, two per crossbar port, two per
 	// vault — materialize lazily inside queue.Queue as occupancy demands
@@ -362,7 +293,6 @@ func New(id int, cfg config.Config, tracer trace.Tracer) (*Device, error) {
 	}
 	d.vaultRqstMask = make([]uint64, (cfg.Vaults+63)/64)
 	d.vaultRspMask = make([]uint64, (cfg.Vaults+63)/64)
-	d.execScratch = make([]int, 0, cfg.Vaults)
 	// Tie every queue's sample count to the cycle counter so the sample
 	// phase may skip empty queues without perturbing the statistics.
 	for i := range d.links {
@@ -378,28 +308,6 @@ func New(id int, cfg config.Config, tracer trace.Tracer) (*Device, error) {
 		d.vaults[i].rsp.SetSampleBase(&d.stats.Cycles)
 	}
 	return d, nil
-}
-
-// DefaultMinFanout is the default execute-phase fan-out threshold: with
-// fewer active vaults than this, waking the worker pool costs more than
-// executing the vaults inline, so the device stays on the serial path.
-// Measured on the pooled-exec benchmark the crossover sits well below 8
-// active vaults even at high per-vault load; 8 keeps hot-spot workloads
-// (one active vault) strictly serial while full-device traffic fans out.
-const DefaultMinFanout = 8
-
-// Close releases the execute-phase worker pool, if one was started. The
-// device remains fully usable afterwards — reports, stats and the serial
-// clock path are untouched, and a later parallel cycle simply starts a
-// fresh pool. Close is idempotent. Callers that enable Workers > 1 own
-// the pool's lifetime: a device abandoned without Close leaks its
-// parked worker goroutines until process exit.
-func (d *Device) Close() {
-	if d.pool != nil {
-		d.pool.Close()
-		d.pool = nil
-		d.poolTask = nil
-	}
 }
 
 // poolChunk is how many Flights or Rqsts a pool miss materializes at

@@ -10,19 +10,18 @@ import (
 	"repro/internal/trace"
 )
 
-// TestParallelExecuteUnderTrace drives every shared-state surface of
-// the parallel execute phase at once — the sharded store, the mutexed
-// register file (posted faults), the mutexed tracer, CMC execution and
-// the AMO unit — with Workers=8. Run under -race (the CI script does)
-// this is the audit test for shared mutable state under the parallel
-// clock.
-func TestParallelExecuteUnderTrace(t *testing.T) {
+// TestExecuteBurstUnderTrace drives every execute-phase datapath at
+// once with tracing on at every level: each vault receives a burst of
+// write, read, AMO, CMC and an out-of-range posted write, so one cycle
+// services all vaults through the sharded store, the AMO unit, the CMC
+// table and the register file. Every responding request must answer,
+// and the posted faults must latch ErrBitAccessFault.
+func TestExecuteBurstUnderTrace(t *testing.T) {
 	cfg := config.FourLink4GB()
 	d, err := New(0, cfg, trace.NewJSONL(io.Discard, trace.LevelAll))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Workers = 8
 	if err := d.CMC().Load(testLockOp{}); err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +38,7 @@ func TestParallelExecuteUnderTrace(t *testing.T) {
 				{Cmd: hmccmd.ADD16, ADRS: base, TAG: tag + 2, Payload: []uint64{1, 1}},
 				{Cmd: hmccmd.CMC125, ADRS: base, TAG: tag + 3, Payload: []uint64{uint64(v) + 1, 0}},
 				// Posted write to an out-of-range address: latches
-				// ErrBitAccessFault via the mutexed register file from a
-				// worker goroutine.
+				// ErrBitAccessFault in the register file.
 				{Cmd: hmccmd.PWR16, ADRS: cfg.CapacityBytes() + base, TAG: tag + 4, Payload: []uint64{1, 2}},
 			}
 			for i, r := range rqsts {

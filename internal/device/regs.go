@@ -77,9 +77,8 @@ const (
 // encoded as 0x21.
 const RVIDValue uint64 = 0xF1<<16 | 0x02<<8 | 0x21
 
-// RegFile is a device's configuration and status register file. It is
-// safe for concurrent use: vaults executing in parallel may latch error
-// bits simultaneously.
+// RegFile is a device's configuration and status register file. Every
+// access takes its mutex, so it is safe for concurrent use.
 type RegFile struct {
 	mu   sync.Mutex
 	vals [numRegs]uint64

@@ -26,11 +26,11 @@ import (
 //
 // Deliberately retained: the CMC registration table (operations are
 // stateless; reloading them is the session's concern), the flight and
-// request free lists, the execute-phase worker pool, scratch buffers,
-// the tracer, and any registered metrics instruments (which accumulate
-// across runs — reusable sessions are built without metrics). After
-// Reset the device is indistinguishable, in every statistic and every
-// packet it emits, from a freshly constructed one with the same CMC
+// request free lists, scratch buffers, the tracer, and any registered
+// metrics instruments (which accumulate across runs — reusable sessions
+// are built without metrics). After Reset the device is
+// indistinguishable, in every statistic and every packet it emits, from
+// a freshly constructed one with the same CMC
 // table (the reset bit-identity suite pins this).
 func (d *Device) Reset() {
 	for i := range d.links {
@@ -46,12 +46,6 @@ func (d *Device) Reset() {
 		v := &d.vaults[i]
 		d.drainQueue(&v.rqst)
 		d.drainQueue(&v.rsp)
-		// The dead list is drained every cycle by the post-execute pass;
-		// recycle defensively in case Reset lands mid-run.
-		for _, f := range v.dead {
-			d.recycleFlight(f)
-		}
-		v.dead = v.dead[:0]
 		clear(v.banks)
 	}
 	clear(d.vaultRqstMask)

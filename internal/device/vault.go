@@ -40,14 +40,8 @@ type Vault struct {
 
 	// ctxScratch is the reusable CMC execute context for this vault,
 	// allocated lazily on the first CMC dispatch so workloads that never
-	// issue custom commands pay nothing for it. Each vault is serviced
-	// by at most one execute-phase worker per cycle, so the scratch is
-	// never shared.
+	// issue custom commands pay nothing for it.
 	ctxScratch *cmc.ExecContext
-	// dead collects flights retired without a response this cycle
-	// (posted and flow commands); the single-threaded post-execute pass
-	// recycles them into the device flight pool.
-	dead []*Flight
 }
 
 func (v *Vault) init(id int, cfg config.Config, banks []Bank) {
@@ -73,14 +67,16 @@ func (v *Vault) BankOps() []uint64 {
 	return out
 }
 
-// execVault services one vault's request queue for the current cycle:
+// execVault services vault i's request queue for the current cycle:
 // FIFO order, head-of-line blocking on busy banks and on a full response
-// queue. This is the hmcsim_process_rqst() stage of paper Figure 3.
-func (d *Device) execVault(v *Vault, st *Stats) {
+// queue. This is the hmcsim_process_rqst() stage of paper Figure 3. On
+// the way out it reconciles the vault's dirty bits with its queues.
+func (d *Device) execVault(i int) {
+	v := &d.vaults[i]
 	for {
 		f, ok := v.rqst.Peek()
 		if !ok {
-			return
+			break
 		}
 		r := f.Rqst
 		info := r.Cmd.InfoRef()
@@ -89,7 +85,7 @@ func (d *Device) execVault(v *Vault, st *Stats) {
 		// Bank availability (only meaningful for in-range addresses).
 		if locErr == nil && d.Cfg.BankLatencyCycles > 0 {
 			if b := &v.banks[loc.Bank]; d.cycle < b.readyAt {
-				st.BankConflicts++
+				d.stats.BankConflicts++
 				if d.spans != nil && d.spans.Tracked(r.TAG) {
 					d.spans.Point(span.KindBankWait, d.ID, -1, v.ID, r.TAG, d.cycle, uint32(loc.Bank))
 				}
@@ -101,23 +97,23 @@ func (d *Device) execVault(v *Vault, st *Stats) {
 						Detail: "bank busy",
 					})
 				}
-				return
+				break
 			}
 		}
 
 		// Response-queue space: every non-posted request needs one slot.
 		needsRsp := info.Class != hmccmd.ClassFlow && info.Rsp != hmccmd.RspNone
 		if needsRsp && v.rsp.Full() {
-			st.RspBackpressure++
+			d.stats.RspBackpressure++
 			if d.spans != nil && d.spans.Tracked(r.TAG) {
 				d.spans.Point(span.KindRspWait, d.ID, -1, v.ID, r.TAG, d.cycle, 0)
 			}
-			return
+			break
 		}
 
 		v.rqst.Pop()
 		f.ExecCycle = d.cycle
-		st.Rqsts[info.Class]++
+		d.stats.Rqsts[info.Class]++
 
 		if locErr == nil {
 			b := &v.banks[loc.Bank]
@@ -125,9 +121,9 @@ func (d *Device) execVault(v *Vault, st *Stats) {
 			if d.Cfg.BankLatencyCycles > 0 && d.Cfg.RowMissPenaltyCycles > 0 {
 				// Open-page model: a row miss pays precharge+activate.
 				if b.hasRow && b.openRow == loc.Row {
-					st.RowHits++
+					d.stats.RowHits++
 				} else {
-					st.RowMisses++
+					d.stats.RowMisses++
 					latency += uint64(d.Cfg.RowMissPenaltyCycles)
 				}
 				b.openRow, b.hasRow = loc.Row, true
@@ -136,7 +132,7 @@ func (d *Device) execVault(v *Vault, st *Stats) {
 			b.Ops++
 		}
 
-		rsp := d.executeRqst(v, f, info, loc, locErr, st)
+		rsp := d.executeRqst(v, f, info, loc, locErr)
 		if d.spans != nil && d.spans.Tracked(r.TAG) {
 			// Dispatch and execution happen in the same cycle; a posted
 			// command (no response) closes its span here.
@@ -165,9 +161,10 @@ func (d *Device) execVault(v *Vault, st *Stats) {
 			})
 		}
 		if rsp == nil {
-			// Posted or flow: no response packet — the envelope dies
-			// here and is recycled after the phase's workers join.
-			v.dead = append(v.dead, f)
+			// Posted or flow: no response packet — the envelope and the
+			// adopted request die here.
+			d.putRqst(r)
+			d.putFlight(f)
 			continue
 		}
 		f.Rsp = rsp
@@ -184,6 +181,12 @@ func (d *Device) execVault(v *Vault, st *Stats) {
 				Value: uint64(rsp.ERRSTAT),
 			})
 		}
+	}
+	if v.rqst.Empty() {
+		clearBit(d.vaultRqstMask, i)
+	}
+	if !v.rsp.Empty() {
+		setBit(d.vaultRspMask, i)
 	}
 }
 
@@ -209,7 +212,7 @@ func bankOf(loc addr.Location, err error) int {
 
 // executeRqst performs one request in-situ and builds its response (nil
 // for posted/flow commands).
-func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Location, locErr error, st *Stats) *packet.Rsp {
+func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Location, locErr error) *packet.Rsp {
 	r := f.Rqst
 
 	// Poisoned packets are never executed: a request that reaches the
@@ -218,13 +221,13 @@ func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Lo
 	// response; posted poisoned requests have no response channel, so
 	// they latch the error register instead.
 	if r.Pb {
-		st.PoisonedRqsts++
+		d.stats.PoisonedRqsts++
 		if info.Class == hmccmd.ClassFlow || info.Rsp == hmccmd.RspNone {
 			d.regs.PostError(ErrBitPoisonFault)
-			st.ErrResponses++
+			d.stats.ErrResponses++
 			return nil
 		}
-		return d.errorRsp(f, ErrstatPoisoned, st)
+		return d.errorRsp(f, ErrstatPoisoned)
 	}
 
 	switch info.Class {
@@ -232,10 +235,10 @@ func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Lo
 		return nil
 
 	case hmccmd.ClassCMC:
-		return d.executeCMC(v, f, loc, locErr, st)
+		return d.executeCMC(v, f, loc, locErr)
 
 	case hmccmd.ClassMode:
-		return d.executeMode(f, st)
+		return d.executeMode(f)
 	}
 
 	// All remaining classes address DRAM: validate the target first.
@@ -244,13 +247,13 @@ func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Lo
 	if locErr != nil || d.blockViolation(r, info) {
 		if info.Rsp == hmccmd.RspNone {
 			d.regs.PostError(ErrBitAccessFault)
-			st.ErrResponses++
+			d.stats.ErrResponses++
 			return nil
 		}
 		if locErr != nil {
-			return d.errorRsp(f, ErrstatBadAddr, st)
+			return d.errorRsp(f, ErrstatBadAddr)
 		}
-		return d.errorRsp(f, ErrstatBlockViolation, st)
+		return d.errorRsp(f, ErrstatBlockViolation)
 	}
 
 	switch info.Class {
@@ -261,7 +264,7 @@ func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Lo
 		rsp := d.dataRsp(f, info.Rsp, info.RspFlits, nil, false)
 		if err := d.store.ReadWords(r.ADRS, rsp.Payload); err != nil {
 			packet.PutRsp(rsp)
-			return d.errorRsp(f, ErrstatBadAddr, st)
+			return d.errorRsp(f, ErrstatBadAddr)
 		}
 		return rsp
 
@@ -269,7 +272,7 @@ func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Lo
 		// Zero-copy datapath: payload words land directly in the page,
 		// zero-filling up to DataBytes — no intermediate byte buffer.
 		if err := d.store.WriteWords(r.ADRS, r.Payload, int(info.DataBytes)); err != nil {
-			return d.errorRsp(f, ErrstatBadAddr, st)
+			return d.errorRsp(f, ErrstatBadAddr)
 		}
 		if info.Class == hmccmd.ClassPostedWrite {
 			return nil
@@ -283,28 +286,28 @@ func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Lo
 			if info.Class == hmccmd.ClassPostedAtomic {
 				return nil
 			}
-			return d.errorRsp(f, ErrstatInternal, st)
+			return d.errorRsp(f, ErrstatInternal)
 		}
 		if info.Class == hmccmd.ClassPostedAtomic {
 			return nil
 		}
 		return d.dataRsp(f, info.Rsp, info.RspFlits, res.Payload, res.DINV)
 	}
-	return d.errorRsp(f, ErrstatInternal, st)
+	return d.errorRsp(f, ErrstatInternal)
 }
 
 // executeCMC dispatches a custom memory cube request against the device's
 // registration table (paper Figure 3): inactive commands yield an error
 // response, active commands run the user's execute function and are
 // traced under the op's registered name.
-func (d *Device) executeCMC(v *Vault, f *Flight, loc addr.Location, locErr error, st *Stats) *packet.Rsp {
+func (d *Device) executeCMC(v *Vault, f *Flight, loc addr.Location, locErr error) *packet.Rsp {
 	r := f.Rqst
 	slot, ok := d.cmcTab.Slot(r.Cmd.Code())
 	if !ok {
-		return d.errorRsp(f, ErrstatInactiveCMC, st)
+		return d.errorRsp(f, ErrstatInactiveCMC)
 	}
 	if locErr != nil {
-		return d.errorRsp(f, ErrstatBadAddr, st)
+		return d.errorRsp(f, ErrstatBadAddr)
 	}
 	// Draw the response (and its zeroed payload buffer, which the execute
 	// context fills in place) from the packet pool before dispatch; the
@@ -314,8 +317,7 @@ func (d *Device) executeCMC(v *Vault, f *Flight, loc addr.Location, locErr error
 	if desc.RspLen > 0 {
 		rsp = packet.GetRsp(2 * (int(desc.RspLen) - 1))
 	}
-	// Reuse the vault's scratch context: only this vault's worker
-	// touches it.
+	// Reuse the vault's scratch context.
 	if v.ctxScratch == nil {
 		v.ctxScratch = new(cmc.ExecContext)
 	}
@@ -344,7 +346,7 @@ func (d *Device) executeCMC(v *Vault, f *Flight, loc addr.Location, locErr error
 	if err := slot.Op.Execute(ctx); err != nil {
 		packet.PutRsp(rsp)
 		d.regs.PostError(ErrBitCMCFault)
-		return d.errorRsp(f, ErrstatCMCFault, st)
+		return d.errorRsp(f, ErrstatCMCFault)
 	}
 	if d.tracer.Enabled(trace.LevelCMC) {
 		d.tracer.Emit(trace.Event{
@@ -373,25 +375,25 @@ func (d *Device) executeCMC(v *Vault, f *Flight, loc addr.Location, locErr error
 
 // executeMode services MD_RD/MD_WR mode requests: the ADRS field selects
 // the register.
-func (d *Device) executeMode(f *Flight, st *Stats) *packet.Rsp {
+func (d *Device) executeMode(f *Flight) *packet.Rsp {
 	r := f.Rqst
 	reg := Reg(r.ADRS & 0xFF)
 	switch r.Cmd {
 	case hmccmd.MDRD:
 		val, err := d.regs.Read(reg)
 		if err != nil {
-			return d.errorRsp(f, ErrstatBadAddr, st)
+			return d.errorRsp(f, ErrstatBadAddr)
 		}
 		rsp := d.dataRsp(f, hmccmd.MdRdRS, r.Cmd.Info().RspFlits, nil, false)
 		rsp.Payload[0] = val
 		return rsp
 	case hmccmd.MDWR:
 		if err := d.regs.Write(reg, r.Payload[0]); err != nil {
-			return d.errorRsp(f, ErrstatBadAddr, st)
+			return d.errorRsp(f, ErrstatBadAddr)
 		}
 		return d.dataRsp(f, hmccmd.MdWrRS, r.Cmd.Info().RspFlits, nil, false)
 	}
-	return d.errorRsp(f, ErrstatInternal, st)
+	return d.errorRsp(f, ErrstatInternal)
 }
 
 // blockViolation reports a DRAM request that exceeds the configured
@@ -429,8 +431,8 @@ func (d *Device) dataRsp(f *Flight, cmd hmccmd.Resp, flits uint8, payload []uint
 }
 
 // errorRsp builds a one-FLIT error response carrying an ERRSTAT code.
-func (d *Device) errorRsp(f *Flight, errstat uint8, st *Stats) *packet.Rsp {
-	st.ErrResponses++
+func (d *Device) errorRsp(f *Flight, errstat uint8) *packet.Rsp {
+	d.stats.ErrResponses++
 	r := f.Rqst
 	code, _ := hmccmd.RspError.Code()
 	rsp := packet.GetRsp(0)

@@ -15,20 +15,25 @@
 // # Sharding
 //
 // The device interleaves its address space across vaults at the
-// maximum-block-size granularity (internal/addr), and the device clock
-// may service vaults concurrently (WithParallelClock). To keep the
-// store contention-free under that traffic pattern it can be built
-// sharded on the same vault bits (NewSharded): each shard owns its own
-// lock and page table, so two vaults never contend for the same lock.
+// maximum-block-size granularity (internal/addr), and the store is built
+// sharded on the same vault bits (NewSharded): one page table per vault.
+// Sharding exists for its page layout, not for concurrency. A shard
+// stores its slice of the address space *compacted*: the granules
+// (interleave blocks) belonging to one vault are packed contiguously
+// before being split into pages. A working set that strides across one
+// vault's granules therefore fills whole pages — 256 blocks of 64 bytes
+// at a 32-vault stride occupy four 4 KiB pages instead of 128 — which is
+// what keeps the session server's per-session heap small. Sharding adds
+// zero page-storage overhead.
 //
-// A shard stores its slice of the address space *compacted*: the
-// granules (interleave blocks) belonging to one shard are packed
-// contiguously before being split into pages, so sharding adds zero
-// page-storage overhead. Because the HMC forbids DRAM requests from
-// crossing an interleave-block boundary, every datapath access lands in
-// exactly one shard — and, since the granule size divides the page
-// size, in exactly one page. Host-side bulk preloads that span granules
-// are split transparently.
+// Because the HMC forbids DRAM requests from crossing an interleave-block
+// boundary, every datapath access lands in exactly one shard — and,
+// since the granule size divides the page size, in exactly one page.
+// Host-side bulk preloads that span granules are split transparently.
+//
+// A Store is not safe for concurrent use: like the device that owns it,
+// it belongs to one goroutine at a time. Only the process-wide page pool
+// is shared between stores.
 package mem
 
 import (
@@ -68,44 +73,12 @@ func releasePage(p *[PageBytes]byte) {
 	pagePool.Put(p)
 }
 
-// shard is one independently locked slice of the address space.
+// shard is one vault's compacted slice of the address space.
 type shard struct {
-	mu    sync.RWMutex
 	pages map[uint64]*[PageBytes]byte
-	// noLock elides the mutex entirely (SetSerial): even uncontended,
-	// RWMutex lock/unlock pairs are four atomic RMW operations, a
-	// measurable slice of a 16-byte block access on the serial clock
-	// path.
-	noLock bool
 }
 
-func (sh *shard) rlock() {
-	if !sh.noLock {
-		sh.mu.RLock()
-	}
-}
-
-func (sh *shard) runlock() {
-	if !sh.noLock {
-		sh.mu.RUnlock()
-	}
-}
-
-func (sh *shard) lock() {
-	if !sh.noLock {
-		sh.mu.Lock()
-	}
-}
-
-func (sh *shard) unlock() {
-	if !sh.noLock {
-		sh.mu.Unlock()
-	}
-}
-
-// Store is a sparse, lazily allocated memory of fixed capacity. All
-// methods are safe for concurrent use unless SetSerial has elided
-// locking.
+// Store is a sparse, lazily allocated memory of fixed capacity.
 type Store struct {
 	shards []shard
 	// granuleBits is the log2 interleave granularity; addresses within
@@ -121,12 +94,12 @@ type Store struct {
 func New(capacity uint64) *Store { return NewSharded(capacity, 0, 0) }
 
 // NewSharded returns a store of the given capacity whose page table is
-// partitioned into 1<<shardBits independent shards selected by address
-// bits [granuleBits, granuleBits+shardBits). Matching these to the
-// device's offset and vault bits makes concurrent per-vault traffic
-// contention-free. granuleBits and shardBits of zero degrade to a
-// single shard. It panics on geometry that cannot address the capacity,
-// which always indicates a configuration error upstream.
+// partitioned into 1<<shardBits shards selected by address bits
+// [granuleBits, granuleBits+shardBits). Matching these to the device's
+// offset and vault bits gives each vault its own compacted page table.
+// granuleBits and shardBits of zero degrade to a single shard. It
+// panics on geometry that cannot address the capacity, which always
+// indicates a configuration error upstream.
 func NewSharded(capacity uint64, granuleBits, shardBits int) *Store {
 	if granuleBits < 0 || shardBits < 0 ||
 		(shardBits > 0 && granuleBits+shardBits > 62) ||
@@ -148,21 +121,7 @@ func NewSharded(capacity uint64, granuleBits, shardBits int) *Store {
 // Capacity returns the configured capacity in bytes.
 func (s *Store) Capacity() uint64 { return s.capacity }
 
-// SetSerial(true) elides all shard locking, making the store safe only
-// for single-goroutine use; SetSerial(false) restores it. Stores are
-// built locked. The device enables serial mode at construction (its
-// clock, host interface and workload drivers all run on one goroutine)
-// and re-enables locking before its execute-phase worker pool first
-// starts — the only code that touches a device's store concurrently.
-// Callers must not flip the mode while any other goroutine is accessing
-// the store.
-func (s *Store) SetSerial(on bool) {
-	for i := range s.shards {
-		s.shards[i].noLock = on
-	}
-}
-
-// Shards returns the number of independent page-table shards.
+// Shards returns the number of page-table shards.
 func (s *Store) Shards() int { return len(s.shards) }
 
 // AllocatedBytes returns the number of bytes of page storage currently
@@ -170,10 +129,7 @@ func (s *Store) Shards() int { return len(s.shards) }
 func (s *Store) AllocatedBytes() uint64 {
 	var n uint64
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.rlock()
-		n += uint64(len(sh.pages)) * PageBytes
-		sh.runlock()
+		n += uint64(len(s.shards[i].pages)) * PageBytes
 	}
 	return n
 }
@@ -209,9 +165,8 @@ func (s *Store) granuleSpan(addr uint64, n int) int {
 	return n
 }
 
-// read copies n bytes at local into p under the shard read lock.
+// read copies n bytes at local into p.
 func (sh *shard) read(local uint64, p []byte) {
-	sh.rlock()
 	for done := 0; done < len(p); {
 		pageIdx := (local + uint64(done)) / PageBytes
 		off := int((local + uint64(done)) % PageBytes)
@@ -223,12 +178,10 @@ func (sh *shard) read(local uint64, p []byte) {
 		}
 		done += n
 	}
-	sh.runlock()
 }
 
 // write copies p into the shard at local, materializing pages as needed.
 func (sh *shard) write(local uint64, p []byte) {
-	sh.lock()
 	for done := 0; done < len(p); {
 		pageIdx := (local + uint64(done)) / PageBytes
 		off := int((local + uint64(done)) % PageBytes)
@@ -244,17 +197,15 @@ func (sh *shard) write(local uint64, p []byte) {
 		copy(page[off:off+n], p[done:done+n])
 		done += n
 	}
-	sh.unlock()
 }
 
-// page returns the materialized page containing local, or nil. Callers
-// hold the shard read lock.
+// page returns the materialized page containing local, or nil.
 func (sh *shard) page(local uint64) *[PageBytes]byte {
 	return sh.pages[local/PageBytes]
 }
 
 // ensurePage returns the page containing local, materializing it if
-// needed. Callers hold the shard write lock.
+// needed.
 func (sh *shard) ensurePage(local uint64) *[PageBytes]byte {
 	idx := local / PageBytes
 	page, ok := sh.pages[idx]
@@ -314,7 +265,6 @@ func (s *Store) ReadWords(addr uint64, dst []uint64) error {
 	}
 	sh, local := s.locate(addr)
 	if s.granuleSpan(addr, n) == n && int(local%PageBytes)+n <= PageBytes {
-		sh.rlock()
 		if page := sh.page(local); page != nil {
 			off := int(local % PageBytes)
 			for i := range dst {
@@ -323,7 +273,6 @@ func (s *Store) ReadWords(addr uint64, dst []uint64) error {
 		} else {
 			clear(dst)
 		}
-		sh.runlock()
 		return nil
 	}
 	// Cross-granule span (host-side use only): fall back to the general
@@ -354,7 +303,6 @@ func (s *Store) WriteWords(addr uint64, src []uint64, n int) error {
 	words := n / 8
 	sh, local := s.locate(addr)
 	if s.granuleSpan(addr, n) == n && int(local%PageBytes)+n <= PageBytes {
-		sh.lock()
 		page := sh.ensurePage(local)
 		off := int(local % PageBytes)
 		for i := 0; i < words; i++ {
@@ -364,7 +312,6 @@ func (s *Store) WriteWords(addr uint64, src []uint64, n int) error {
 			}
 			binary.LittleEndian.PutUint64(page[off+8*i:], v)
 		}
-		sh.unlock()
 		return nil
 	}
 	var b [8]byte
@@ -388,12 +335,10 @@ func (s *Store) ReadUint64(addr uint64) (uint64, error) {
 	}
 	sh, local := s.locate(addr)
 	if off := int(local % PageBytes); s.granuleSpan(addr, 8) == 8 && off+8 <= PageBytes {
-		sh.rlock()
 		var v uint64
 		if page := sh.page(local); page != nil {
 			v = binary.LittleEndian.Uint64(page[off:])
 		}
-		sh.runlock()
 		return v, nil
 	}
 	var b [8]byte
@@ -410,9 +355,7 @@ func (s *Store) WriteUint64(addr, v uint64) error {
 	}
 	sh, local := s.locate(addr)
 	if off := int(local % PageBytes); s.granuleSpan(addr, 8) == 8 && off+8 <= PageBytes {
-		sh.lock()
 		binary.LittleEndian.PutUint64(sh.ensurePage(local)[off:], v)
-		sh.unlock()
 		return nil
 	}
 	var b [8]byte
@@ -438,13 +381,11 @@ func (s *Store) ReadBlock(addr uint64) (Block, error) {
 	}
 	sh, local := s.locate(addr)
 	off := int(local % PageBytes)
-	sh.rlock()
 	var blk Block
 	if page := sh.page(local); page != nil {
 		blk.Lo = binary.LittleEndian.Uint64(page[off:])
 		blk.Hi = binary.LittleEndian.Uint64(page[off+8:])
 	}
-	sh.runlock()
 	return blk, nil
 }
 
@@ -459,11 +400,9 @@ func (s *Store) WriteBlock(addr uint64, blk Block) error {
 	}
 	sh, local := s.locate(addr)
 	off := int(local % PageBytes)
-	sh.lock()
 	page := sh.ensurePage(local)
 	binary.LittleEndian.PutUint64(page[off:], blk.Lo)
 	binary.LittleEndian.PutUint64(page[off+8:], blk.Hi)
-	sh.unlock()
 	return nil
 }
 
@@ -476,12 +415,10 @@ func (s *Store) WriteBlock(addr uint64, blk Block) error {
 func (s *Store) Reset() {
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.lock()
 		for idx, page := range sh.pages {
 			releasePage(page)
 			delete(sh.pages, idx)
 		}
-		sh.unlock()
 	}
 }
 
@@ -494,12 +431,10 @@ func (s *Store) Reset() {
 func (s *Store) Trim() {
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.lock()
 		for _, page := range sh.pages {
 			releasePage(page)
 		}
 		sh.pages = nil
-		sh.unlock()
 	}
 }
 
@@ -512,10 +447,8 @@ func (s *Store) Trim() {
 func (s *Store) Zero() {
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.lock()
 		for _, page := range sh.pages {
 			clear(page[:])
 		}
-		sh.unlock()
 	}
 }

@@ -196,27 +196,6 @@ func TestZeroKeepsPages(t *testing.T) {
 	}
 }
 
-// TestSetSerial checks that the lock-elided mode is functionally
-// identical to the locked default, and that locking can be restored.
-// (shard_test.go proves the locked mode race-free under -race; serial
-// mode is single-goroutine by contract.)
-func TestSetSerial(t *testing.T) {
-	s := NewSharded(1<<20, 5, 3)
-	s.SetSerial(true)
-	for addr := uint64(0); addr < 4096; addr += 16 {
-		if err := s.WriteBlock(addr, Block{Lo: addr, Hi: ^addr}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.SetSerial(false)
-	for addr := uint64(0); addr < 4096; addr += 16 {
-		blk, err := s.ReadBlock(addr)
-		if err != nil || blk != (Block{Lo: addr, Hi: ^addr}) {
-			t.Fatalf("addr %#x: %+v, %v", addr, blk, err)
-		}
-	}
-}
-
 func TestSparseAllocation(t *testing.T) {
 	s := New(8 << 30) // 8 GB device
 	if err := s.WriteUint64(7<<30, 1); err != nil {
@@ -224,32 +203,6 @@ func TestSparseAllocation(t *testing.T) {
 	}
 	if got := s.AllocatedBytes(); got != PageBytes {
 		t.Errorf("allocated %d bytes for one word, want one page (%d)", got, PageBytes)
-	}
-}
-
-func TestConcurrentAccess(t *testing.T) {
-	s := New(1 << 20)
-	done := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		go func(g int) {
-			base := uint64(g) * 4096
-			for i := 0; i < 100; i++ {
-				if err := s.WriteUint64(base, uint64(i)); err != nil {
-					done <- err
-					return
-				}
-				if _, err := s.ReadUint64(base); err != nil {
-					done <- err
-					return
-				}
-			}
-			done <- nil
-		}(g)
-	}
-	for g := 0; g < 8; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

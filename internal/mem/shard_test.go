@@ -2,7 +2,6 @@ package mem
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -163,41 +162,6 @@ func TestShardedWordsCrossGranule(t *testing.T) {
 			t.Fatalf("word %d = %#x, want %#x", i, got[i], src[i])
 		}
 	}
-}
-
-// TestShardedConcurrentVaults hammers distinct granule-aligned regions
-// from one goroutine per shard; run under -race this proves per-vault
-// traffic is contention-safe.
-func TestShardedConcurrentVaults(t *testing.T) {
-	s := NewSharded(1<<20, 6, 4)
-	var wg sync.WaitGroup
-	for v := 0; v < 16; v++ {
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			// Addresses whose granule index ≡ v select shard v.
-			base := uint64(v) << 6
-			for i := 0; i < 200; i++ {
-				// Stride of 16 granules keeps bits [9:6] — the shard
-				// selector — fixed at v.
-				addr := base + uint64(i)*(16<<6)
-				if err := s.WriteBlock(addr, Block{Lo: uint64(v), Hi: uint64(i)}); err != nil {
-					t.Error(err)
-					return
-				}
-				blk, err := s.ReadBlock(addr)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if blk.Lo != uint64(v) || blk.Hi != uint64(i) {
-					t.Errorf("vault %d iteration %d: got %+v", v, i, blk)
-					return
-				}
-			}
-		}(v)
-	}
-	wg.Wait()
 }
 
 // TestShardedOutOfBounds checks bounds errors survive the sharded paths.

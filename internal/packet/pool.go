@@ -12,9 +12,10 @@ import (
 const MaxPayloadWords = WordsPerFlit * (hmccmd.MaxPacketFlits - 1)
 
 // rspPool recycles response packets across the device execute phase and
-// the host receive path. Responses are constructed on execute-phase
-// worker goroutines when the parallel clock is enabled, so this is a
-// sync.Pool rather than a device-local free list.
+// the host receive path. A response built by one simulator may be
+// released by a host on another goroutine and redrawn by a different
+// simulator (sweep workers and session-server shards all share it), so
+// this is a process-wide sync.Pool rather than a device-local free list.
 var rspPool = sync.Pool{
 	New: func() any {
 		return &Rsp{Payload: make([]uint64, 0, MaxPayloadWords)}

@@ -403,7 +403,6 @@ func TestWireEquivalence(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer ref.Close()
 					in := &inprocDriver{s: ref}
 					wantTrace, err := wl.run(in, p.cfg)
 					if err != nil {

@@ -425,7 +425,7 @@ func (sh *shard) sweepIdle(now int64) {
 }
 
 // release scrubs a session's CMC bindings and hands its simulator to
-// the pool (Reset-in-place) or closes it when the pool is full.
+// the pool (Reset-in-place), or drops it when the pool is full.
 func (sh *shard) release(ss *session) {
 	sh.srv.active.Add(-1)
 	sh.srv.met.sessionsActive.Add(-1)
@@ -434,9 +434,7 @@ func (sh *shard) release(ss *session) {
 			d.CMC().Unload(code)
 		}
 	}
-	if !sh.srv.pool.put(ss.preset, ss.sim) {
-		ss.sim.Close()
-	}
+	sh.srv.pool.put(ss.preset, ss.sim)
 	ss.sim = nil
 }
 
@@ -694,20 +692,20 @@ func (p *simPool) get(preset string) (*sim.Simulator, bool) {
 	return s, true
 }
 
-func (p *simPool) put(preset string, s *sim.Simulator) bool {
+// put parks s for the next tenant of preset; a full pool drops it.
+func (p *simPool) put(preset string, s *sim.Simulator) {
 	if p.cap < 0 {
-		return false
+		return
 	}
 	s.Reset()
 	s.Trim()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.n >= p.cap {
-		return false
+		return
 	}
 	p.idle[preset] = append(p.idle[preset], s)
 	p.n++
-	return true
 }
 
 func (p *simPool) size() int {
@@ -719,11 +717,6 @@ func (p *simPool) size() int {
 func (p *simPool) drain() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for k, q := range p.idle {
-		for _, s := range q {
-			s.Close()
-		}
-		delete(p.idle, k)
-	}
+	clear(p.idle)
 	p.n = 0
 }

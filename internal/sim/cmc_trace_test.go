@@ -9,15 +9,12 @@ import (
 	"repro/internal/trace"
 )
 
-// TestParallelClockTracedCMC exercises WithParallelClock at the
-// simulator layer with full tracing and a stateful CMC workload: 32
-// locks spread across the vaults, locked then unlocked, every response
-// checked. Run under -race (the CI script does) it proves the sim-layer
-// composition — tracer, CMC table, sharded store, power-free hook path —
-// is data-race free with concurrent vault workers.
-func TestParallelClockTracedCMC(t *testing.T) {
+// TestTracedCMCLockUnlock exercises the simulator layer with full
+// tracing and a stateful CMC workload: 32 locks spread across the
+// vaults, locked then unlocked, every response checked, and every lock
+// block released at the end.
+func TestTracedCMCLockUnlock(t *testing.T) {
 	s, err := New(config.FourLink4GB(),
-		WithParallelClock(8),
 		WithTracer(trace.NewJSONL(io.Discard, trace.LevelAll)))
 	if err != nil {
 		t.Fatal(err)

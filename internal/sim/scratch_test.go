@@ -244,3 +244,55 @@ func TestSimWireRoundTrip(t *testing.T) {
 		t.Fatalf("SendWire on corrupt packet: %v, want ErrBadCRC", err)
 	}
 }
+
+// TestScratchBuildGeneric pins the generic builder against the shaped
+// ones: for every architected command class and a CMC slot, Build
+// produces the same request the shaped builder does, and rejects
+// payloads that disagree with the command's architected length.
+func TestScratchBuildGeneric(t *testing.T) {
+	var a, b ReqScratch
+
+	ra, err := a.BuildRead(0, 0x1000, 7, 1, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := b.Build(hmccmd.RD64, 0, 0x1000, 7, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra.Cmd != rb.Cmd || ra.ADRS != rb.ADRS || ra.TAG != rb.TAG ||
+		ra.SLID != rb.SLID || len(rb.Payload) != 0 {
+		t.Errorf("generic RD64 = %+v, want %+v", rb, ra)
+	}
+
+	data := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	ra, err = a.BuildWrite(0, 0x40, 3, 0, data, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err = b.Build(hmccmd.WR64, 0, 0x40, 3, 0, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ra.Cmd != rb.Cmd || ra.LNG != rb.LNG || len(ra.Payload) != len(rb.Payload) {
+		t.Errorf("generic WR64 = %+v, want %+v", rb, ra)
+	}
+
+	rb, err = b.Build(hmccmd.CMC125, 0, 0x40, 3, 0, []uint64{9, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.LNG != 2 {
+		t.Errorf("CMC 2-word payload LNG = %d, want 2", rb.LNG)
+	}
+
+	if _, err := b.Build(hmccmd.WR64, 0, 0, 0, 0, data[:4]); err == nil {
+		t.Error("short WR64 payload accepted")
+	}
+	if _, err := b.Build(hmccmd.CMC125, 0, 0, 0, 0, data[:3]); err == nil {
+		t.Error("odd CMC payload accepted")
+	}
+	if _, err := b.Build(hmccmd.Rqst(hmccmd.NumRqst), 0, 0, 0, 0, nil); err == nil {
+		t.Error("invalid command accepted")
+	}
+}

@@ -17,7 +17,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/cmc"
 	"repro/internal/config"
@@ -43,7 +42,6 @@ type options struct {
 	powerParams *power.Params
 	powerModel  *power.Model
 	observer    func(*Simulator)
-	workers     int
 	metricsReg  *metrics.Registry
 	sampler     *metrics.Sampler
 	faultPlan   *fault.Plan
@@ -117,23 +115,6 @@ func WithSpans(t *span.Tracer) Option {
 	return func(o *options) { o.spans = t }
 }
 
-// WithParallelClock enables the parallel cycle engine with n persistent
-// pool workers: each device's execute phase services active vaults
-// across the pool (above the adaptive fan-out threshold,
-// device.DefaultMinFanout), and multi-cube topologies additionally step
-// their devices concurrently each cycle. The address map partitions
-// memory by vault and inter-cube packet exchange happens only at cycle
-// boundaries, so results are bit-identical to serial execution; large
-// configurations with heavy per-cycle load simulate faster on multicore
-// hosts. CMC operations must touch only their target block (all shipped
-// operations do).
-//
-// The pool goroutines persist across cycles; call Simulator.Close when
-// done with the simulation to release them (the workload runners do).
-func WithParallelClock(n int) Option {
-	return func(o *options) { o.workers = n }
-}
-
 // WithEventClock toggles event-driven cycle scheduling (on by default).
 // The event scheduler consults a per-cube next-event calendar to
 // fast-forward provably-idle cubes and whole idle spans; results are
@@ -154,11 +135,6 @@ type Simulator struct {
 	faultPlan fault.Plan
 	spans     *span.Tracer
 	cycle     uint64
-
-	// closeMu serializes Close against itself: the session server's
-	// idle-eviction sweep closes simulators from a goroutine that may
-	// race another closer (double eviction, eviction vs client close).
-	closeMu sync.Mutex
 
 	// Wire-level scratch: SendWire decodes into wireRqst (adopted by the
 	// device before SendWire returns); RecvWire encodes into wire, which
@@ -187,30 +163,9 @@ func New(cfg config.Config, opts ...Option) (*Simulator, error) {
 		s.pm = power.New(*o.powerParams)
 	}
 	if s.pm != nil {
-		hook := s.pm.ChargeRequest
-		if o.workers > 1 {
-			// The power model is not thread-safe; serialize the hook
-			// under parallel clocking (intra-device exec workers and
-			// concurrently stepped topology devices both reach it).
-			var mu sync.Mutex
-			inner := hook
-			hook = func(class hmccmd.Class, rqstFlits, rspFlits, dramBlocks int) {
-				mu.Lock()
-				defer mu.Unlock()
-				inner(class, rqstFlits, rspFlits, dramBlocks)
-			}
-		}
 		for _, d := range tp.Devices() {
-			d.ExecHook = hook
+			d.ExecHook = s.pm.ChargeRequest
 		}
-	}
-	if o.workers > 1 {
-		for _, d := range tp.Devices() {
-			d.Workers = o.workers
-		}
-		// Multi-cube topologies also step their devices concurrently;
-		// SetWorkers caps the pool at the device count.
-		tp.SetWorkers(o.workers)
 	}
 	if o.faultPlan != nil {
 		s.faultPlan = *o.faultPlan
@@ -266,8 +221,8 @@ func (s *Simulator) Clock() {
 // pipeline, idling a device, benchmark loops) amortize the per-cycle
 // facade dispatch: with no power model or sampler attached the whole
 // batch runs inside the topology (whose single-cube fast path skips the
-// forwarding scans), and the parallel engine's worker pool stays hot
-// across the batch. Results are identical to calling Clock n times.
+// forwarding scans) and idle spans collapse into single jumps. Results
+// are identical to calling Clock n times.
 func (s *Simulator) ClockN(n uint64) {
 	if s.pm == nil && s.sampler == nil {
 		s.cycle += n
@@ -351,10 +306,10 @@ func (s *Simulator) Trim() {
 
 // Reusable reports whether a simulator built with these options can be
 // recycled with Reset between runs without observable state carrying
-// over. Fault plans, parallel clocking, event-mode selection and
-// multi-device topologies are all reset-safe; tracers, power models,
-// metrics registries, samplers and observers bind per-construction
-// state (or fire construction-time callbacks) and are not. The pooled
+// over. Fault plans, event-mode selection and multi-device topologies
+// are all reset-safe; tracers, power models, metrics registries,
+// samplers and observers bind per-construction state (or fire
+// construction-time callbacks) and are not. The pooled
 // sweep runners consult this to decide between session reuse and
 // fresh-per-point construction.
 func Reusable(opts ...Option) bool {
@@ -367,24 +322,11 @@ func Reusable(opts ...Option) bool {
 		o.spans == nil
 }
 
-// Close releases the parallel cycle engine's worker pools — every
-// device's execute pool and the topology's stepping pool. Simulations
-// that never enabled WithParallelClock have nothing to release. The
-// simulator remains fully usable afterwards (reports, stats, even
-// further clocking, which falls back to serial until a parallel cycle
-// restarts a pool); Close exists so drivers that build many simulators
-// (sweeps) do not accumulate parked goroutines.
-//
-// Close is idempotent and safe to call concurrently with itself and
-// with a pending Recv/RecvWire on another goroutine — the session
-// server's eviction sweep relies on both. It is NOT safe concurrently
-// with Clock (closing mid-cycle would tear the pool out from under the
-// barrier); quiesce clocking first, as every shipped driver does.
-func (s *Simulator) Close() {
-	s.closeMu.Lock()
-	defer s.closeMu.Unlock()
-	s.topo.Close()
-}
+// Close does nothing: a simulator runs entirely on its caller's
+// goroutine and holds nothing but memory, which the garbage collector
+// reclaims. It stays so that drivers which defer Close keep compiling;
+// new code need not call it.
+func (s *Simulator) Close() {}
 
 // Send submits a request on a host link (hmcsim_send); the request's CUB
 // field selects the target cube. A full link queue returns

@@ -18,12 +18,12 @@
 // ring into a Chrome/Perfetto trace (WritePerfetto) or a per-stage
 // latency-attribution table (Attribute).
 //
-// Concurrency: stage events are emitted from execute-phase pool workers
-// and concurrently stepped topology devices, so all recorder state
-// mutates under one mutex. Tracked is a lock-free read: the tracking
-// bitmap is written only from the host side (Send/Recv, outside the
-// concurrent phases) or under the mutex (posted completions), and no
-// two writers ever touch the same tag concurrently.
+// Concurrency: a tracer passed as a simulator option may be shared by
+// simulators clocking on different goroutines (a sweep hands the same
+// options to every worker), so all recorder state mutates under one
+// mutex. Tracked is a lock-free read: the tracking bitmap is written
+// only from the host side (Send/Recv) or under the mutex (posted
+// completions).
 package span
 
 import (

@@ -1,93 +1,12 @@
 package topo
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/hmccmd"
 	"repro/internal/packet"
 )
-
-// driveChain runs a fixed traffic pattern against a 4-cube chain and
-// returns a full observable transcript: every response in arrival order
-// (cycle, link, tag, cube), the forwarding counters, and each device's
-// statistics. Two topologies given the same pattern must produce
-// byte-identical transcripts regardless of worker configuration.
-func driveChain(t *testing.T, tp *Topology) string {
-	t.Helper()
-	cfg := tp.Devices()[0].Cfg
-	var log strings.Builder
-	payload := []uint64{7, 9}
-	next := 0
-	inflight := 0
-	const total = 256
-	for cycle := 0; cycle < 4000 && (next < total || inflight > 0); cycle++ {
-		// Issue up to one request per link per cycle, round-robining the
-		// target cube and alternating reads with writes.
-		for l := 0; l < cfg.Links && next < total; l++ {
-			r := packet.Rqst{
-				ADRS: uint64(next%64) * uint64(cfg.MaxBlockSize),
-				TAG:  uint16(next),
-				CUB:  uint8(next % len(tp.Devices())),
-			}
-			if next%3 == 0 {
-				r.Cmd, r.Payload = hmccmd.WR16, payload
-			} else {
-				r.Cmd = hmccmd.RD16
-			}
-			if err := tp.Send(l, &r); err != nil {
-				break // stalled link: retry the same request next cycle
-			}
-			next++
-			inflight++
-		}
-		tp.Clock()
-		for l := 0; l < cfg.Links; l++ {
-			for {
-				rsp, ok := tp.Recv(l)
-				if !ok {
-					break
-				}
-				fmt.Fprintf(&log, "c=%d l=%d tag=%d cub=%d cmd=%v\n", tp.Cycle(), l, rsp.TAG, rsp.CUB, rsp.Cmd)
-				packet.PutRsp(rsp)
-				inflight--
-			}
-		}
-	}
-	if inflight != 0 || next != total {
-		t.Fatalf("traffic did not drain: next=%d inflight=%d", next, inflight)
-	}
-	fmt.Fprintf(&log, "fwdRqst=%d fwdRsp=%d\n", tp.ForwardedRqsts, tp.ForwardedRsps)
-	for _, d := range tp.Devices() {
-		fmt.Fprintf(&log, "dev%d %s", d.ID, d.BuildReport().String())
-	}
-	return log.String()
-}
-
-// TestTopoParallelEquivalence pins the multi-cube engine's determinism:
-// a serially stepped 4-cube chain and one stepped by a 4-worker pool
-// (with pooled vault execution nested inside every device) must produce
-// byte-identical transcripts — same response ordering and timing, same
-// forwarding counters, same per-device reports.
-func TestTopoParallelEquivalence(t *testing.T) {
-	serial := newChain(t, 4)
-	want := driveChain(t, serial)
-
-	pooled := newChain(t, 4)
-	pooled.SetWorkers(4)
-	defer pooled.Close()
-	for _, d := range pooled.Devices() {
-		d.Workers = 4
-		d.MinFanout = 1
-	}
-	got := driveChain(t, pooled)
-
-	if got != want {
-		t.Errorf("pooled transcript diverges from serial:\n--- serial\n%s\n--- pooled\n%s", want, got)
-	}
-}
 
 // TestTopoClockNEquivalence pins the batched driver against per-cycle
 // clocking on a multi-cube chain with traffic in flight.

@@ -97,11 +97,6 @@ type Topology struct {
 	// least one inter-cube hop.
 	ForwardedRqsts, ForwardedRsps uint64
 
-	// pool steps the devices concurrently each cycle when SetWorkers
-	// enabled it; stepFn is the bound worker method (allocated once).
-	pool   *device.Pool
-	stepFn func(int)
-
 	// cal is the event scheduler's per-cycle step plan (calendar.go);
 	// eventOff disables event-driven scheduling entirely, restoring
 	// unconditional per-cycle stepping of every cube (SetEventDriven).
@@ -164,57 +159,6 @@ func (t *Topology) SetSpans(tr *span.Tracer) {
 
 // Spans returns the attached span tracer, nil when tracing is off.
 func (t *Topology) Spans() *span.Tracer { return t.spans }
-
-// SetWorkers enables concurrent device stepping: each Clock steps the
-// topology's devices across up to n persistent pool workers (capped at
-// the device count; n <= 1 restores serial stepping). Stepping devices
-// concurrently is legal because inter-cube packet exchange happens only
-// at cycle boundaries — Send/Recv and the hop-delay transfers all run
-// single-threaded in link order before and after the step — so results
-// are bit-identical to serial stepping; only the interleaving of
-// trace-event emission within one cycle is unordered (exactly the
-// parallel-execute-phase caveat, and the tracers serialize Emit).
-//
-// The caller owns the pool lifetime: Close releases it.
-func (t *Topology) SetWorkers(n int) {
-	t.pool.Close()
-	t.pool, t.stepFn = nil, nil
-	if n > len(t.devs) {
-		n = len(t.devs)
-	}
-	if n > 1 {
-		t.pool = device.NewPool(n)
-		t.stepFn = t.stepWorker
-	}
-}
-
-// stepWorker is the pool task: worker w clocks its fixed contiguous
-// chunk of the device list, honouring the calendar's step plan in
-// event-driven mode (the plan is filled single-threaded before the pool
-// runs and is read-only during the epoch).
-func (t *Topology) stepWorker(w int) {
-	n := t.pool.Size()
-	chunk := (len(t.devs) + n - 1) / n
-	lo := min(w*chunk, len(t.devs))
-	hi := min(lo+chunk, len(t.devs))
-	for i, d := range t.devs[lo:hi] {
-		if t.eventOff || t.cal.step[lo+i] {
-			d.Clock()
-		} else {
-			d.SkipCycles(1)
-		}
-	}
-}
-
-// Close releases the topology's stepping pool and every device's
-// execute-phase pool. The topology remains usable serially afterwards.
-func (t *Topology) Close() {
-	t.pool.Close()
-	t.pool, t.stepFn = nil, nil
-	for _, d := range t.devs {
-		d.Close()
-	}
-}
 
 // Devices returns the topology's devices; device 0 is host-attached.
 func (t *Topology) Devices() []*device.Device { return t.devs }
@@ -382,10 +326,8 @@ func (t *Topology) collectFrom(cub int) {
 // Clock advances every device one cycle and moves forwarded packets
 // across the inter-cube hops. In event-driven mode (the default) the
 // calendar decides per cube whether to run the full device Clock or a
-// SkipCycles(1) counter bump, the worker pool is bypassed when fewer
-// than two cubes are active (the handoff would outweigh the work), and
-// only stepped cubes are scanned for surfaced responses — a skipped
-// cube's host queues are provably frozen.
+// SkipCycles(1) counter bump, and only stepped cubes are scanned for
+// surfaced responses — a skipped cube's host queues are provably frozen.
 func (t *Topology) Clock() {
 	if len(t.devs) == 1 {
 		// A single cube never forwards (Send routes CUB 0 directly), so
@@ -398,31 +340,22 @@ func (t *Topology) Clock() {
 	t.cycle++
 
 	// Step the devices. During a device cycle no inter-cube state is
-	// touched (the exchange above and the collection below bracket it),
-	// so the devices step concurrently when a pool is installed.
+	// touched: the exchange above and the collection below bracket it.
 	if t.eventOff {
-		if t.pool != nil {
-			t.pool.Run(t.stepFn)
-		} else {
-			for _, d := range t.devs {
-				d.Clock()
-			}
+		for _, d := range t.devs {
+			d.Clock()
 		}
 		for cub := 1; cub < len(t.devs); cub++ {
 			t.collectFrom(cub)
 		}
 		return
 	}
-	active := t.planCycle()
-	if t.pool != nil && active > 1 {
-		t.pool.Run(t.stepFn)
-	} else {
-		for i, d := range t.devs {
-			if t.cal.step[i] {
-				d.Clock()
-			} else {
-				d.SkipCycles(1)
-			}
+	t.planCycle()
+	for i, d := range t.devs {
+		if t.cal.step[i] {
+			d.Clock()
+		} else {
+			d.SkipCycles(1)
 		}
 	}
 	for cub := 1; cub < len(t.devs); cub++ {
@@ -437,7 +370,7 @@ func (t *Topology) Clock() {
 // (every cube quiescent or parked behind fault windows, no forwarded
 // packet deliverable) collapse into one SkipCycles jump per cube, and
 // spans where exactly one cube is active batch that cube's device clock
-// back-to-back without per-cycle topology scans or pool handoffs.
+// back-to-back without per-cycle topology scans.
 // Results are bit-identical to n sequential Clock calls in every
 // configuration; SetEventDriven(false) restores literal per-cycle
 // stepping.
@@ -556,10 +489,10 @@ func (t *Topology) Cycle() uint64 { return t.cycle }
 // state without reallocating: in-transit forwarded packets recycle into
 // their free lists, the hop-delay queues rewind onto their backing
 // arrays, the forwarding counters and the topology clock zero, and each
-// device resets in place (device.Reset). The stepping pool, the
-// calendar (refilled from scratch every cycle) and the clone free list
-// are reusable capacity and survive. After Reset the topology is
-// bit-identical, in every statistic and packet, to a freshly built one.
+// device resets in place (device.Reset). The calendar (refilled from
+// scratch every cycle) and the clone free list are reusable capacity and
+// survive. After Reset the topology is bit-identical, in every statistic
+// and packet, to a freshly built one.
 func (t *Topology) Reset() {
 	for _, p := range t.pendingRqst {
 		t.putRqst(p.rqst)

@@ -250,7 +250,6 @@ func RunBFS(cfg config.Config, mode BFSMode, threads, vertices, degree int, seed
 	if err != nil {
 		return BFSResult{}, err
 	}
-	defer ss.Close()
 	return ss.BFS(mode, threads, vertices, degree, seed)
 }
 

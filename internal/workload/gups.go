@@ -169,7 +169,6 @@ func RunGUPS(cfg config.Config, mode GUPSMode, threads int, tableBlocks, updates
 	if err != nil {
 		return GUPSResult{}, err
 	}
-	defer ss.Close()
 	return ss.GUPS(mode, threads, tableBlocks, updates)
 }
 

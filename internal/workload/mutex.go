@@ -147,7 +147,6 @@ func RunMutex(cfg config.Config, threads int, lockAddr uint64, opts ...sim.Optio
 	if err != nil {
 		return MutexRun{}, err
 	}
-	defer ss.Close()
 	return ss.Mutex(threads, lockAddr)
 }
 

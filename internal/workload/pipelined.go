@@ -253,7 +253,6 @@ func RunBandwidthProbe(cfg config.Config, threads, width int, blocksPerThread ui
 	if err != nil {
 		return BandwidthProbeResult{}, err
 	}
-	defer ss.Close()
 	return ss.BandwidthProbe(threads, width, blocksPerThread)
 }
 

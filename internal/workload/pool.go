@@ -21,11 +21,11 @@ import (
 // Only option-free Sessions are poolable: options are closures that
 // cannot be compared, so a pooled Session could not be matched to a
 // later Get's option set. NewSession marks Sessions built with options
-// as unpoolable and Put simply closes them — callers need no check.
+// as unpoolable and Put simply drops them — callers need no check.
 //
 // The pool holds at most Cap idle Sessions per configuration (the
 // cheapest bound that keeps a burst of concurrent sweeps from pinning
-// unbounded queue backing); overflow Sessions are closed and dropped.
+// unbounded queue backing); overflow Sessions are dropped.
 // A pooled Session is bit-identical to a fresh one by the Reset
 // bit-identity suite's guarantee, with one visible difference shared
 // with all Session reuse: CMC operations loaded by a previous tenant
@@ -68,25 +68,18 @@ func (p *SessionPool) Get(cfg config.Config) (*Session, error) {
 }
 
 // Put parks an idle Session for reuse. Unpoolable Sessions (built with
-// options) and overflow beyond the per-configuration cap are closed
-// and dropped, so Put is always the right way to finish with a
-// Session. The Session must not be used after Put.
+// options) and overflow beyond the per-configuration cap are dropped,
+// so Put is always the right way to finish with a Session. The Session
+// must not be used after Put.
 func (p *SessionPool) Put(ss *Session) {
-	if ss == nil {
-		return
-	}
-	if !ss.poolable {
-		ss.Close()
+	if ss == nil || !ss.poolable {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if len(p.idle[ss.cfg]) < p.cap {
 		p.idle[ss.cfg] = append(p.idle[ss.cfg], ss)
-		p.mu.Unlock()
-		return
 	}
-	p.mu.Unlock()
-	ss.Close()
 }
 
 // Idle reports the number of parked Sessions across all configurations.
@@ -100,17 +93,12 @@ func (p *SessionPool) Idle() int {
 	return n
 }
 
-// Drain closes and drops every idle Session, releasing their queue
-// backing. Sessions currently checked out are unaffected.
+// Drain drops every idle Session, releasing their queue backing to the
+// garbage collector. Sessions currently checked out are unaffected.
 func (p *SessionPool) Drain() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for cfg, ss := range p.idle {
-		for _, s := range ss {
-			s.Close()
-		}
-		delete(p.idle, cfg)
-	}
+	clear(p.idle)
 }
 
 // sweepSessions is the package's shared pool feeding the sweep

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/config"
@@ -10,7 +11,7 @@ import (
 
 // TestSessionPoolRecycles pins the pool contract: a Put Session comes
 // back from the next same-config Get, different configs do not mix,
-// and the per-config cap closes overflow instead of hoarding it.
+// and the per-config cap drops overflow instead of hoarding it.
 func TestSessionPoolRecycles(t *testing.T) {
 	p := NewSessionPool(1)
 	four, eight := config.FourLink4GB(), config.EightLink8GB()
@@ -61,7 +62,7 @@ func TestSessionPoolRecycles(t *testing.T) {
 
 // TestSessionPoolRejectsOptioned pins that Sessions built with options
 // never enter a pool: options are closures a later Get could not be
-// matched against, so Put must close-and-drop them.
+// matched against, so Put must drop them.
 func TestSessionPoolRejectsOptioned(t *testing.T) {
 	p := NewSessionPool(4)
 	ss, err := NewSession(config.TwoGBDev(), sim.WithEventClock(false))
@@ -114,5 +115,31 @@ func TestMutexSweepPooledAllocFloor(t *testing.T) {
 	sweep() // warm the shared pool
 	if got := testing.AllocsPerRun(5, sweep); got > 16 {
 		t.Errorf("pooled serial sweep allocates %.0f/op, want <= 16", got)
+	}
+}
+
+// TestMutexSweepParallelMatchesSerial runs simulators on several
+// goroutines at once, the only parallelism left once a simulator is a
+// single-goroutine object. sweepWorkers collapses to one worker on a
+// single-proc runtime, so GOMAXPROCS is raised for the test. The four
+// workers draw Sessions from the shared sweep pool, run lock-free
+// stores, and pass responses through the process-wide packet pool;
+// under -race this catches any state those simulators share without
+// synchronization. The parallel sweep must equal the serial one on
+// both paper presets.
+func TestMutexSweepParallelMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for i, cfg := range []config.Config{config.FourLink4GB(), config.EightLink8GB()} {
+		par, err := MutexSweepParallel(cfg, 2, 17, 0x40, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ser, err := MutexSweep(cfg, 2, 17, 0x40)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(par, ser) {
+			t.Errorf("preset %d: parallel sweep diverges from serial:\nparallel: %+v\nserial:   %+v", i, par, ser)
+		}
 	}
 }

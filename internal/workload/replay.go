@@ -242,7 +242,6 @@ func RunReplay(cfg config.Config, threads int, ops []ReplayOp, opts ...sim.Optio
 	if err != nil {
 		return ReplayResult{}, err
 	}
-	defer ss.Close()
 	return ss.Replay(threads, ops)
 }
 

@@ -117,7 +117,6 @@ func TestResetBitIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer fresh.Close()
 					wantRes, err := w.measured(fresh)
 					if err != nil {
 						t.Fatalf("fresh run: %v", err)
@@ -128,7 +127,6 @@ func TestResetBitIdentity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer reused.Close()
 					if err := w.warmup(reused); err != nil {
 						t.Fatalf("warm-up run: %v", err)
 					}
@@ -162,7 +160,6 @@ func TestResetTraceIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fresh.Close()
 	if _, err := fresh.Mutex(4, 0x40); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +173,6 @@ func TestResetTraceIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reused.Close()
 	if _, err := reused.Mutex(2, 0x40); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +212,6 @@ func TestResetConsecutiveProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		defer ss.Close()
 		for i := 0; i < runs; i++ {
 			got, err := ss.Mutex(threads(i), 0x40)
 			if err != nil {
@@ -230,18 +225,16 @@ func TestResetConsecutiveProperty(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				return false
 			}
-			// The fresh comparator inside RunMutex is closed before we can
+			// The fresh comparator inside RunMutex is gone before we can
 			// snapshot it; rebuild one to compare device state too.
 			ref, err := NewSession(cfg, opts...)
 			if err != nil {
 				return false
 			}
 			if _, err := ref.Mutex(threads(i), 0x40); err != nil {
-				ref.Close()
 				return false
 			}
 			refSnap := snapshot(ref.Sim())
-			ref.Close()
 			if !reflect.DeepEqual(gotSnap, refSnap) {
 				return false
 			}

@@ -166,7 +166,6 @@ func RunRWLock(cfg config.Config, readers, writers, rounds int, opts ...sim.Opti
 	if err != nil {
 		return RWResult{}, err
 	}
-	defer ss.Close()
 	return ss.RWLock(readers, writers, rounds)
 }
 

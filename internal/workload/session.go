@@ -70,11 +70,6 @@ func NewSession(cfg config.Config, opts ...sim.Option) (*Session, error) {
 // Sim exposes the underlying simulator (post-run reports, JTAG pokes).
 func (ss *Session) Sim() *sim.Simulator { return ss.sim }
 
-// Close releases the simulator's worker pools. The session must not be
-// used afterwards for parallel-clock runs without restarting pools (the
-// simulator itself remains usable, as with Simulator.Close).
-func (ss *Session) Close() { ss.sim.Close() }
-
 // begin readies the simulator for the next run: Reset in place when the
 // session has run before, and any CMC operations the driver needs that
 // are not yet loaded. It returns the simulator for the driver body.

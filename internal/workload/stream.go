@@ -132,7 +132,6 @@ func RunStream(cfg config.Config, threads int, blocks uint64, clockGHz float64, 
 	if err != nil {
 		return StreamResult{}, err
 	}
-	defer ss.Close()
 	return ss.Stream(threads, blocks, clockGHz)
 }
 

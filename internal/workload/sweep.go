@@ -180,7 +180,7 @@ func MutexSweepWithProgress(cfg config.Config, lo, hi int, lockAddr uint64, work
 		runs, err = RunIndexedPooled(workers, n,
 			func() (*Session, error) { return NewSession(cfg, opts...) },
 			point,
-			func(ss *Session) { ss.Close() })
+			nil)
 	default:
 		runs, err = RunIndexed(workers, n, func(i int) (MutexRun, error) {
 			return point(nil, i)

@@ -154,7 +154,6 @@ func RunTicketMutex(cfg config.Config, threads int, addr uint64, opts ...sim.Opt
 	if err != nil {
 		return TicketRun{}, err
 	}
-	defer ss.Close()
 	return ss.TicketMutex(threads, addr)
 }
 

@@ -279,18 +279,13 @@ func chainBatch(b *testing.B, s *Simulator, cfg Config, reqs []*Rqst) {
 }
 
 // chainSim builds the 4-cube chain simulator and request set the chain
-// benchmarks share: one RD64 per (cube, vault) pair. workers <= 1 is
-// the serial engine; workers > 1 steps the cubes concurrently with
-// pooled vault execution inside each. event selects the cycle
-// scheduler: true is the shipped event-driven calendar, false the
+// benchmarks share: one RD64 per (cube, vault) pair. event selects the
+// cycle scheduler: true is the shipped event-driven calendar, false the
 // per-cycle reference engine.
-func chainSim(b *testing.B, workers int, event bool) (*Simulator, Config, []*Rqst) {
+func chainSim(b *testing.B, event bool) (*Simulator, Config, []*Rqst) {
 	b.Helper()
 	cfg := FourLink4GB()
 	var opts []Option
-	if workers > 1 {
-		opts = append(opts, WithParallelClock(workers))
-	}
 	if !event {
 		opts = append(opts, WithEventClock(false))
 	}
@@ -317,9 +312,8 @@ func chainSim(b *testing.B, workers int, event bool) (*Simulator, Config, []*Rqs
 // benchChainLoop measures a loaded 4-cube chained clock loop: every
 // vault of every cube holds work, so each cycle pays four full device
 // execute phases plus the inter-cube exchange.
-func benchChainLoop(b *testing.B, workers int, event bool) {
-	s, cfg, reqs := chainSim(b, workers, event)
-	defer s.Close()
+func benchChainLoop(b *testing.B, event bool) {
+	s, cfg, reqs := chainSim(b, event)
 	// Warm one batch before the timer: the first trip grows the flight
 	// and request free lists to the batch's in-flight depth (~45KB for
 	// 128 requests), which otherwise bleeds into the measured bytes as a
@@ -337,27 +331,17 @@ func benchChainLoop(b *testing.B, workers int, event bool) {
 // loop — the baseline for the engine's wall-clock acceptance criterion.
 // Like every benchmark without an explicit WithEventClock(false), it
 // runs the shipped (event-driven) scheduler.
-func BenchmarkTopoChainClockSerial(b *testing.B) { benchChainLoop(b, 1, true) }
+func BenchmarkTopoChainClockSerial(b *testing.B) { benchChainLoop(b, true) }
 
-// BenchmarkTopoChainClockPooled measures the same loop with the
-// persistent worker pools engaged: four workers, one per cube step,
-// with nested vault pools inside each device. The worker count is fixed
-// (not NumCPU) so the pooled path is exercised identically on every
-// host; the wall-clock win over the serial baseline requires
-// GOMAXPROCS >= the cube count, and on a single-core host the pool runs
-// its tasks inline, so this measures the engine's dispatch overhead.
-func BenchmarkTopoChainClockPooled(b *testing.B) { benchChainLoop(b, 4, true) }
-
-// BenchmarkTopoChainClockEvent pits the three engine modes against each
+// BenchmarkTopoChainClockEvent pits the two engine modes against each
 // other on the identical loaded chain loop: percycle is the pre-event
-// reference engine (WithEventClock(false), serial), serial and pooled
-// are the shipped event-driven scheduler. The loaded batch bounds the
-// calendar's overhead when there is nothing to skip; the idle win is
+// reference engine (WithEventClock(false)), serial the shipped
+// event-driven scheduler. The loaded batch bounds the calendar's
+// overhead when there is nothing to skip; the idle win is
 // BenchmarkIdleFastForward's department.
 func BenchmarkTopoChainClockEvent(b *testing.B) {
-	b.Run("percycle", func(b *testing.B) { benchChainLoop(b, 1, false) })
-	b.Run("serial", func(b *testing.B) { benchChainLoop(b, 1, true) })
-	b.Run("pooled", func(b *testing.B) { benchChainLoop(b, 4, true) })
+	b.Run("percycle", func(b *testing.B) { benchChainLoop(b, false) })
+	b.Run("serial", func(b *testing.B) { benchChainLoop(b, true) })
 }
 
 // idleFFSpan is the idle stretch each BenchmarkIdleFastForward
@@ -379,8 +363,7 @@ func BenchmarkIdleFastForward(b *testing.B) {
 		{"percycle", false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			s, cfg, reqs := chainSim(b, 1, bc.event)
-			defer s.Close()
+			s, cfg, reqs := chainSim(b, bc.event)
 			// Warm one batch so every pool and queue has traffic behind
 			// it: the idle span being measured is post-burst idleness,
 			// not a never-used simulator.
@@ -403,136 +386,110 @@ func BenchmarkIdleFastForward(b *testing.B) {
 // loaded chain cycle); the topology free list killed that.
 func TestTopoChainZeroAlloc(t *testing.T) {
 	skipIfRace(t)
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"pooled", 4},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := FourLink4GB()
-			opts := []Option{WithDevices(4, topo.KindChain)}
-			if tc.workers > 1 {
-				opts = append(opts, WithParallelClock(tc.workers))
-			}
-			s, err := New(cfg, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			var reqs []*Rqst
-			tag := uint16(0)
-			for cub := 0; cub < 4; cub++ {
-				for v := 0; v < cfg.Vaults; v++ {
-					r, err := BuildRead(cub, uint64(v)*uint64(cfg.MaxBlockSize), tag, 0, 64)
-					if err != nil {
-						t.Fatal(err)
-					}
-					reqs = append(reqs, r)
-					tag++
+	t.Run("serial", func(t *testing.T) {
+		cfg := FourLink4GB()
+		s, err := New(cfg, WithDevices(4, topo.KindChain))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reqs []*Rqst
+		tag := uint16(0)
+		for cub := 0; cub < 4; cub++ {
+			for v := 0; v < cfg.Vaults; v++ {
+				r, err := BuildRead(cub, uint64(v)*uint64(cfg.MaxBlockSize), tag, 0, 64)
+				if err != nil {
+					t.Fatal(err)
 				}
+				reqs = append(reqs, r)
+				tag++
 			}
-			trip := func() {
-				sent := 0
-				for i, r := range reqs {
-					if err := s.Send(i%cfg.Links, r); err != nil {
-						t.Fatal(err)
-					}
-					sent++
+		}
+		trip := func() {
+			sent := 0
+			for i, r := range reqs {
+				if err := s.Send(i%cfg.Links, r); err != nil {
+					t.Fatal(err)
 				}
-				got := 0
-				for c := 0; c < 4096 && got < sent; c++ {
-					s.Clock()
-					for l := 0; l < cfg.Links; l++ {
-						for {
-							rsp, ok := s.Recv(l)
-							if !ok {
-								break
-							}
-							ReleaseRsp(rsp)
-							got++
+				sent++
+			}
+			got := 0
+			for c := 0; c < 4096 && got < sent; c++ {
+				s.Clock()
+				for l := 0; l < cfg.Links; l++ {
+					for {
+						rsp, ok := s.Recv(l)
+						if !ok {
+							break
 						}
+						ReleaseRsp(rsp)
+						got++
 					}
 				}
-				if got != sent {
-					t.Fatalf("chain batch drained %d of %d responses", got, sent)
-				}
 			}
-			trip() // warm the packet pools and the topology free list
-			if allocs := testing.AllocsPerRun(100, trip); allocs != 0 {
-				t.Errorf("chained round trip (%s): %.1f allocs/op, want 0", tc.name, allocs)
+			if got != sent {
+				t.Fatalf("chain batch drained %d of %d responses", got, sent)
 			}
-			// Pin bytes too, not just object counts: a zero-object run can
-			// still grow pools through free-list append doubling, which
-			// AllocsPerRun under-reports when the runtime coalesces. GC is
-			// pinned off so sync.Pool victims cannot be dropped and refilled
-			// mid-measurement.
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			// Re-warm once with GC pinned: AllocsPerRun's final GC may have
-			// demoted sync.Pool contents, and the first trip after that
-			// legitimately refills them. The pin takes the minimum byte
-			// delta across several measurement windows — a real per-trip
-			// allocation shows in every window, while one-off runtime
-			// bookkeeping (pool-chain segments, timer wheels) lands in at
-			// most one.
-			trip()
-			minDelta := ^uint64(0)
-			for w := 0; w < 5; w++ {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				for i := 0; i < 20; i++ {
-					trip()
-				}
-				runtime.ReadMemStats(&after)
-				if delta := after.TotalAlloc - before.TotalAlloc; delta < minDelta {
-					minDelta = delta
-				}
+		}
+		trip() // warm the packet pools and the topology free list
+		if allocs := testing.AllocsPerRun(100, trip); allocs != 0 {
+			t.Errorf("chained round trip: %.1f allocs/op, want 0", allocs)
+		}
+		// Pin bytes too, not just object counts: a zero-object run can
+		// still grow pools through free-list append doubling, which
+		// AllocsPerRun under-reports when the runtime coalesces. GC is
+		// pinned off so sync.Pool victims cannot be dropped and refilled
+		// mid-measurement.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		// Re-warm once with GC pinned: AllocsPerRun's final GC may have
+		// demoted sync.Pool contents, and the first trip after that
+		// legitimately refills them. The pin takes the minimum byte
+		// delta across several measurement windows — a real per-trip
+		// allocation shows in every window, while one-off runtime
+		// bookkeeping (pool-chain segments, timer wheels) lands in at
+		// most one.
+		trip()
+		minDelta := ^uint64(0)
+		for w := 0; w < 5; w++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 20; i++ {
+				trip()
 			}
-			if minDelta != 0 {
-				t.Errorf("chained round trip (%s): min %d bytes per 20-trip window, want 0", tc.name, minDelta)
+			runtime.ReadMemStats(&after)
+			if delta := after.TotalAlloc - before.TotalAlloc; delta < minDelta {
+				minDelta = delta
 			}
-		})
-	}
+		}
+		if minDelta != 0 {
+			t.Errorf("chained round trip: min %d bytes per 20-trip window, want 0", minDelta)
+		}
+	})
 }
 
 // BenchmarkPooledExecPhase measures the execute phase of one device with
-// all 32 vaults loaded — the direct serial-vs-pooled comparison of the
-// fan-out machinery without topology forwarding in the way.
+// all 32 vaults loaded, without topology forwarding in the way. The
+// name and the serial sub-benchmark keep the BENCH record's row.
 func BenchmarkPooledExecPhase(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"workers8", 8},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			cfg := FourLink4GB()
-			var opts []Option
-			if bc.workers > 1 {
-				opts = append(opts, WithParallelClock(bc.workers))
-			}
-			s, err := New(cfg, opts...)
+	b.Run("serial", func(b *testing.B) {
+		cfg := FourLink4GB()
+		s, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var reqs []*Rqst
+		for v := 0; v < cfg.Vaults; v++ {
+			r, err := BuildRead(0, uint64(v)*uint64(cfg.MaxBlockSize), uint16(v), 0, 64)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer s.Close()
-			var reqs []*Rqst
-			for v := 0; v < cfg.Vaults; v++ {
-				r, err := BuildRead(0, uint64(v)*uint64(cfg.MaxBlockSize), uint16(v), 0, 64)
-				if err != nil {
-					b.Fatal(err)
-				}
-				reqs = append(reqs, r)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				chainBatch(b, s, cfg, reqs)
-			}
-		})
-	}
+			reqs = append(reqs, r)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			chainBatch(b, s, cfg, reqs)
+		}
+	})
 }
 
 // --- Metrics hot-path benchmarks ---

@@ -9,13 +9,8 @@
 # WARNING (the script still exits 0 — benchmarks on shared hosts are
 # noisy; the warning is a prompt to re-run and investigate, not a gate).
 #
-# Each record carries the host's GOMAXPROCS and CPU count so diffs can
-# flag apples-to-oranges comparisons: the pooled engine's numbers depend
-# on the core budget, and a record from a 1-core CI host must not be
-# read as a regression against an 8-core workstation. The pooled
-# benchmarks additionally rerun pinned to -cpu 1 and are recorded under
-# .../cpu1 names — a like-with-like single-core baseline every host can
-# reproduce.
+# Each record carries the host's GOMAXPROCS and CPU count so a diff
+# between records from different hosts can be read as such.
 #
 # Usage: ./scripts/bench.sh [extra go test args]
 set -eu
@@ -46,15 +41,6 @@ prev="$(ls -1t BENCH_*.json 2>/dev/null | head -1 || true)"
 go test -run '^$' \
     -bench 'BenchmarkClockLoop|BenchmarkMutexSweep|BenchmarkPacket|BenchmarkCRC|BenchmarkMetrics|BenchmarkFault|BenchmarkTopoChainClock|BenchmarkPooledExecPhase|BenchmarkIdleFastForward' \
     -benchmem -benchtime 1s "$@" . | tee "$raw"
-
-# Single-core baseline for the pooled benchmarks: GOMAXPROCS pinned to 1
-# puts the worker pools on their inline path, so these numbers are
-# host-independent. Recorded under distinct .../cpu1 names (with -cpu 1
-# the go tool appends no -N suffix to strip).
-go test -run '^$' \
-    -bench 'BenchmarkTopoChainClockPooled|BenchmarkPooledExecPhase/workers8' \
-    -benchmem -benchtime 1s -cpu 1 . \
-    | sed 's|^\(Benchmark[^ 	]*\)|\1/cpu1|' | tee -a "$raw"
 
 # Session-server hot paths: one protocol round trip against a warm
 # session, a full send/clock/recv request cycle (sequential and as one
@@ -125,8 +111,7 @@ if [ -n "$prev" ] && [ -f "$prev" ]; then
     # count as unknown).
     prev_procs="$(sed -n 's/.*"gomaxprocs": \([0-9][0-9]*\).*/\1/p' "$prev" | head -1)"
     if [ "${prev_procs:-unknown}" != "$gomaxprocs" ]; then
-        echo "NOTE: $prev ran with GOMAXPROCS=${prev_procs:-unknown}, this run with $gomaxprocs;"
-        echo "      pooled-engine comparisons are not like-with-like (the .../cpu1 rows are)."
+        echo "NOTE: $prev ran with GOMAXPROCS=${prev_procs:-unknown}, this run with $gomaxprocs."
     fi
     echo "diff vs $prev (ns/op):"
     awk -v prevfile="$prev" '

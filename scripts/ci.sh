@@ -1,28 +1,52 @@
 #!/usr/bin/env sh
 # CI gate: build, vet, full test suite, then the race detector over the
-# packages with concurrent hot paths (the parallel clock and its striped
-# barrier pool, the event-driven scheduler in the topology layer, the
-# sharded store, the atomic metrics registry, the span tracer fed from
-# pool workers and concurrently stepped cubes, the fault injector
-# feeding the parallel sweep, and the sim-layer composition of all of
-# them), the engine-equivalence suites under -race, the zero-alloc
-# smoke pinning the topo clock's allocation-free forwarding and the
-# spans-disabled clock loop, and finally a 1-iteration benchmark smoke
-# so every benchmark at least compiles and executes (~5s; it measures
-# nothing).
+# packages whose state crosses goroutines (the parallel sweep running
+# simulators side by side through the shared session, page and packet
+# pools, the atomic metrics registry, the span and trace recorders a
+# sweep's workers share, and the session server's shards), the
+# engine-equivalence suites under -race, the zero-alloc smoke pinning
+# the topo clock's allocation-free forwarding and the spans-disabled
+# clock loop, and finally a 1-iteration benchmark smoke so every
+# benchmark at least compiles and executes (~5s; it measures nothing).
 set -eux
+
+# check_run PATTERN PKG... fails unless every |-separated alternative of
+# a -run PATTERN names a test in one of the packages and every package
+# holds a match: a renamed or deleted test would otherwise drop out of
+# its gate silently.
+check_run() {
+    pattern="$1"
+    shift
+    for pkg in "$@"; do
+        if ! go test -list "$pattern" "$pkg" | grep -q '^Test'; then
+            echo "ci: -run '$pattern' matches no test in $pkg" >&2
+            exit 1
+        fi
+    done
+    alts="$(printf '%s\n' "$pattern" | tr '|' '\n')"
+    for alt in $alts; do
+        if ! go test -list "$alt" "$@" | grep -q '^Test'; then
+            echo "ci: -run alternative '$alt' matches no test in $*" >&2
+            exit 1
+        fi
+    done
+}
 
 go build ./...
 go vet ./...
 go test ./...
 go test -race ./internal/device ./internal/fault ./internal/mem ./internal/metrics ./internal/server ./internal/sim ./internal/span ./internal/topo ./internal/workload
-go test -race -run 'TestParallelClock|TestClockModeEquivalence|TestSerialPooledWorkloadEquivalence|TestEventClock|TestSpans' .
+equiv='TestClockModeEquivalence|TestEventClock|TestSpans'
+check_run "$equiv" .
+go test -race -run "$equiv" .
 # Session-server gate: the 500-session loopback smoke (concurrent
 # clients churning a full fleet over one connection) and the wire
 # equivalence suite (bit-identical stats and response streams between
 # wire-driven and in-process sessions, in all four wire modes — json,
 # binary, and the batched variant of each).
-go test -run 'TestSmoke500Sessions|TestWireEquivalence' -count=1 ./internal/server
+wire='TestSmoke500Sessions|TestWireEquivalence'
+check_run "$wire" ./internal/server
+go test -run "$wire" -count=1 ./internal/server
 # Batched-load race smoke: a small hmcd-load fleet driving binary
 # batched frames through the full client/conn/shard pipeline under the
 # race detector — the pipelined client reader, the per-connection mode
@@ -35,7 +59,9 @@ go run -race ./cmd/hmcd-load -sessions 200 -rounds 2 -warmup 1 -conns 4 -workers
 # in internal/span pins the recording path itself;
 # TestSteadyStateAllocs pins the warm server round trip (clock and
 # batched send/recv, both protocols) at single-digit allocs/op.
-go test -run 'ZeroAlloc|TestSteadyStateAllocs' -count=1 . ./internal/metrics ./internal/span ./internal/server
+allocs='ZeroAlloc|TestSteadyStateAllocs'
+check_run "$allocs" . ./internal/metrics ./internal/span ./internal/server
+go test -run "$allocs" -count=1 . ./internal/metrics ./internal/span ./internal/server
 go test -run '^$' -bench . -benchtime 1x ./...
 
 # Speed-regression check: re-measure the key hot-path benchmarks and

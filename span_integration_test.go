@@ -22,7 +22,7 @@ func TestSpansStatsIdentity(t *testing.T) {
 	cfg := FourLink4GB()
 	base := runMutexMode(t, cfg, 16, false)
 	spanned := runMutexMode(t, cfg, 16, false, WithSpans(NewSpanTracer(SpanConfig{})))
-	compareCaptures(t, "spans-attached", base, spanned, true)
+	compareCaptures(t, "spans-attached", base, spanned)
 }
 
 // TestSpansEventClockConsistency pins that the event-driven scheduler's
