@@ -26,9 +26,8 @@ import (
 
 	hmcsim "repro"
 	"repro/cmcops"
+	"repro/internal/cliflag"
 	"repro/internal/hmccmd"
-	"repro/internal/metricsflag"
-	"repro/internal/spanflag"
 )
 
 const lockAddr = 0x40
@@ -40,25 +39,15 @@ func main() {
 	workers := flag.Int("workers", 0, "mutex sweep worker pool size (0 = one per schedulable core, i.e. GOMAXPROCS; 1 = serial; each worker reuses one simulator session across its points)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
-	metricsFlags := metricsflag.Register()
-	faultRate := flag.Float64("fault-rate", 0, "per-traversal link fault probability in [0,1] (0 disables injection)")
-	faultSeed := flag.Uint64("fault-seed", 1, "fault injection seed; the same seed reproduces the exact fault sequence")
-	faultKinds := flag.String("fault-kinds", "all", "comma-separated fault kinds: crc, flip, drop, down or all")
-	eventClock := flag.Bool("event-clock", true, "event-driven cycle scheduler: fast-forward provably idle spans (false = per-cycle reference engine)")
-	spanFlags := spanflag.Register()
+	metricsFlags := cliflag.RegisterMetrics()
+	faults := cliflag.RegisterFaults()
+	spanFlags := cliflag.RegisterSpans()
 	flag.Parse()
 
 	var opts []hmcsim.Option
-	if !*eventClock {
-		opts = append(opts, hmcsim.WithEventClock(false))
-	}
 	var plan hmcsim.FaultPlan
-	if *faultRate > 0 {
-		kinds, err := hmcsim.ParseFaultKinds(*faultKinds)
-		if err != nil {
-			fatal(err)
-		}
-		plan = hmcsim.FaultPlan{Rate: *faultRate, Seed: *faultSeed, Kinds: kinds}
+	if faults.Rate > 0 {
+		plan = *faults
 		opts = append(opts, hmcsim.WithFaults(plan))
 	}
 
@@ -68,7 +57,7 @@ func main() {
 	var progress func(hmcsim.MutexRun)
 	if metricsFlags.Listen != "" {
 		reg := hmcsim.NewMetricsRegistry()
-		progress = metricsflag.SweepProgress(reg)
+		progress = cliflag.SweepProgress(reg)
 		if _, err := metricsFlags.Serve("hmc-bench", reg); err != nil {
 			fatal(err)
 		}

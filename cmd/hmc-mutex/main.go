@@ -33,8 +33,7 @@ import (
 	"strconv"
 
 	hmcsim "repro"
-	"repro/internal/metricsflag"
-	"repro/internal/spanflag"
+	"repro/internal/cliflag"
 )
 
 func main() {
@@ -45,15 +44,12 @@ func main() {
 	tableOnly := flag.Bool("table", false, "print only Table VI")
 	csvPath := flag.String("csv", "", "write the full sweep to a CSV file")
 	workers := flag.Int("workers", 0, "sweep worker pool size (0 = one per schedulable core, i.e. GOMAXPROCS; 1 = serial; each worker reuses one simulator session across its points)")
-	metricsFlags := metricsflag.Register()
+	metricsFlags := cliflag.RegisterMetrics()
 	samplePath := flag.String("sample", "", "write a cycle-indexed metrics time series (JSONL) from one instrumented run per config")
 	sampleEvery := flag.Uint64("sample-every", 64, "time-series sampling period in device cycles")
 	sampleThreads := flag.Int("sample-threads", 0, "thread count for the instrumented sample runs (0 = hi)")
-	faultRate := flag.Float64("fault-rate", 0, "per-traversal link fault probability in [0,1] (0 disables injection)")
-	faultSeed := flag.Uint64("fault-seed", 1, "fault injection seed; the same seed reproduces the exact fault sequence")
-	faultKinds := flag.String("fault-kinds", "all", "comma-separated fault kinds: crc, flip, drop, down or all")
-	eventClock := flag.Bool("event-clock", true, "event-driven cycle scheduler: fast-forward provably idle spans (false = per-cycle reference engine)")
-	spanFlags := spanflag.Register()
+	faults := cliflag.RegisterFaults()
+	spanFlags := cliflag.RegisterSpans()
 	flag.Parse()
 
 	if *lo < 2 || *hi < *lo {
@@ -62,17 +58,9 @@ func main() {
 	}
 
 	var opts []hmcsim.Option
-	if !*eventClock {
-		opts = append(opts, hmcsim.WithEventClock(false))
-	}
-	if *faultRate > 0 {
-		kinds, err := hmcsim.ParseFaultKinds(*faultKinds)
-		if err != nil {
-			fatal(err)
-		}
-		plan := hmcsim.FaultPlan{Rate: *faultRate, Seed: *faultSeed, Kinds: kinds}
-		opts = append(opts, hmcsim.WithFaults(plan))
-		fmt.Fprintf(os.Stderr, "hmc-mutex: fault injection: %v\n", plan)
+	if faults.Rate > 0 {
+		opts = append(opts, hmcsim.WithFaults(*faults))
+		fmt.Fprintf(os.Stderr, "hmc-mutex: fault injection: %v\n", *faults)
 	}
 
 	// The sweep builds thousands of short-lived simulators, so the live
@@ -81,7 +69,7 @@ func main() {
 	var progress func(hmcsim.MutexRun)
 	if metricsFlags.Listen != "" {
 		reg := hmcsim.NewMetricsRegistry()
-		progress = metricsflag.SweepProgress(reg)
+		progress = cliflag.SweepProgress(reg)
 		if _, err := metricsFlags.Serve("hmc-mutex", reg); err != nil {
 			fatal(err)
 		}
@@ -174,17 +162,19 @@ func writeSampleSeries(path string, every uint64, threads int, lockAddr uint64, 
 			hmcsim.MetricsL("config", cfg.String()),
 			hmcsim.MetricsL("threads", strconv.Itoa(threads)),
 		))
-		var handle *hmcsim.Simulator
 		opts := append([]hmcsim.Option{
 			hmcsim.WithMetrics(reg),
 			hmcsim.WithSampler(sm),
-			hmcsim.WithPower(hmcsim.DefaultPowerParams()),
-			hmcsim.WithObserver(func(s *hmcsim.Simulator) { handle = s }),
+			hmcsim.WithPowerModel(hmcsim.NewPowerModel(hmcsim.DefaultPowerParams())),
 		}, extra...)
-		if _, err := hmcsim.RunMutex(cfg, threads, lockAddr, opts...); err != nil {
+		ss, err := hmcsim.NewSession(cfg, opts...)
+		if err != nil {
 			return fmt.Errorf("sample run %s: %w", cfg, err)
 		}
-		sm.Sample(handle.Cycle())
+		if _, err := ss.Mutex(threads, lockAddr); err != nil {
+			return fmt.Errorf("sample run %s: %w", cfg, err)
+		}
+		sm.Sample(ss.Sim().Cycle())
 		if err := sm.Flush(); err != nil {
 			return err
 		}

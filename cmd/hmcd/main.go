@@ -27,7 +27,7 @@ import (
 
 	hmcsim "repro"
 	_ "repro/cmcops"
-	"repro/internal/metricsflag"
+	"repro/internal/cliflag"
 )
 
 func main() {
@@ -37,7 +37,7 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 0, "concurrent session cap (0 = default 65536)")
 	ttl := flag.Duration("ttl", 0, "evict sessions idle this long (0 disables eviction)")
 	poolCap := flag.Int("pool", 0, "idle simulators retained for reuse (0 = default 1024, negative disables pooling)")
-	metricsFlags := metricsflag.Register()
+	metricsFlags := cliflag.RegisterMetrics()
 	flag.Parse()
 
 	if *tcpAddr == "" && *sockPath == "" {
@@ -53,7 +53,7 @@ func main() {
 		PoolCap:     *poolCap,
 		Registry:    reg,
 	})
-	metricsflag.OnShutdown(func() { srv.Close() })
+	cliflag.OnShutdown(func() { srv.Close() })
 
 	if _, err := metricsFlags.Serve("hmcd", reg); err != nil {
 		fatal(err)
@@ -68,7 +68,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "hmcd: serving sessions on %s %s\n", network, ln.Addr())
 		if network == "unix" {
-			metricsflag.OnShutdown(func() { os.Remove(addr) })
+			cliflag.OnShutdown(func() { os.Remove(addr) })
 		}
 		transports++
 		go func() { errs <- srv.Serve(ln) }()

@@ -1,7 +1,8 @@
 // Command hmcsim is the general simulation driver: it builds a device
 // configuration, optionally loads CMC operations (compiled-in by name or
 // from .cmc script files), runs a workload, and reports statistics,
-// traces and energy.
+// traces, span attribution and energy. It is the one CLI that runs a
+// single simulation; hmc-trace reads what it writes.
 //
 // Usage examples:
 //
@@ -9,6 +10,7 @@
 //	hmcsim -print-cmc                      # registered CMC operations
 //	hmcsim -config 8link8gb -workload stream -threads 32
 //	hmcsim -workload mutex -threads 64 -trace trace.jsonl -trace-level cmc+latency
+//	hmcsim -workload mutex -threads 32 -spans -span-out spans.json
 //	hmcsim -workload gups -gups-mode amo -threads 16 -power
 //	hmcsim -cmc-script ops/fetchadd.cmc -print-cmc
 package main
@@ -20,13 +22,14 @@ import (
 	"strings"
 
 	hmcsim "repro"
+	"repro/internal/cliflag"
+	"repro/internal/config"
 	"repro/internal/hmccmd"
-	"repro/internal/spanflag"
 	"repro/internal/topo"
 )
 
 func main() {
-	cfgName := flag.String("config", "4link4gb", "device configuration: 4link4gb, 8link8gb or 2gbdev")
+	cfgName := flag.String("config", "4link4gb", "device configuration: 4link4gb, 8link8gb or 2gbdev (case and separators ignored)")
 	devices := flag.Int("devices", 1, "number of chained devices")
 	topoName := flag.String("topo", "single", "multi-device topology: single, chain, star or ring")
 	workload := flag.String("workload", "", "workload to run: mutex, stream, gups, bfs, replay or rwlock")
@@ -49,11 +52,8 @@ func main() {
 	replayFile := flag.String("replay-file", "", "replay: request trace file")
 	replayPattern := flag.String("replay-pattern", "stride", "replay: generated pattern when no file is given (stride or random)")
 	replayOps := flag.Int("replay-ops", 1024, "replay: generated request count")
-	faultRate := flag.Float64("fault-rate", 0, "per-traversal link fault probability in [0,1] (0 disables injection)")
-	faultSeed := flag.Uint64("fault-seed", 1, "fault injection seed; the same seed reproduces the exact fault sequence")
-	faultKinds := flag.String("fault-kinds", "all", "comma-separated fault kinds: crc, flip, drop, down or all")
-	eventClock := flag.Bool("event-clock", true, "event-driven cycle scheduler: fast-forward provably idle spans (false = per-cycle reference engine)")
-	spanFlags := spanflag.Register()
+	faults := cliflag.RegisterFaults()
+	spanFlags := cliflag.RegisterSpans()
 	flag.Parse()
 
 	if *printCommands {
@@ -61,7 +61,7 @@ func main() {
 		return
 	}
 
-	cfg, err := configFor(*cfgName)
+	cfg, err := config.ByName(*cfgName)
 	if err != nil {
 		fatal(err)
 	}
@@ -116,21 +116,9 @@ func main() {
 		pm = hmcsim.NewPowerModel(hmcsim.DefaultPowerParams())
 		opts = append(opts, hmcsim.WithPowerModel(pm))
 	}
-	var simRef *hmcsim.Simulator
-	if *showStats {
-		opts = append(opts, hmcsim.WithObserver(func(s *hmcsim.Simulator) { simRef = s }))
-	}
-	if *faultRate > 0 {
-		kinds, err := hmcsim.ParseFaultKinds(*faultKinds)
-		if err != nil {
-			fatal(err)
-		}
-		plan := hmcsim.FaultPlan{Rate: *faultRate, Seed: *faultSeed, Kinds: kinds}
-		opts = append(opts, hmcsim.WithFaults(plan))
-		fmt.Printf("fault injection: %v\n", plan)
-	}
-	if !*eventClock {
-		opts = append(opts, hmcsim.WithEventClock(false))
+	if faults.Rate > 0 {
+		opts = append(opts, hmcsim.WithFaults(*faults))
+		fmt.Printf("fault injection: %v\n", *faults)
 	}
 	spanTracer := spanFlags.Tracer()
 	if spanTracer != nil {
@@ -144,19 +132,24 @@ func main() {
 		opts = append(opts, hmcsim.WithDevices(*devices, kind))
 	}
 
+	// One session runs the workload and keeps the simulator for -stats.
+	ss, err := hmcsim.NewSession(cfg, opts...)
+	if err != nil {
+		fatal(err)
+	}
 	switch *workload {
 	case "mutex":
-		runMutex(cfg, *threads, opts)
+		runMutex(ss, *threads)
 	case "stream":
-		runStream(cfg, *threads, *blocks, opts)
+		runStream(ss, *threads, *blocks)
 	case "gups":
-		runGUPS(cfg, *gupsMode, *threads, *updates, opts)
+		runGUPS(ss, *gupsMode, *threads, *updates)
 	case "bfs":
-		runBFS(cfg, *bfsMode, *threads, *vertices, opts)
+		runBFS(ss, *bfsMode, *threads, *vertices)
 	case "replay":
-		runReplay(cfg, *threads, *replayFile, *replayPattern, *replayOps, opts)
+		runReplay(ss, *threads, *replayFile, *replayPattern, *replayOps)
 	case "rwlock":
-		runRWLock(cfg, *readers, *writers, opts)
+		runRWLock(ss, *readers, *writers)
 	default:
 		fatal(fmt.Errorf("unknown workload %q", *workload))
 	}
@@ -167,8 +160,8 @@ func main() {
 	if err := spanFlags.Finish(os.Stdout, spanTracer); err != nil {
 		fatal(err)
 	}
-	if simRef != nil {
-		for _, d := range simRef.Devices() {
+	if *showStats {
+		for _, d := range ss.Sim().Devices() {
 			fmt.Print(d.BuildReport())
 		}
 	}
@@ -195,19 +188,6 @@ func topoKind(name string) (topo.Kind, error) {
 	return topo.ParseKind(name)
 }
 
-func configFor(name string) (hmcsim.Config, error) {
-	switch strings.ToLower(name) {
-	case "4link4gb", "4link-4gb":
-		return hmcsim.FourLink4GB(), nil
-	case "8link8gb", "8link-8gb":
-		return hmcsim.EightLink8GB(), nil
-	case "2gbdev", "2gb":
-		return hmcsim.TwoGBDev(), nil
-	default:
-		return hmcsim.Config{}, fmt.Errorf("unknown configuration %q", name)
-	}
-}
-
 func printCommandTable() {
 	fmt.Println("HMC Gen2 command set (request/response lengths in FLITs):")
 	fmt.Printf("%-12s %-6s %-6s %-6s %-14s\n", "Command", "Code", "Rqst", "Rsp", "Class")
@@ -221,60 +201,60 @@ func printCommandTable() {
 	}
 }
 
-func runMutex(cfg hmcsim.Config, threads int, opts []hmcsim.Option) {
-	run, err := hmcsim.RunMutex(cfg, threads, 0x40, opts...)
+func runMutex(ss *hmcsim.Session, threads int) {
+	run, err := ss.Mutex(threads, 0x40)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("mutex %v threads=%d: min=%d max=%d avg=%.2f trylocks=%d stalls=%d\n",
-		cfg, run.Threads, run.Min, run.Max, run.Avg, run.Trylocks, run.SendStalls)
+		ss.Sim().Config(), run.Threads, run.Min, run.Max, run.Avg, run.Trylocks, run.SendStalls)
 }
 
-func runStream(cfg hmcsim.Config, threads int, blocks uint64, opts []hmcsim.Option) {
-	r, err := hmcsim.RunStream(cfg, threads, blocks, 1.25, opts...)
+func runStream(ss *hmcsim.Session, threads int, blocks uint64) {
+	r, err := ss.Stream(threads, blocks, 1.25)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("stream %v threads=%d blocks=%d: cycles=%d bytes/cycle=%.2f bandwidth=%.2f GB/s\n",
-		cfg, r.Threads, blocks, r.Cycles, r.BytesPerCycle, r.BandwidthGBs)
+		ss.Sim().Config(), r.Threads, blocks, r.Cycles, r.BytesPerCycle, r.BandwidthGBs)
 }
 
-func runGUPS(cfg hmcsim.Config, mode string, threads int, updates uint64, opts []hmcsim.Option) {
+func runGUPS(ss *hmcsim.Session, mode string, threads int, updates uint64) {
 	m := hmcsim.GUPSAtomic
 	if mode == "baseline" {
 		m = hmcsim.GUPSBaseline
 	}
-	r, err := hmcsim.RunGUPS(cfg, m, threads, 4096, updates, opts...)
+	r, err := ss.GUPS(m, threads, 4096, updates)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("gups %v mode=%v threads=%d updates=%d: cycles=%d flits=%d updates/kcycle=%.2f\n",
-		cfg, r.Mode, r.Threads, r.Updates, r.Cycles, r.Flits, r.UpdatesPerKCycle)
+		ss.Sim().Config(), r.Mode, r.Threads, r.Updates, r.Cycles, r.Flits, r.UpdatesPerKCycle)
 }
 
-func runBFS(cfg hmcsim.Config, mode string, threads, vertices int, opts []hmcsim.Option) {
+func runBFS(ss *hmcsim.Session, mode string, threads, vertices int) {
 	m := hmcsim.BFSCMC
 	if mode == "baseline" {
 		m = hmcsim.BFSBaseline
 	}
-	r, err := hmcsim.RunBFS(cfg, m, threads, vertices, 4, 1, opts...)
+	r, err := ss.BFS(m, threads, vertices, 4, 1)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("bfs %v mode=%v threads=%d vertices=%d edges=%d: cycles=%d flits=%d doubleclaims=%d\n",
-		cfg, r.Mode, r.Threads, r.Vertices, r.Edges, r.Cycles, r.Flits, r.DoubleClaims)
+		ss.Sim().Config(), r.Mode, r.Threads, r.Vertices, r.Edges, r.Cycles, r.Flits, r.DoubleClaims)
 }
 
-func runRWLock(cfg hmcsim.Config, readers, writers int, opts []hmcsim.Option) {
-	r, err := hmcsim.RunRWLock(cfg, readers, writers, 5, opts...)
+func runRWLock(ss *hmcsim.Session, readers, writers int) {
+	r, err := ss.RWLock(readers, writers, 5)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("rwlock %v readers=%d writers=%d: cycles=%d counter=%d acquisitions=%d+%d retries=%d\n",
-		cfg, r.Readers, r.Writers, r.Cycles, r.Counter, r.ReaderAcqs, r.WriterAcqs, r.Retries)
+		ss.Sim().Config(), r.Readers, r.Writers, r.Cycles, r.Counter, r.ReaderAcqs, r.WriterAcqs, r.Retries)
 }
 
-func runReplay(cfg hmcsim.Config, threads int, file, pattern string, n int, opts []hmcsim.Option) {
+func runReplay(ss *hmcsim.Session, threads int, file, pattern string, n int) {
 	var ops []hmcsim.ReplayOp
 	switch {
 	case file != "":
@@ -294,10 +274,10 @@ func runReplay(cfg hmcsim.Config, threads int, file, pattern string, n int, opts
 	default:
 		fatal(fmt.Errorf("unknown replay pattern %q", pattern))
 	}
-	r, err := hmcsim.RunReplay(cfg, threads, ops, opts...)
+	r, err := ss.Replay(threads, ops)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("replay %v threads=%d ops=%d: cycles=%d ops/cycle=%.3f latency[%v]\n",
-		cfg, r.Threads, r.Ops, r.Cycles, r.OpsPerCycle, r.Latency.String())
+		ss.Sim().Config(), r.Threads, r.Ops, r.Cycles, r.OpsPerCycle, r.Latency.String())
 }

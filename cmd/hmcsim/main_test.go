@@ -6,24 +6,6 @@ import (
 	"repro/internal/topo"
 )
 
-func TestConfigFor(t *testing.T) {
-	for name, links := range map[string]int{
-		"4link4gb": 4, "4Link-4GB": 4, "8link8gb": 8, "2gbdev": 4, "2gb": 4,
-	} {
-		cfg, err := configFor(name)
-		if err != nil {
-			t.Errorf("configFor(%q): %v", name, err)
-			continue
-		}
-		if cfg.Links != links {
-			t.Errorf("configFor(%q).Links = %d, want %d", name, cfg.Links, links)
-		}
-	}
-	if _, err := configFor("bogus"); err == nil {
-		t.Error("configFor(bogus) succeeded")
-	}
-}
-
 func TestTopoKind(t *testing.T) {
 	k, err := topoKind("chain")
 	if err != nil || k != topo.KindChain {

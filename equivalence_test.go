@@ -40,15 +40,13 @@ func runMutexMode(t *testing.T, cfg Config, threads int, forceWalk bool, opts ..
 	var buf bytes.Buffer
 	levels := TraceRqst | TraceRsp | TraceCMC | TraceStall | TraceLatency
 	tracer := NewJSONLTracer(&buf, levels)
-	var dev *Device
-	opts = append(opts,
-		WithTracer(tracer),
-		WithObserver(func(s *Simulator) {
-			dev = s.Devices()[0]
-			dev.ForceWalk = forceWalk
-		}),
-	)
-	run, err := RunMutex(cfg, threads, 0x40, opts...)
+	ss, err := NewSession(cfg, append(opts, WithTracer(tracer))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := ss.Sim().Devices()[0]
+	dev.ForceWalk = forceWalk
+	run, err := ss.Mutex(threads, 0x40)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,20 +15,23 @@ import (
 
 // runWorkloadEngine runs one workload under the chosen engine mode and
 // renders everything observable into one comparable string.
-func runWorkloadEngine(t *testing.T, run func(opts ...Option) (any, error), event bool) string {
+func runWorkloadEngine(t *testing.T, cfg Config, run func(ss *Session) (any, error), event bool) string {
 	t.Helper()
-	var sim *Simulator
-	opts := []Option{WithObserver(func(s *Simulator) { sim = s })}
+	var opts []Option
 	if !event {
 		opts = append(opts, WithEventClock(false))
 	}
-	res, err := run(opts...)
+	ss, err := NewSession(cfg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := run(ss)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "result=%+v\n", res)
-	for _, d := range sim.Devices() {
+	for _, d := range ss.Sim().Devices() {
 		fmt.Fprintf(&b, "dev%d %s", d.ID, d.BuildReport().String())
 	}
 	return b.String()
@@ -49,25 +52,22 @@ func TestEventClockWorkloadEquivalence(t *testing.T) {
 		{"4Link-4GB", FourLink4GB()},
 		{"8Link-8GB", EightLink8GB()},
 	}
+	workloads := []struct {
+		name string
+		run  func(ss *Session) (any, error)
+	}{
+		{"mutex", func(ss *Session) (any, error) { return ss.Mutex(24, 0x40) }},
+		{"stream", func(ss *Session) (any, error) { return ss.Stream(16, 128, 1.25) }},
+		{"gups", func(ss *Session) (any, error) { return ss.GUPS(GUPSAtomic, 16, 4096, 1024) }},
+		{"bfs", func(ss *Session) (any, error) { return ss.BFS(BFSCMC, 8, 300, 4, 1) }},
+		{"replay", func(ss *Session) (any, error) { return ss.Replay(8, GenerateStrideTrace(0, 512)) }},
+		{"rwlock", func(ss *Session) (any, error) { return ss.RWLock(8, 4, 5) }},
+	}
 	for _, c := range configs {
-		cfg := c.cfg
-		workloads := []struct {
-			name string
-			run  func(opts ...Option) (any, error)
-		}{
-			{"mutex", func(opts ...Option) (any, error) { return RunMutex(cfg, 24, 0x40, opts...) }},
-			{"stream", func(opts ...Option) (any, error) { return RunStream(cfg, 16, 128, 1.25, opts...) }},
-			{"gups", func(opts ...Option) (any, error) { return RunGUPS(cfg, GUPSAtomic, 16, 4096, 1024, opts...) }},
-			{"bfs", func(opts ...Option) (any, error) { return RunBFS(cfg, BFSCMC, 8, 300, 4, 1, opts...) }},
-			{"replay", func(opts ...Option) (any, error) {
-				return RunReplay(cfg, 8, GenerateStrideTrace(0, 512), opts...)
-			}},
-			{"rwlock", func(opts ...Option) (any, error) { return RunRWLock(cfg, 8, 4, 5, opts...) }},
-		}
 		for _, w := range workloads {
 			t.Run(c.name+"/"+w.name, func(t *testing.T) {
-				percycle := runWorkloadEngine(t, w.run, false)
-				event := runWorkloadEngine(t, w.run, true)
+				percycle := runWorkloadEngine(t, c.cfg, w.run, false)
+				event := runWorkloadEngine(t, c.cfg, w.run, true)
 				if percycle != event {
 					t.Errorf("per-cycle and event-driven runs diverge:\n--- percycle\n%s\n--- event\n%s", percycle, event)
 				}

@@ -129,14 +129,12 @@ var (
 
 	// New builds a simulation context.
 	New = sim.New
-	// WithTracer, WithDevices and WithPower configure it.
+	// WithTracer and WithDevices configure it.
 	WithTracer  = sim.WithTracer
 	WithDevices = sim.WithDevices
-	WithPower   = sim.WithPower
-	// WithPowerModel accumulates energy into a caller-owned model.
+	// WithPowerModel enables the power extension, accumulating energy
+	// into a caller-owned model (NewPowerModel).
 	WithPowerModel = sim.WithPowerModel
-	// WithObserver hands the caller the simulator handle at construction.
-	WithObserver = sim.WithObserver
 	// WithEventClock selects the cycle scheduler. It defaults to true —
 	// the event-driven calendar that fast-forwards provably idle spans
 	// and skips quiescent cubes, bit-identical to per-cycle stepping.
@@ -178,14 +176,14 @@ type ReqScratch = sim.ReqScratch
 
 // Trace sink constructors.
 var (
-	NewTextTracer = trace.NewText
-	// NewBufferedTracer writes the TextTracer format through a
-	// preallocated buffer with no fmt on the hot path; call Flush when
-	// tracing is done.
-	NewBufferedTracer = trace.NewBuffered
-	NewJSONLTracer    = trace.NewJSONL
-	NewRecorder       = trace.NewRecorder
-	ParseTraceLevel   = trace.ParseLevel
+	// NewTextTracer writes the human-readable line format through a
+	// preallocated buffer with no fmt on the hot path; NewJSONLTracer
+	// writes what hmc-trace reads. Call Flush on either when tracing is
+	// done.
+	NewTextTracer   = trace.NewText
+	NewJSONLTracer  = trace.NewJSONL
+	NewRecorder     = trace.NewRecorder
+	ParseTraceLevel = trace.ParseLevel
 )
 
 // Trace levels.
@@ -261,7 +259,8 @@ var (
 	RunBandwidthProbe = workload.RunBandwidthProbe
 	// NewSession builds a reusable simulator session: every driver has a
 	// Session method form (Mutex, GUPS, Stream, ...) that Resets the one
-	// simulator in place instead of rebuilding it per run. Reusable
+	// simulator in place instead of rebuilding it per run, and
+	// Session.Sim hands back the simulator for post-run reports. Reusable
 	// reports whether an option set is eligible (construction-bound
 	// options — tracing, power, metrics — are not).
 	NewSession = workload.NewSession
@@ -281,8 +280,8 @@ type (
 	Metric = metrics.Metric
 	// MetricsLabel is one key=value metric dimension; build with MetricsL.
 	MetricsLabel = metrics.Label
-	// MetricsSampler snapshots a registry every N cycles into a JSONL or
-	// CSV time series; attach with WithSampler.
+	// MetricsSampler snapshots a registry every N cycles into a JSONL
+	// time series; attach with WithSampler.
 	MetricsSampler = metrics.Sampler
 	// MetricsSample is one parsed time-series record.
 	MetricsSample = metrics.Sample
@@ -299,11 +298,10 @@ var (
 	// against a registry; WithSampler attaches a cycle-indexed sampler.
 	WithMetrics = sim.WithMetrics
 	WithSampler = sim.WithSampler
-	// NewMetricsSampler builds a sampler over a registry;
-	// WithSamplerTags/WithSamplerFormat configure it.
+	// NewMetricsSampler builds a sampler over a registry; WithSamplerTags
+	// stamps every sample with the run's static dimensions.
 	NewMetricsSampler = metrics.NewSampler
 	WithSamplerTags   = metrics.WithTags
-	WithSamplerFormat = metrics.WithFormat
 	// ParseSamples reads a JSONL sample stream back;
 	// MetricsIntervalReport tabulates one into per-interval occupancy,
 	// bandwidth and power columns.
@@ -418,7 +416,7 @@ type (
 	// serialize without locks while sessions execute concurrently.
 	SessionServer = server.Server
 	// SessionServerConfig parameterizes a SessionServer (shard count,
-	// session cap, idle TTL, batch limits, simulator pool size).
+	// session cap, idle TTL, simulator pool size, metrics registry).
 	SessionServerConfig = server.Config
 	// SessionClient speaks the wire protocol; one client multiplexes
 	// any number of concurrent sessions over one connection.

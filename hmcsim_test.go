@@ -163,7 +163,7 @@ func TestMultiCubeFacade(t *testing.T) {
 }
 
 func TestPowerFacade(t *testing.T) {
-	s, err := New(FourLink4GB(), WithPower(DefaultPowerParams()))
+	s, err := New(FourLink4GB(), WithPowerModel(NewPowerModel(DefaultPowerParams())))
 	if err != nil {
 		t.Fatal(err)
 	}

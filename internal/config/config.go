@@ -147,6 +147,31 @@ func TwoGBDev() Config {
 	return c
 }
 
+// ByName resolves a preset name, ignoring case and any '-', '_' or ' '
+// separators: "4Link-4GB", "4link-4gb" and "4link4gb" all name
+// FourLink4GB. The names are 4link4gb, 8link8gb and 2gbdev (also 2gb).
+func ByName(name string) (Config, error) {
+	key := make([]byte, 0, len(name))
+	for i := 0; i < len(name); i++ {
+		switch c := name[i]; {
+		case c >= 'A' && c <= 'Z':
+			key = append(key, c+'a'-'A')
+		case c == '-' || c == '_' || c == ' ':
+		default:
+			key = append(key, c)
+		}
+	}
+	switch string(key) {
+	case "4link4gb":
+		return FourLink4GB(), nil
+	case "8link8gb":
+		return EightLink8GB(), nil
+	case "2gbdev", "2gb":
+		return TwoGBDev(), nil
+	}
+	return Config{}, fmt.Errorf("config: unknown preset %q (want 4link4gb, 8link8gb or 2gbdev)", name)
+}
+
 // Validate checks every architected constraint. The zero Config is
 // invalid.
 func (c Config) Validate() error {

@@ -13,6 +13,39 @@ func TestPaperPresetsValid(t *testing.T) {
 	}
 }
 
+// TestByName pins every preset spelling a front end accepts (hmcsim
+// -config, hmcd init) and the rejection of anything else.
+func TestByName(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want Config
+	}{
+		{"4link4gb", FourLink4GB()},
+		{"4Link-4GB", FourLink4GB()},
+		{"4link-4gb", FourLink4GB()},
+		{"8link8gb", EightLink8GB()},
+		{"8Link-8GB", EightLink8GB()},
+		{"2gbdev", TwoGBDev()},
+		{"2gb-dev", TwoGBDev()},
+		{"2GB_Dev", TwoGBDev()},
+		{"2gb", TwoGBDev()},
+	} {
+		got, err := ByName(c.name)
+		if err != nil {
+			t.Errorf("ByName(%q): %v", c.name, err)
+			continue
+		}
+		if got != c.want {
+			t.Errorf("ByName(%q) = %v, want %v", c.name, got, c.want)
+		}
+	}
+	for _, bad := range []string{"", "bogus", "16link-1tb", "4link", "4link4gbx"} {
+		if _, err := ByName(bad); err == nil {
+			t.Errorf("ByName(%q) succeeded", bad)
+		}
+	}
+}
+
 func TestPaperEvaluationParameters(t *testing.T) {
 	// Paper §V-B: max block size 64 bytes, request queue 64 slots,
 	// crossbar queue 128 slots, on 4Link-4GB and 8Link-8GB devices.

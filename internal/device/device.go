@@ -528,39 +528,3 @@ func (d *Device) Recv(link int) (*packet.Rsp, bool) {
 	d.putFlight(f)
 	return rsp, true
 }
-
-// SendWire submits a request in its encoded wire form — the []uint64
-// packet buffer of the original C API (hmcsim_send). The packet is
-// validated (length, CRC, command) and decoded into the link's scratch
-// request without allocating, then follows the normal Send path.
-func (d *Device) SendWire(link int, words []uint64) error {
-	if link < 0 || link >= len(d.links) {
-		return fmt.Errorf("%w: %d", ErrBadLink, link)
-	}
-	l := &d.links[link]
-	if err := packet.DecodeRqstInto(&l.wireRqst, words); err != nil {
-		return err
-	}
-	return d.Send(link, &l.wireRqst)
-}
-
-// RecvWire pops the next available response from a host link in its
-// encoded wire form (hmcsim_recv). The returned slice is the link's
-// scratch FLIT buffer: it is valid until the next RecvWire on the same
-// link, and the response packet itself is recycled immediately.
-func (d *Device) RecvWire(link int) ([]uint64, bool) {
-	rsp, ok := d.Recv(link)
-	if !ok {
-		return nil, false
-	}
-	l := &d.links[link]
-	words, err := rsp.EncodeInto(l.wire)
-	packet.PutRsp(rsp)
-	if err != nil {
-		// Responses are device-built and always encodable; a failure here
-		// is a programming error.
-		panic(fmt.Sprintf("device: RecvWire encode: %v", err))
-	}
-	l.wire = words
-	return words, true
-}

@@ -478,3 +478,33 @@ func TestNewValidation(t *testing.T) {
 		t.Error("New accepted out-of-range device id")
 	}
 }
+
+// TestSendAdoptsRequest pins the adoption contract: mutating the caller's
+// request (and payload) immediately after Send must not affect the
+// packet the device executes.
+func TestSendAdoptsRequest(t *testing.T) {
+	d, err := New(0, config.FourLink4GB(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &packet.Rqst{Cmd: hmccmd.WR16, ADRS: 0x300, TAG: 5, Payload: []uint64{42, 43}}
+	if err := d.Send(0, r); err != nil {
+		t.Fatal(err)
+	}
+	// Scribble over everything the device might still be referencing.
+	r.ADRS = 0x9990
+	r.TAG = 77
+	r.Payload[0], r.Payload[1] = 0, 0
+	var rsp *packet.Rsp
+	for c := 0; c < 16 && rsp == nil; c++ {
+		d.Clock()
+		rsp, _ = d.Recv(0)
+	}
+	if rsp == nil || rsp.TAG != 5 || rsp.ERRSTAT != 0 {
+		t.Fatalf("write response: %+v", rsp)
+	}
+	v, err := d.Store().ReadUint64(0x300)
+	if err != nil || v != 42 {
+		t.Fatalf("memory at 0x300 = %d, %v; want 42", v, err)
+	}
+}

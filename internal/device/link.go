@@ -2,7 +2,6 @@ package device
 
 import (
 	"repro/internal/fault"
-	"repro/internal/packet"
 	"repro/internal/queue"
 )
 
@@ -87,13 +86,6 @@ type Link struct {
 
 	// Retries counts completed retry sequences on this link.
 	Retries uint64
-
-	// wire is the link's scratch FLIT buffer for the wire-level host API
-	// (SendWire/RecvWire): encoded packets land here so the codec runs
-	// without per-packet buffer allocation.
-	wire []uint64
-	// wireRqst is the link's scratch decode target for SendWire.
-	wireRqst packet.Rqst
 }
 
 func (l *Link) init(id, depth int) {
@@ -112,8 +104,8 @@ func (ld *linkDir) reset() {
 }
 
 // reset rewinds the link to power-on: both directions' retry state, the
-// down window and the retry counter. The queue ring buffers and the
-// wire-API scratches are reusable capacity, not state, and survive.
+// down window and the retry counter. The queue ring buffers are reusable
+// capacity, not state, and survive.
 func (l *Link) reset() {
 	l.rqstDir.reset()
 	l.rspDir.reset()

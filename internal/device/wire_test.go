@@ -9,36 +9,66 @@ import (
 	"repro/internal/packet"
 )
 
-// wireRoundTrip drives one encoded request through SendWire/RecvWire.
-func wireRoundTrip(t *testing.T, d *Device, link int, words []uint64) []uint64 {
-	t.Helper()
-	if err := d.SendWire(link, words); err != nil {
-		t.Fatalf("SendWire: %v", err)
+// wireHost is the device's side of the host wire API (Simulator.SendWire
+// and RecvWire): requests decode into one reused scratch the device
+// adopts on Send, and responses encode into one reused buffer.
+type wireHost struct {
+	d    *Device
+	rqst packet.Rqst
+	buf  []uint64
+}
+
+func (h *wireHost) send(link int, words []uint64) error {
+	if err := packet.DecodeRqstInto(&h.rqst, words); err != nil {
+		return err
 	}
+	return h.d.Send(link, &h.rqst)
+}
+
+// recv clocks the device until a response arrives on link and returns it
+// in wire form.
+func (h *wireHost) recv(t *testing.T, link int) []uint64 {
+	t.Helper()
 	for c := 0; c < 16; c++ {
-		d.Clock()
-		if rsp, ok := d.RecvWire(link); ok {
-			return rsp
+		h.d.Clock()
+		if rsp, ok := h.d.Recv(link); ok {
+			words, err := rsp.EncodeInto(h.buf)
+			packet.PutRsp(rsp)
+			if err != nil {
+				t.Fatalf("encode response: %v", err)
+			}
+			h.buf = words
+			return words
 		}
 	}
 	t.Fatal("no wire response within 16 cycles")
 	return nil
 }
 
-// TestWireRoundTrip drives the hmcsim_send/hmcsim_recv-style wire API:
-// encoded request words in, encoded response words out, and the decoded
-// response must carry the written data back.
+func encode(t *testing.T, r *packet.Rqst) []uint64 {
+	t.Helper()
+	words, err := r.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return words
+}
+
+// TestWireRoundTrip drives requests decoded from wire words through the
+// device: every response it builds must encode back to wire words, and
+// the decoded read response must carry the written data back.
 func TestWireRoundTrip(t *testing.T) {
 	d, err := New(0, config.FourLink4GB(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := &wireHost{d: d}
+
 	wr := &packet.Rqst{Cmd: hmccmd.WR16, ADRS: 0x200, TAG: 9, Payload: []uint64{0xABCD, 0x1234}}
-	wrWords, err := wr.Encode()
-	if err != nil {
+	if err := h.send(0, encode(t, wr)); err != nil {
 		t.Fatal(err)
 	}
-	wrRsp, err := packet.DecodeRsp(wireRoundTrip(t, d, 0, wrWords))
+	wrRsp, err := packet.DecodeRsp(h.recv(t, 0))
 	if err != nil {
 		t.Fatalf("decode write response: %v", err)
 	}
@@ -47,11 +77,10 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	rd := &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0x200, TAG: 10}
-	rdWords, err := rd.Encode()
-	if err != nil {
+	if err := h.send(0, encode(t, rd)); err != nil {
 		t.Fatal(err)
 	}
-	rdRsp, err := packet.DecodeRsp(wireRoundTrip(t, d, 0, rdWords))
+	rdRsp, err := packet.DecodeRsp(h.recv(t, 0))
 	if err != nil {
 		t.Fatalf("decode read response: %v", err)
 	}
@@ -61,52 +90,47 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWireRejectsCorruptPackets checks that SendWire validates the CRC
-// before anything enters the device.
+// TestWireRejectsCorruptPackets checks that a wire packet failing
+// validation is refused while still in words: nothing of it reaches the
+// device, and the request already adopted from the same scratch executes
+// untouched.
 func TestWireRejectsCorruptPackets(t *testing.T) {
 	d, err := New(0, config.FourLink4GB(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	words, err := (&packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0x100, TAG: 1}).Encode()
-	if err != nil {
+	h := &wireHost{d: d}
+	good := &packet.Rqst{Cmd: hmccmd.WR16, ADRS: 0x100, TAG: 1, Payload: []uint64{5, 6}}
+	if err := h.send(0, encode(t, good)); err != nil {
 		t.Fatal(err)
 	}
-	words[0] ^= 1 << 30 // flip an ADRS bit; the CRC no longer matches
-	if err := d.SendWire(0, words); !errors.Is(err, packet.ErrBadCRC) {
-		t.Fatalf("SendWire on corrupt packet: %v, want ErrBadCRC", err)
-	}
-	if err := d.SendWire(0, nil); !errors.Is(err, packet.ErrNilPacket) {
-		t.Fatalf("SendWire(nil): %v, want ErrNilPacket", err)
-	}
-}
 
-// TestSendAdoptsRequest pins the adoption contract: mutating the caller's
-// request (and payload) immediately after Send must not affect the
-// packet the device executes.
-func TestSendAdoptsRequest(t *testing.T) {
-	d, err := New(0, config.FourLink4GB(), nil)
+	words := encode(t, &packet.Rqst{Cmd: hmccmd.WR16, ADRS: 0x100, TAG: 2, Payload: []uint64{9, 9}})
+	words[1] ^= 1 // flip a payload bit; the CRC no longer matches
+	if err := h.send(0, words); !errors.Is(err, packet.ErrBadCRC) {
+		t.Fatalf("send of corrupt packet: %v, want ErrBadCRC", err)
+	}
+	if err := h.send(0, words[:2]); !errors.Is(err, packet.ErrBadLength) {
+		t.Fatalf("send of truncated packet: %v, want ErrBadLength", err)
+	}
+	if err := h.send(0, nil); !errors.Is(err, packet.ErrNilPacket) {
+		t.Fatalf("send(nil): %v, want ErrNilPacket", err)
+	}
+
+	rsp, err := packet.DecodeRsp(h.recv(t, 0))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("decode write response: %v", err)
 	}
-	r := &packet.Rqst{Cmd: hmccmd.WR16, ADRS: 0x300, TAG: 5, Payload: []uint64{42, 43}}
-	if err := d.Send(0, r); err != nil {
-		t.Fatal(err)
-	}
-	// Scribble over everything the device might still be referencing.
-	r.ADRS = 0x9990
-	r.TAG = 77
-	r.Payload[0], r.Payload[1] = 0, 0
-	var rsp *packet.Rsp
-	for c := 0; c < 16 && rsp == nil; c++ {
-		d.Clock()
-		rsp, _ = d.Recv(0)
-	}
-	if rsp == nil || rsp.TAG != 5 || rsp.ERRSTAT != 0 {
+	if rsp.TAG != 1 || rsp.ERRSTAT != 0 {
 		t.Fatalf("write response: %+v", rsp)
 	}
-	v, err := d.Store().ReadUint64(0x300)
-	if err != nil || v != 42 {
-		t.Fatalf("memory at 0x300 = %d, %v; want 42", v, err)
+	for c := 0; c < 16; c++ {
+		d.Clock()
+		if extra, ok := d.Recv(0); ok {
+			t.Fatalf("refused packet produced a response: %+v", extra)
+		}
+	}
+	if v, err := d.Store().ReadUint64(0x100); err != nil || v != 5 {
+		t.Fatalf("memory at 0x100 = %d, %v; want 5", v, err)
 	}
 }

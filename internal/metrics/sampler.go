@@ -6,25 +6,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
 	"repro/internal/stats"
-)
-
-// Format selects the sampler's output encoding.
-type Format uint8
-
-// Sampler output formats.
-const (
-	// FormatJSONL writes one JSON object per sample (ParseSamples reads
-	// it back).
-	FormatJSONL Format = iota
-	// FormatCSV writes a header row plus one row per sample; the column
-	// set is fixed by the first sample (instruments registered later are
-	// dropped).
-	FormatCSV
 )
 
 // Sample is one cycle-indexed snapshot of a registry — the unit of the
@@ -74,15 +59,13 @@ func (h HistSummary) Avg() float64 {
 // under a mutex), so several instrumented runs may share one output
 // stream, distinguished by tags.
 type Sampler struct {
-	mu     sync.Mutex
-	reg    *Registry
-	w      *bufio.Writer
-	enc    *json.Encoder
-	every  uint64
-	format Format
-	tags   map[string]string
-	header []string // CSV column keys, fixed at first sample
-	err    error
+	mu    sync.Mutex
+	reg   *Registry
+	w     *bufio.Writer
+	enc   *json.Encoder
+	every uint64
+	tags  map[string]string
+	err   error
 }
 
 // SamplerOption configures a Sampler.
@@ -100,12 +83,8 @@ func WithTags(tags ...Label) SamplerOption {
 	}
 }
 
-// WithFormat selects the output encoding (default FormatJSONL).
-func WithFormat(f Format) SamplerOption {
-	return func(s *Sampler) { s.format = f }
-}
-
-// NewSampler returns a sampler snapshotting reg into w every `every`
+// NewSampler returns a sampler snapshotting reg into w as JSONL (one
+// Sample object per line, read back by ParseSamples) every `every`
 // cycles (0 disables periodic sampling; explicit Sample calls still
 // work).
 func NewSampler(reg *Registry, w io.Writer, every uint64, opts ...SamplerOption) *Sampler {
@@ -147,69 +126,7 @@ func (s *Sampler) Sample(cycle uint64) {
 	if s.err != nil {
 		return
 	}
-	switch s.format {
-	case FormatCSV:
-		s.err = s.writeCSV(smp)
-	default:
-		s.err = s.enc.Encode(smp)
-	}
-}
-
-// writeCSV emits the header on the first sample, then one row per call.
-func (s *Sampler) writeCSV(smp Sample) error {
-	if s.header == nil {
-		tagKeys := sortedKeys(smp.Tags)
-		valKeys := sortedKeys(smp.Values)
-		histKeys := sortedKeys(smp.Hists)
-		s.header = append(s.header, "cycle")
-		s.header = append(s.header, tagKeys...)
-		s.header = append(s.header, valKeys...)
-		for _, k := range histKeys {
-			s.header = append(s.header, k+".count", k+".sum", k+".min", k+".max")
-		}
-		// Canonical keys separate labels with commas; the header row swaps
-		// them for semicolons so naive comma-splitting parses it.
-		display := make([]string, len(s.header))
-		for i, k := range s.header {
-			display[i] = strings.ReplaceAll(k, ",", ";")
-		}
-		if _, err := fmt.Fprintln(s.w, strings.Join(display, ",")); err != nil {
-			return err
-		}
-	}
-	row := make([]string, 0, len(s.header))
-	for _, col := range s.header {
-		row = append(row, csvCell(col, smp))
-	}
-	_, err := fmt.Fprintln(s.w, strings.Join(row, ","))
-	return err
-}
-
-// csvCell resolves one header column against a sample. Scalar metric
-// keys are checked before histogram suffixes so a label value containing
-// ".min" cannot shadow a real column.
-func csvCell(col string, smp Sample) string {
-	if col == "cycle" {
-		return strconv.FormatUint(smp.Cycle, 10)
-	}
-	if v, ok := smp.Values[col]; ok {
-		return strconv.FormatFloat(v, 'g', -1, 64)
-	}
-	if dot := strings.LastIndexByte(col, '.'); dot >= 0 {
-		if h, ok := smp.Hists[col[:dot]]; ok {
-			switch col[dot+1:] {
-			case "count":
-				return strconv.FormatUint(h.Count, 10)
-			case "sum":
-				return strconv.FormatUint(h.Sum, 10)
-			case "min":
-				return strconv.FormatUint(h.Min, 10)
-			case "max":
-				return strconv.FormatUint(h.Max, 10)
-			}
-		}
-	}
-	return smp.Tags[col]
+	s.err = s.enc.Encode(smp)
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -232,8 +149,7 @@ func (s *Sampler) Flush() error {
 	return s.err
 }
 
-// ParseSamples reads back a JSONL sample stream written by a
-// FormatJSONL Sampler.
+// ParseSamples reads back a JSONL sample stream written by a Sampler.
 func ParseSamples(r io.Reader) ([]Sample, error) {
 	var out []Sample
 	dec := json.NewDecoder(r)

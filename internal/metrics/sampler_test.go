@@ -80,46 +80,6 @@ func TestSamplerDisabled(t *testing.T) {
 	}
 }
 
-func TestSamplerCSV(t *testing.T) {
-	r, c, h := sampleRegistry()
-	var buf bytes.Buffer
-	sm := NewSampler(r, &buf, 10, WithFormat(FormatCSV), WithTags(L("config", "csv")))
-	c.Add(2)
-	h.Observe(5)
-	sm.Sample(10)
-	c.Add(2)
-	sm.Sample(20)
-	if err := sm.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("got %d lines, want header + 2 rows:\n%s", len(lines), buf.String())
-	}
-	header := strings.Split(lines[0], ",")
-	if header[0] != "cycle" || header[1] != "config" {
-		t.Errorf("header = %v", header)
-	}
-	wantCols := []string{
-		NameRqsts + "{dev=0}",
-		NameLinkRqstOcc + "{dev=0;link=0}", // commas in keys become ';'
-		"hmc_request_latency_cycles{dev=0}.count",
-		"hmc_request_latency_cycles{dev=0}.min",
-	}
-	for _, w := range wantCols {
-		if !strings.Contains(lines[0], w) {
-			t.Errorf("header missing %q: %s", w, lines[0])
-		}
-	}
-	row1 := strings.Split(lines[1], ",")
-	if len(row1) != len(header) {
-		t.Errorf("row width %d != header width %d", len(row1), len(header))
-	}
-	if row1[0] != "10" || row1[1] != "csv" {
-		t.Errorf("row1 = %v", row1)
-	}
-}
-
 func TestIntervalReport(t *testing.T) {
 	mk := func(cycle uint64, rqsts, flits, pj float64) Sample {
 		return Sample{

@@ -161,7 +161,7 @@ func (b *Batch) sendRaw(op Op) { b.add(op) }
 // sub-op answers with its own ok=false and code, and execution
 // continues through the rest of the frame.
 func TestBatchPartialFailure(t *testing.T) {
-	srv := New(Config{Shards: 1, MaxClockBatch: 4})
+	srv := New(Config{Shards: 1})
 	defer srv.Close()
 	cl := pipeClient(t, srv)
 	sess, err := cl.Init("2gb-dev")
@@ -170,10 +170,10 @@ func TestBatchPartialFailure(t *testing.T) {
 	}
 
 	b := cl.NewBatch(sess)
-	b.ClockN(9) // exceeds MaxClockBatch → limit
-	b.Clock()   // still runs
-	b.Recv(99)  // link out of range → sim
-	b.ClockN(2) // still runs
+	b.ClockN(maxClockBatch + 1) // over the cap → limit
+	b.Clock()                   // still runs
+	b.Recv(99)                  // link out of range → sim
+	b.ClockN(2)                 // still runs
 	got, err := b.Do()
 	if err != nil {
 		t.Fatal(err)

@@ -40,8 +40,8 @@ import (
 // one decoder serves all pipelined traffic.
 //
 // hello itself is always line-JSON; the switch takes effect after its
-// response. Frames are hard-capped by the server's MaxLineBytes, so one
-// knob bounds both encodings.
+// response. Frames are hard-capped at maxLineBytes, the same bound a
+// JSON request line has.
 
 // wireCodes maps the stable error-code strings to their binary status
 // bytes (index = byte value; 0 means success and has no string).

@@ -143,7 +143,7 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 // keeps serving — the resynchronization property that motivates length
 // prefixes.
 func TestBinaryMalformedFrames(t *testing.T) {
-	srv := New(Config{Shards: 1, MaxLineBytes: 4096})
+	srv := New(Config{Shards: 1})
 	defer srv.Close()
 	here, there := net.Pipe()
 	srv.ServeConn(there)
@@ -230,7 +230,7 @@ func TestBinaryMalformedFrames(t *testing.T) {
 
 	// An oversized frame is discarded in full and answered; the length
 	// prefix keeps the stream in sync.
-	writeFrame(make([]byte, 4097))
+	writeFrame(make([]byte, maxLineBytes+1))
 	if rsp := readRsp(); rsp.OK || rsp.Code != CodeBadRequest {
 		t.Errorf("oversized frame: response %+v", rsp)
 	}

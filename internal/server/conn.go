@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -19,7 +20,7 @@ import (
 // lines and routes them to shards; the writer goroutine owns the socket
 // write side, batching queued responses and flushing when the queue
 // drains. Responses travel reader→shard→out-channel→writer, so a shard
-// never blocks on a slow socket: if out fills up (ConnWriteDepth
+// never blocks on a slow socket: if out fills up (connWriteDepth
 // pipelined responses unread), the connection is dropped instead.
 type conn struct {
 	srv *Server
@@ -67,8 +68,8 @@ func (c *conn) send(buf []byte) {
 // Sentinel read errors the loop can recover from (binary frames) or
 // must die on (JSON lines, which cannot be re-synchronized).
 var (
-	errLineTooLong  = errors.New("request line exceeds MaxLineBytes")
-	errFrameTooBig  = errors.New("binary frame exceeds MaxLineBytes")
+	errLineTooLong  = errors.New("line exceeds the length limit")
+	errFrameTooBig  = fmt.Errorf("binary frame exceeds %d bytes", maxLineBytes)
 	errFrameSkipped = errors.New("oversized binary frame skipped")
 )
 
@@ -88,7 +89,7 @@ func (c *conn) readLoop() {
 		var body []byte
 		var err error
 		if binmode {
-			body, err = readFrame(br, &scratch, c.srv.cfg.MaxLineBytes)
+			body, err = readFrame(br, &scratch, maxLineBytes)
 			if errors.Is(err, errFrameSkipped) {
 				// Length-prefixed framing stays in sync across a skipped
 				// body; report and keep serving the connection.
@@ -97,7 +98,7 @@ func (c *conn) readLoop() {
 				continue
 			}
 		} else {
-			body, err = readLine(br, &scratch, c.srv.cfg.MaxLineBytes)
+			body, err = readLine(br, &scratch, maxLineBytes)
 		}
 		if err != nil {
 			// EOF, a dead connection, or an unrecoverable stream error
@@ -151,7 +152,8 @@ func (c *conn) readLoop() {
 }
 
 // readLine returns the next newline-terminated line with the newline
-// (and a trailing \r) stripped. scratch carries fragments of lines that
+// (and a trailing \r) stripped; a line whose stripped content exceeds
+// max bytes is errLineTooLong. scratch carries fragments of lines that
 // span buffer fills; short lines are returned straight from the
 // bufio.Reader's buffer without copying.
 func readLine(br *bufio.Reader, scratch *[]byte, max int) ([]byte, error) {
@@ -160,7 +162,8 @@ func readLine(br *bufio.Reader, scratch *[]byte, max int) ([]byte, error) {
 		frag, err := br.ReadSlice('\n')
 		if err == bufio.ErrBufferFull {
 			*scratch = append(*scratch, frag...)
-			if len(*scratch) > max {
+			// The last byte may be the \r of a CRLF ending still to come.
+			if len(*scratch) > max+1 {
 				return nil, errLineTooLong
 			}
 			continue
@@ -185,12 +188,12 @@ func readLine(br *bufio.Reader, scratch *[]byte, max int) ([]byte, error) {
 			*scratch = append(*scratch, frag...)
 			line = *scratch
 		}
-		if len(line) > max {
-			return nil, errLineTooLong
-		}
 		line = line[:len(line)-1]
 		if len(line) > 0 && line[len(line)-1] == '\r' {
 			line = line[:len(line)-1]
+		}
+		if len(line) > max {
+			return nil, errLineTooLong
 		}
 		return line, nil
 	}

@@ -282,8 +282,10 @@ func TestWireMalformedInput(t *testing.T) {
 		}
 	}
 
-	// The connection survives the abuse: a valid session still works.
-	if rsp := sendRaw(`{"v":1,"id":9,"op":"init","preset":"2gb-dev"}`); !rsp.OK {
+	// The connection survives the abuse: a valid session still works,
+	// even on a line padded to exactly the length cap.
+	init := `{"v":1,"id":9,"op":"init","preset":"2gb-dev"}`
+	if rsp := sendRaw(init + strings.Repeat(" ", maxLineBytes-len(init))); !rsp.OK {
 		t.Fatalf("init after garbage: %+v", rsp)
 	}
 	if errs := srv.Metrics().Lookup("hmc_server_protocol_errors_total").Number(); errs != 4 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,29 +28,14 @@ type Config struct {
 	// MaxSessions caps concurrently live sessions fleet-wide
 	// (0 = DefaultMaxSessions).
 	MaxSessions int
-	// IdleTTL evicts sessions untouched for this long. Eviction is
-	// identical to close: the handle dies (no_session), the simulator
-	// returns to the pool. 0 disables eviction.
+	// IdleTTL evicts sessions untouched for this long, checked every
+	// IdleTTL/4 (at least every 10ms). Eviction is identical to close:
+	// the handle dies (no_session), the simulator returns to the pool.
+	// 0 disables eviction.
 	IdleTTL time.Duration
-	// SweepEvery is the eviction sweep period (0 = IdleTTL/4, floored
-	// at 10ms).
-	SweepEvery time.Duration
-	// MaxClockBatch caps clockn's n per request (0 = DefaultMaxClockBatch).
-	MaxClockBatch uint64
-	// MaxRecvBudget caps clock_until_recv's budget per request
-	// (0 = DefaultMaxRecvBudget).
-	MaxRecvBudget uint64
-	// MaxLineBytes caps one request line (0 = DefaultMaxLineBytes).
-	MaxLineBytes int
-	// ConnWriteDepth is the per-connection pipelined-response queue; a
-	// client that stops reading past this depth is disconnected rather
-	// than allowed to wedge a shard (0 = DefaultConnWriteDepth).
-	ConnWriteDepth int
 	// PoolCap bounds idle pooled simulators across all presets
 	// (0 = DefaultPoolCap, <0 disables pooling).
 	PoolCap int
-	// Presets extends (or overrides) the built-in preset table.
-	Presets map[string]config.Config
 	// Registry receives the server's instruments; nil uses a private
 	// registry (Metrics exposes it either way).
 	Registry *metrics.Registry
@@ -59,12 +43,23 @@ type Config struct {
 
 // Defaults for Config's zero fields.
 const (
-	DefaultMaxSessions    = 1 << 16
-	DefaultMaxClockBatch  = 1 << 20
-	DefaultMaxRecvBudget  = 1 << 22
-	DefaultMaxLineBytes   = 1 << 16
-	DefaultConnWriteDepth = 1 << 12
-	DefaultPoolCap        = 1 << 10
+	DefaultMaxSessions = 1 << 16
+	DefaultPoolCap     = 1 << 10
+)
+
+// Per-request and per-connection bounds. They keep one client from
+// monopolizing a shard or the server's memory.
+const (
+	// maxClockBatch caps clockn's n per request.
+	maxClockBatch = 1 << 20
+	// maxRecvBudget caps clock_until_recv's budget per request.
+	maxRecvBudget = 1 << 22
+	// maxLineBytes caps one request line or binary frame body.
+	maxLineBytes = 1 << 16
+	// connWriteDepth is the per-connection pipelined-response queue; a
+	// client that stops reading past this depth is disconnected rather
+	// than allowed to wedge a shard.
+	connWriteDepth = 1 << 12
 )
 
 func (c Config) withDefaults() Config {
@@ -74,64 +69,22 @@ func (c Config) withDefaults() Config {
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = DefaultMaxSessions
 	}
-	if c.SweepEvery <= 0 {
-		c.SweepEvery = c.IdleTTL / 4
-		if c.SweepEvery < 10*time.Millisecond {
-			c.SweepEvery = 10 * time.Millisecond
-		}
-	}
-	if c.MaxClockBatch == 0 {
-		c.MaxClockBatch = DefaultMaxClockBatch
-	}
-	if c.MaxRecvBudget == 0 {
-		c.MaxRecvBudget = DefaultMaxRecvBudget
-	}
-	if c.MaxLineBytes <= 0 {
-		c.MaxLineBytes = DefaultMaxLineBytes
-	}
-	if c.ConnWriteDepth <= 0 {
-		c.ConnWriteDepth = DefaultConnWriteDepth
-	}
 	if c.PoolCap == 0 {
 		c.PoolCap = DefaultPoolCap
 	}
 	return c
 }
 
-// normalizePreset canonicalizes a preset name: case-insensitive,
-// separator-insensitive ("4Link-4GB", "4link-4gb" and "4link4gb" are
-// the same preset).
-func normalizePreset(s string) string {
-	var b strings.Builder
-	b.Grow(len(s))
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'A' && c <= 'Z':
-			b.WriteByte(c + 'a' - 'A')
-		case c == '-' || c == '_' || c == ' ':
-		default:
-			b.WriteByte(c)
-		}
-	}
-	return b.String()
-}
-
-// builtinPresets returns the paper's three configurations under their
-// canonical wire names.
-func builtinPresets() map[string]config.Config {
-	return map[string]config.Config{
-		"4link4gb": config.FourLink4GB(),
-		"8link8gb": config.EightLink8GB(),
-		"2gbdev":   config.TwoGBDev(),
-	}
+// sweepEvery is the eviction sweep period for an idle TTL: a quarter of
+// it, floored at 10ms.
+func sweepEvery(ttl time.Duration) time.Duration {
+	return max(ttl/4, 10*time.Millisecond)
 }
 
 // session is one hosted simulator, owned exclusively by its shard
 // goroutine — no field is accessed from any other goroutine.
 type session struct {
 	id      uint64
-	preset  string
 	sim     *sim.Simulator
 	scratch sim.ReqScratch
 	// cmcNames/cmcCodes track LoadCMC bindings: names make loadcmc
@@ -170,12 +123,11 @@ type shard struct {
 
 // Server hosts simulator sessions behind the line-JSON protocol.
 type Server struct {
-	cfg     Config
-	presets map[string]config.Config
-	shards  []*shard
-	pool    simPool
-	met     serverMetrics
-	reg     *metrics.Registry
+	cfg    Config
+	shards []*shard
+	pool   simPool
+	met    serverMetrics
+	reg    *metrics.Registry
 
 	nextSess atomic.Uint64
 	active   atomic.Int64
@@ -214,17 +166,13 @@ func New(cfg Config) *Server {
 		reg = metrics.NewRegistry()
 	}
 	srv := &Server{
-		cfg:     cfg,
-		presets: builtinPresets(),
-		reg:     reg,
-		conns:   make(map[*conn]struct{}),
-		stop:    make(chan struct{}),
-	}
-	for name, c := range cfg.Presets {
-		srv.presets[normalizePreset(name)] = c
+		cfg:   cfg,
+		reg:   reg,
+		conns: make(map[*conn]struct{}),
+		stop:  make(chan struct{}),
 	}
 	srv.pool.cap = cfg.PoolCap
-	srv.pool.idle = make(map[string][]pooledSim)
+	srv.pool.idle = make(map[config.Config][]*sim.Simulator)
 
 	m := &srv.met
 	m.sessionsActive = reg.Gauge("hmc_server_sessions_active")
@@ -305,7 +253,7 @@ func (s *Server) ServeConn(nc net.Conn) {
 	c := &conn{
 		srv:  s,
 		nc:   nc,
-		out:  make(chan []byte, s.cfg.ConnWriteDepth),
+		out:  make(chan []byte, connWriteDepth),
 		done: make(chan struct{}),
 	}
 	s.mu.Lock()
@@ -376,7 +324,7 @@ func (s *Server) forget(c *conn) {
 // housekeeping, never backpressure.
 func (s *Server) sweeper() {
 	defer s.sweepWG.Done()
-	tick := time.NewTicker(s.cfg.SweepEvery)
+	tick := time.NewTicker(sweepEvery(s.cfg.IdleTTL))
 	defer tick.Stop()
 	for {
 		select {
@@ -434,7 +382,7 @@ func (sh *shard) release(ss *session) {
 			d.CMC().Unload(code)
 		}
 	}
-	sh.srv.pool.put(ss.preset, ss.sim)
+	sh.srv.pool.put(ss.sim.Config(), ss.sim)
 	ss.sim = nil
 }
 
@@ -518,8 +466,8 @@ func (sh *shard) execBatch(req *Request, rsp *Response, start time.Time) {
 }
 
 func (sh *shard) execInit(req *Request, rsp *Response) {
-	cfg, ok := sh.srv.presets[normalizePreset(req.Preset)]
-	if !ok {
+	cfg, err := config.ByName(req.Preset)
+	if err != nil {
 		fail(rsp, CodeBadPreset, fmt.Sprintf("unknown preset %q", req.Preset))
 		return
 	}
@@ -528,10 +476,8 @@ func (sh *shard) execInit(req *Request, rsp *Response) {
 		fail(rsp, CodeSessionLimit, fmt.Sprintf("session limit %d reached", sh.srv.cfg.MaxSessions))
 		return
 	}
-	preset := normalizePreset(req.Preset)
-	sm, ok := sh.srv.pool.get(preset)
+	sm, ok := sh.srv.pool.get(cfg)
 	if !ok {
-		var err error
 		sm, err = sim.New(cfg)
 		if err != nil {
 			sh.srv.active.Add(-1)
@@ -541,7 +487,6 @@ func (sh *shard) execInit(req *Request, rsp *Response) {
 	}
 	ss := &session{
 		id:     req.Sess,
-		preset: preset,
 		sim:    sm,
 		lastOp: time.Now().UnixNano(),
 	}
@@ -599,14 +544,14 @@ func (sh *shard) execOp(op Op, ss *session, req *Request, rsp *Response) *packet
 	case OpClock:
 		ss.sim.Clock()
 	case OpClockN:
-		if req.N > sh.srv.cfg.MaxClockBatch {
-			fail(rsp, CodeLimit, fmt.Sprintf("n %d exceeds batch cap %d", req.N, sh.srv.cfg.MaxClockBatch))
+		if req.N > maxClockBatch {
+			fail(rsp, CodeLimit, fmt.Sprintf("n %d exceeds batch cap %d", req.N, maxClockBatch))
 			break
 		}
 		ss.sim.ClockN(req.N)
 	case OpClockUntilRecv:
-		if req.Budget > sh.srv.cfg.MaxRecvBudget {
-			fail(rsp, CodeLimit, fmt.Sprintf("budget %d exceeds cap %d", req.Budget, sh.srv.cfg.MaxRecvBudget))
+		if req.Budget > maxRecvBudget {
+			fail(rsp, CodeLimit, fmt.Sprintf("budget %d exceeds cap %d", req.Budget, maxRecvBudget))
 			break
 		}
 		rsp.Advanced = ss.sim.ClockUntilRecv(req.Budget)
@@ -663,7 +608,8 @@ func fail(rsp *Response, code, msg string) {
 	rsp.Err = msg
 }
 
-// simPool parks Reset simulators between tenants, keyed by preset.
+// simPool parks Reset simulators between tenants, keyed by device
+// configuration.
 // Session churn on a warm pool allocates almost nothing in the device
 // model: init pops a clean simulator, close Resets and pushes it back.
 // Parked simulators are additionally Trimmed — their store pages scrub
@@ -674,26 +620,24 @@ type simPool struct {
 	mu   sync.Mutex
 	cap  int
 	n    int
-	idle map[string][]pooledSim
+	idle map[config.Config][]*sim.Simulator
 }
 
-type pooledSim = *sim.Simulator
-
-func (p *simPool) get(preset string) (*sim.Simulator, bool) {
+func (p *simPool) get(cfg config.Config) (*sim.Simulator, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	q := p.idle[preset]
+	q := p.idle[cfg]
 	if len(q) == 0 {
 		return nil, false
 	}
 	s := q[len(q)-1]
-	p.idle[preset] = q[:len(q)-1]
+	p.idle[cfg] = q[:len(q)-1]
 	p.n--
 	return s, true
 }
 
-// put parks s for the next tenant of preset; a full pool drops it.
-func (p *simPool) put(preset string, s *sim.Simulator) {
+// put parks s for the next tenant of cfg; a full pool drops it.
+func (p *simPool) put(cfg config.Config, s *sim.Simulator) {
 	if p.cap < 0 {
 		return
 	}
@@ -704,7 +648,7 @@ func (p *simPool) put(preset string, s *sim.Simulator) {
 	if p.n >= p.cap {
 		return
 	}
-	p.idle[preset] = append(p.idle[preset], s)
+	p.idle[cfg] = append(p.idle[cfg], s)
 	p.n++
 }
 

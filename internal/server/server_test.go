@@ -148,23 +148,49 @@ func TestInitErrors(t *testing.T) {
 	}
 }
 
+// TestInitPresetNames pins that init resolves any spelling
+// config.ByName accepts, and that the idle pool keys by the resolved
+// configuration: two spellings of one preset share pooled simulators.
+func TestInitPresetNames(t *testing.T) {
+	srv, cl := newTestPair(t, Config{Shards: 1})
+	for _, name := range []string{"4Link-4GB", "2gb"} {
+		sess, err := cl.Init(name)
+		if err != nil {
+			t.Fatalf("init %q: %v", name, err)
+		}
+		if err := cl.CloseSession(sess); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idle := srv.Metrics().Lookup("hmc_server_pool_idle")
+	if got := idle.Number(); got != 2 {
+		t.Fatalf("pool_idle = %v, want 2", got)
+	}
+	if _, err := cl.Init("2GB-Dev"); err != nil {
+		t.Fatal(err)
+	}
+	if got := idle.Number(); got != 1 {
+		t.Fatalf("pool_idle = %v after 2GB-Dev init, want 1 (the pooled 2gb simulator)", got)
+	}
+}
+
 // TestBatchLimits pins the per-request clock caps.
 func TestBatchLimits(t *testing.T) {
-	_, cl := newTestPair(t, Config{Shards: 1, MaxClockBatch: 100, MaxRecvBudget: 50})
+	_, cl := newTestPair(t, Config{Shards: 1})
 	sess, err := cl.Init("2gb-dev")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.ClockN(sess, 100); err != nil {
+	if _, err := cl.ClockN(sess, maxClockBatch); err != nil {
 		t.Fatal(err)
 	}
-	_, err = cl.ClockN(sess, 101)
+	_, err = cl.ClockN(sess, maxClockBatch+1)
 	wantCode(t, err, CodeLimit)
-	_, _, err = cl.ClockUntilRecv(sess, 51)
+	_, _, err = cl.ClockUntilRecv(sess, maxRecvBudget+1)
 	wantCode(t, err, CodeLimit)
 	// Failed requests leave the session untouched.
-	if cyc, err := cl.Clock(sess); err != nil || cyc != 101 {
-		t.Fatalf("cycle=%d err=%v, want 101", cyc, err)
+	if cyc, err := cl.Clock(sess); err != nil || cyc != maxClockBatch+1 {
+		t.Fatalf("cycle=%d err=%v, want %d", cyc, err, maxClockBatch+1)
 	}
 }
 
@@ -227,7 +253,7 @@ func TestPooledSimulatorScrubbed(t *testing.T) {
 // TestIdleEviction pins the TTL sweep: an untouched session dies, an
 // active one survives, and eviction is indistinguishable from close.
 func TestIdleEviction(t *testing.T) {
-	srv, cl := newTestPair(t, Config{Shards: 1, IdleTTL: 80 * time.Millisecond, SweepEvery: 10 * time.Millisecond})
+	srv, cl := newTestPair(t, Config{Shards: 1, IdleTTL: 80 * time.Millisecond})
 	idle, err := cl.Init("2gb-dev")
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 // (the Func instruments read simulator state without locks).
 func TestMetricsWiring(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s := newSim(t, WithMetrics(reg), WithPower(power.DefaultParams()))
+	s := newSim(t, WithMetrics(reg), WithPowerModel(power.New(power.DefaultParams())))
 
 	rd, err := BuildRead(0, 0x4000, 3, 0, 64)
 	if err != nil {

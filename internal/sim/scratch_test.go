@@ -208,40 +208,57 @@ func TestScratchReuseThroughSend(t *testing.T) {
 	ReleaseRsp(rsp)
 }
 
-// TestSimWireRoundTrip drives the simulator-level encoded-packet API.
+// TestSimWireRoundTrip drives the hmcsim_send/hmcsim_recv-style host
+// API: encoded request words in, encoded response words out, with the
+// read carrying the written data back, and malformed packets refused
+// before anything enters the device.
 func TestSimWireRoundTrip(t *testing.T) {
 	s, err := New(config.FourLink4GB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr := &packet.Rqst{Cmd: hmccmd.WR16, ADRS: 0x500, TAG: 4, Payload: []uint64{7, 8}}
-	words, err := wr.Encode()
-	if err != nil {
-		t.Fatal(err)
+	roundTrip := func(r *packet.Rqst) *packet.Rsp {
+		t.Helper()
+		words, err := r.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SendWire(0, words); err != nil {
+			t.Fatal(err)
+		}
+		var got []uint64
+		for c := 0; c < 16 && got == nil; c++ {
+			s.Clock()
+			got, _ = s.RecvWire(0)
+		}
+		if got == nil {
+			t.Fatal("no wire response within 16 cycles")
+		}
+		rsp, err := packet.DecodeRsp(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rsp
 	}
-	if err := s.SendWire(0, words); err != nil {
-		t.Fatal(err)
+	wr := roundTrip(&packet.Rqst{Cmd: hmccmd.WR16, ADRS: 0x500, TAG: 4, Payload: []uint64{7, 8}})
+	if wr.Cmd != hmccmd.WrRS || wr.TAG != 4 || wr.ERRSTAT != 0 {
+		t.Fatalf("write response: %+v", wr)
 	}
-	var got []uint64
-	for c := 0; c < 16 && got == nil; c++ {
-		s.Clock()
-		got, _ = s.RecvWire(0)
-	}
-	if got == nil {
-		t.Fatal("no wire response within 16 cycles")
-	}
-	rsp, err := packet.DecodeRsp(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rsp.Cmd != hmccmd.WrRS || rsp.TAG != 4 || rsp.ERRSTAT != 0 {
-		t.Fatalf("write response: %+v", rsp)
+	rd := roundTrip(&packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0x500, TAG: 5})
+	if rd.TAG != 5 || len(rd.Payload) != 2 || rd.Payload[0] != 7 || rd.Payload[1] != 8 {
+		t.Fatalf("read response: %+v", rd)
 	}
 
-	// Corrupt packets must be rejected before reaching the device.
-	words[0] ^= 1 << 24
+	words, err := (&packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0x100, TAG: 1}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	words[0] ^= 1 << 30 // flip an ADRS bit; the CRC no longer matches
 	if err := s.SendWire(0, words); !errors.Is(err, packet.ErrBadCRC) {
 		t.Fatalf("SendWire on corrupt packet: %v, want ErrBadCRC", err)
+	}
+	if err := s.SendWire(0, nil); !errors.Is(err, packet.ErrNilPacket) {
+		t.Fatalf("SendWire(nil): %v, want ErrNilPacket", err)
 	}
 }
 

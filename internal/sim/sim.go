@@ -36,17 +36,15 @@ import (
 var ErrBadSize = errors.New("sim: no command for requested size")
 
 type options struct {
-	tracer      trace.Tracer
-	devices     int
-	kind        topo.Kind
-	powerParams *power.Params
-	powerModel  *power.Model
-	observer    func(*Simulator)
-	metricsReg  *metrics.Registry
-	sampler     *metrics.Sampler
-	faultPlan   *fault.Plan
-	eventOff    bool
-	spans       *span.Tracer
+	tracer     trace.Tracer
+	devices    int
+	kind       topo.Kind
+	powerModel *power.Model
+	metricsReg *metrics.Registry
+	sampler    *metrics.Sampler
+	faultPlan  *fault.Plan
+	eventOff   bool
+	spans      *span.Tracer
 }
 
 // Option configures a Simulator.
@@ -62,23 +60,11 @@ func WithDevices(n int, kind topo.Kind) Option {
 	return func(o *options) { o.devices = n; o.kind = kind }
 }
 
-// WithPower enables the power extension with the given coefficients.
-func WithPower(p power.Params) Option {
-	return func(o *options) { o.powerParams = &p }
-}
-
-// WithPowerModel enables the power extension accumulating into a model
-// the caller retains — useful when the simulator is constructed inside a
-// workload runner.
+// WithPowerModel enables the power extension, accumulating energy into
+// a model the caller retains and reads after the run (power.New builds
+// one from coefficients).
 func WithPowerModel(m *power.Model) Option {
 	return func(o *options) { o.powerModel = m }
-}
-
-// WithObserver calls fn with the simulator as soon as it is constructed,
-// giving the caller a handle even when construction happens inside a
-// workload runner (for post-run device reports, JTAG pokes, etc.).
-func WithObserver(fn func(*Simulator)) Option {
-	return func(o *options) { o.observer = fn }
 }
 
 // WithMetrics registers the simulation's observability surface — every
@@ -157,11 +143,7 @@ func New(cfg config.Config, opts ...Option) (*Simulator, error) {
 	if o.eventOff {
 		tp.SetEventDriven(false)
 	}
-	if o.powerModel != nil {
-		s.pm = o.powerModel
-	} else if o.powerParams != nil {
-		s.pm = power.New(*o.powerParams)
-	}
+	s.pm = o.powerModel
 	if s.pm != nil {
 		for _, d := range tp.Devices() {
 			d.ExecHook = s.pm.ChargeRequest
@@ -192,9 +174,6 @@ func New(cfg config.Config, opts ...Option) (*Simulator, error) {
 		}
 	}
 	s.sampler = o.sampler
-	if o.observer != nil {
-		o.observer(s)
-	}
 	return s, nil
 }
 
@@ -233,11 +212,6 @@ func (s *Simulator) ClockN(n uint64) {
 		s.Clock()
 	}
 }
-
-// SetEventDriven toggles the event-driven cycle scheduler at runtime —
-// the method form of WithEventClock, for drivers that flip modes
-// between runs (e.g. the equivalence suite's reference pass).
-func (s *Simulator) SetEventDriven(on bool) { s.topo.SetEventDriven(on) }
 
 // RspAvailable reports whether a Recv on some host link would succeed
 // right now — the polling primitive behind run-until-event drivers.
@@ -284,8 +258,7 @@ func (s *Simulator) ClockUntilRecv(budget uint64) uint64 {
 // of allocations and megabytes of queue backing; Resetting one costs
 // none. It is intended for simulators that satisfy Reusable — per-run
 // state bound at construction (tracer buffers, power models, metrics
-// registries, samplers, observers) is NOT rewound and would accumulate
-// across runs.
+// registries, samplers) is NOT rewound and would accumulate across runs.
 func (s *Simulator) Reset() {
 	s.cycle = 0
 	s.topo.Reset()
@@ -308,18 +281,16 @@ func (s *Simulator) Trim() {
 // recycled with Reset between runs without observable state carrying
 // over. Fault plans, event-mode selection and multi-device topologies
 // are all reset-safe; tracers, power models, metrics registries,
-// samplers and observers bind per-construction state (or fire
-// construction-time callbacks) and are not. The pooled
-// sweep runners consult this to decide between session reuse and
-// fresh-per-point construction.
+// samplers and span tracers bind per-construction state and are not.
+// The pooled sweep runners consult this to decide between session
+// reuse and fresh-per-point construction.
 func Reusable(opts ...Option) bool {
 	o := options{}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return o.tracer == nil && o.powerParams == nil && o.powerModel == nil &&
-		o.observer == nil && o.metricsReg == nil && o.sampler == nil &&
-		o.spans == nil
+	return o.tracer == nil && o.powerModel == nil && o.metricsReg == nil &&
+		o.sampler == nil && o.spans == nil
 }
 
 // Close does nothing: a simulator runs entirely on its caller's

@@ -181,7 +181,7 @@ func TestMultiDeviceContext(t *testing.T) {
 }
 
 func TestPowerIntegration(t *testing.T) {
-	s := newSim(t, WithPower(power.DefaultParams()))
+	s := newSim(t, WithPowerModel(power.New(power.DefaultParams())))
 	if s.Power() == nil {
 		t.Fatal("power model missing")
 	}
@@ -272,15 +272,11 @@ func TestAccessors(t *testing.T) {
 	}
 }
 
-func TestWithObserverAndPowerModel(t *testing.T) {
+func TestWithPowerModel(t *testing.T) {
 	pm := power.New(power.DefaultParams())
-	var observed *Simulator
-	s, err := New(config.FourLink4GB(), WithPowerModel(pm), WithObserver(func(x *Simulator) { observed = x }))
+	s, err := New(config.FourLink4GB(), WithPowerModel(pm))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if observed != s {
-		t.Error("observer not called with the simulator")
 	}
 	if s.Power() != pm {
 		t.Error("caller-owned power model not installed")

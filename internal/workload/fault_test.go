@@ -12,26 +12,25 @@ import (
 	"repro/internal/sim"
 )
 
-// faultHarness builds the option set for a 1%-fault run: the seeded
-// plan, a metrics registry, a sampler writing JSONL into buf, and an
-// observer capturing the simulator for post-run stats.
-func faultHarness(buf *bytes.Buffer, captured **sim.Simulator) []sim.Option {
+// faultSession builds a session for a 1%-fault run: the seeded plan, a
+// metrics registry, and a sampler writing JSONL into buf.
+func faultSession(t *testing.T, cfg config.Config, buf *bytes.Buffer) *Session {
+	t.Helper()
 	reg := metrics.NewRegistry()
-	return []sim.Option{
+	ss, err := NewSession(cfg,
 		sim.WithFaults(fault.Plan{Rate: 0.01, Seed: 1234}),
 		sim.WithMetrics(reg),
 		sim.WithSampler(metrics.NewSampler(reg, buf, 256)),
-		sim.WithObserver(func(s *sim.Simulator) { *captured = s }),
+	)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return ss
 }
 
-// faultStats sums the reliability counters across the captured
-// simulator's devices.
-func faultStats(t *testing.T, s *sim.Simulator) device.Stats {
-	t.Helper()
-	if s == nil {
-		t.Fatal("observer never ran")
-	}
+// faultStats sums the reliability counters across the simulator's
+// devices.
+func faultStats(s *sim.Simulator) device.Stats {
 	var total device.Stats
 	for _, d := range s.Devices() {
 		st := d.Stats()
@@ -54,41 +53,42 @@ func TestWorkloadsCompleteUnderFaults(t *testing.T) {
 	var totalFaults uint64
 	kernels := []struct {
 		name string
-		run  func(opts ...sim.Option) error
+		run  func(ss *Session) error
 	}{
-		{"mutex", func(opts ...sim.Option) error {
-			_, err := RunMutex(cfg, 12, 0x4040, opts...)
+		{"mutex", func(ss *Session) error {
+			_, err := ss.Mutex(12, 0x4040)
 			return err
 		}},
-		{"ticket", func(opts ...sim.Option) error {
-			_, err := RunTicketMutex(cfg, 12, 0x8040, opts...)
+		{"ticket", func(ss *Session) error {
+			_, err := ss.TicketMutex(12, 0x8040)
 			return err
 		}},
-		{"rwlock", func(opts ...sim.Option) error {
-			_, err := RunRWLock(cfg, 6, 2, 4, opts...)
+		{"rwlock", func(ss *Session) error {
+			_, err := ss.RWLock(6, 2, 4)
 			return err
 		}},
-		{"gups", func(opts ...sim.Option) error {
-			_, err := RunGUPS(cfg, GUPSAtomic, 8, 1024, 600, opts...)
+		{"gups", func(ss *Session) error {
+			_, err := ss.GUPS(GUPSAtomic, 8, 1024, 600)
 			return err
 		}},
-		{"stream", func(opts ...sim.Option) error {
-			_, err := RunStream(cfg, 8, 64, 1.25, opts...)
+		{"stream", func(ss *Session) error {
+			_, err := ss.Stream(8, 64, 1.25)
 			return err
 		}},
-		{"bfs", func(opts ...sim.Option) error {
-			_, err := RunBFS(cfg, BFSCMC, 8, 400, 4, 42, opts...)
+		{"bfs", func(ss *Session) error {
+			_, err := ss.BFS(BFSCMC, 8, 400, 4, 42)
 			return err
 		}},
 	}
 	for _, k := range kernels {
 		t.Run(k.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			var s *sim.Simulator
-			if err := k.run(faultHarness(&buf, &s)...); err != nil {
+			ss := faultSession(t, cfg, &buf)
+			if err := k.run(ss); err != nil {
 				t.Fatalf("%s under 1%% faults: %v", k.name, err)
 			}
-			st := faultStats(t, s)
+			s := ss.Sim()
+			st := faultStats(s)
 			// Force the end-of-run sample the drivers normally take, so
 			// short runs still land in the series.
 			s.Sampler().Sample(s.Cycle())

@@ -15,12 +15,13 @@ import (
 //
 // Every driver entry point has a Session form (Mutex, TicketMutex,
 // RWLock, GUPS, Stream, BFS, Replay, BandwidthProbe); the package-level
-// RunX functions construct a throwaway Session, so their semantics —
-// including construction-time observer callbacks — are unchanged.
+// RunX functions construct a throwaway Session. Callers that need the
+// simulator after a run (device reports, JTAG pokes, a final sample)
+// build the Session themselves and keep Sim.
 //
 // Reuse contract: a Session is bit-identical to fresh construction only
 // for option sets that satisfy sim.Reusable (no tracer, power model,
-// metrics, sampler or observer — those bind per-construction state).
+// metrics, sampler or span tracer — those bind per-construction state).
 // The reset bit-identity suite pins this for all drivers, fault-free
 // and under fault injection. CMC operations load once and stay loaded
 // (they are stateless); the engine and agent scratch grow to the

@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# CI gate: build, vet, full test suite, then the race detector over the
+# CI gate: build, vet, full test suite (this module and bench/), then
+# the race detector over the
 # packages whose state crosses goroutines (the parallel sweep running
 # simulators side by side through the shared session, page and packet
 # pools, the atomic metrics registry, the span and trace recorders a
@@ -35,6 +36,10 @@ check_run() {
 go build ./...
 go vet ./...
 go test ./...
+# bench/ is its own module (it imports this one through a replace), so
+# ./... above never builds it; vet and test it here so a removed or
+# renamed name it uses fails CI instead of the next benchmark run.
+(cd bench && go vet ./... && go test .)
 go test -race ./internal/device ./internal/fault ./internal/mem ./internal/metrics ./internal/server ./internal/sim ./internal/span ./internal/topo ./internal/workload
 equiv='TestClockModeEquivalence|TestEventClock|TestSpans'
 check_run "$equiv" .
