@@ -1,7 +1,10 @@
 // Benchmark harness regenerating every table and figure of the paper's
-// evaluation. Each benchmark prints the reproduced rows once (so
-// `go test -bench=. -benchmem | tee bench_output.txt` captures the data
-// EXPERIMENTS.md reports) and then times the underlying operation.
+// evaluation. Each benchmark prints its section of the evaluation
+// artifact once, through the internal/paper renderer that also writes
+// cmd/hmc-bench's report (so `go test -bench=. -benchmem | tee
+// bench_output.txt` captures the same rows as the golden
+// internal/paper/testdata/report.md), and then times the underlying
+// operation.
 //
 //	Table I    -> BenchmarkTableI_CommandFlits
 //	Table II   -> BenchmarkTableII_AMOEfficiency
@@ -12,15 +15,18 @@
 //	Figure 7   -> BenchmarkFigure7_AvgLockCycles
 //	Supp. A    -> BenchmarkSuppA_StreamTriad, BenchmarkSuppA_RandomAccess
 //	Supp. B    -> BenchmarkSuppB_GraphBFS
+//	Supp. C    -> BenchmarkSuppC_ConfigSweep
 package hmcsim
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"sync"
 	"testing"
 
-	"repro/cmcops"
 	"repro/internal/hmccmd"
+	"repro/internal/paper"
 )
 
 // lockAddr is the shared mutex block used by the paper's Algorithm 1.
@@ -39,11 +45,7 @@ var (
 func mutexSweeps(b *testing.B) (MutexSweepResult, MutexSweepResult) {
 	b.Helper()
 	sweepOnce.Do(func() {
-		sweep4, sweepWarmErr = MutexSweep(FourLink4GB(), 2, 100, lockAddr)
-		if sweepWarmErr != nil {
-			return
-		}
-		sweep8, sweepWarmErr = MutexSweep(EightLink8GB(), 2, 100, lockAddr)
+		sweep4, sweep8, sweepWarmErr = paper.Sweeps(2, 100, 1, nil)
 	})
 	if sweepWarmErr != nil {
 		b.Fatal(sweepWarmErr)
@@ -60,26 +62,24 @@ func printDataset(key, text string) {
 	}
 }
 
+// printSection prints one section of the evaluation artifact through
+// the renderer, once per process.
+func printSection(b *testing.B, key string, render func(io.Writer) error) {
+	b.Helper()
+	if _, loaded := printOnce.LoadOrStore(key, true); loaded {
+		return
+	}
+	if err := render(os.Stdout); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkTableI_CommandFlits regenerates Table I (the Gen2 command set
 // with request/response FLIT counts) and times packet encode/decode over
 // the full command set.
 func BenchmarkTableI_CommandFlits(b *testing.B) {
-	rows := []RqstCmd{
-		hmccmd.RD256, hmccmd.WR256, hmccmd.PWR256,
-		hmccmd.TWOADD8, hmccmd.ADD16, hmccmd.P2ADD8, hmccmd.PADD16,
-		hmccmd.TWOADDS8R, hmccmd.ADDS16R, hmccmd.INC8, hmccmd.PINC8,
-		hmccmd.XOR16, hmccmd.OR16, hmccmd.NOR16, hmccmd.AND16, hmccmd.NAND16,
-		hmccmd.CASGT8, hmccmd.CASGT16, hmccmd.CASLT8, hmccmd.CASLT16,
-		hmccmd.CASEQ8, hmccmd.CASZERO16, hmccmd.EQ8, hmccmd.EQ16,
-		hmccmd.BWR, hmccmd.PBWR, hmccmd.BWR8R, hmccmd.SWAP16,
-	}
-	text := "\n=== Table I: HMC-Sim 2.0 Gen2 Additional Command Support ===\n"
-	text += fmt.Sprintf("%-12s %-6s %-14s %-14s\n", "Command", "Code", "Request Flits", "Response Flits")
-	for _, cmd := range rows {
-		info := cmd.Info()
-		text += fmt.Sprintf("%-12s %-6d %-14d %-14d\n", info.Name, info.Code, info.RqstFlits, info.RspFlits)
-	}
-	printDataset("tableI", text)
+	rows := paper.TableICommands()
+	printSection(b, "tableI", func(w io.Writer) error { paper.TableI(w); return nil })
 
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -104,13 +104,7 @@ func BenchmarkTableII_AMOEfficiency(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	text := "\n=== Table II: HMC Gen2 Atomic Memory Operation Efficiency ===\n"
-	text += fmt.Sprintf("%-12s %-32s %-38s %s\n", "AMO Type", "Request Structure", "128 Byte FLITS Required", "Total Bytes")
-	for _, r := range rows {
-		text += fmt.Sprintf("%-12s %-32s %-38s %d\n", r.AMOType, r.Structure, r.FlitsLabel, r.TotalBytes)
-	}
-	text += "(spec-accurate 16-byte FLITs: cache-based 192 bytes, HMC-based 32 bytes; ratio 6x either way)\n"
-	printDataset("tableII", text)
+	printSection(b, "tableII", paper.TableII)
 
 	s, err := New(FourLink4GB())
 	if err != nil {
@@ -138,15 +132,7 @@ func BenchmarkTableII_AMOEfficiency(b *testing.B) {
 // BenchmarkTableV_MutexOps regenerates Table V (the CMC mutex operation
 // definitions) and times a lock/unlock pair executed in-situ.
 func BenchmarkTableV_MutexOps(b *testing.B) {
-	text := "\n=== Table V: CMC Mutex Operations ===\n"
-	text += fmt.Sprintf("%-12s %-10s %-9s %-8s %-9s %-8s\n",
-		"Operation", "CmdEnum", "RqstCmd", "RqstLen", "RspCmd", "RspLen")
-	for _, op := range cmcops.MutexOps() {
-		d := op.Register()
-		text += fmt.Sprintf("%-12s CMC%-7d %-9d %d FLITS  %-9v %d\n",
-			d.OpName, d.Cmd, d.Cmd, d.RqstLen, d.RspCmd, d.RspLen)
-	}
-	printDataset("tableV", text)
+	printSection(b, "tableV", func(w io.Writer) error { paper.TableV(w); return nil })
 
 	s, err := New(FourLink4GB())
 	if err != nil {
@@ -181,14 +167,9 @@ func BenchmarkTableV_MutexOps(b *testing.B) {
 // extrema across the 2..100 thread sweep for both configurations).
 func BenchmarkTableVI_MutexSummary(b *testing.B) {
 	s4, s8 := mutexSweeps(b)
-	min4, max4, avg4 := s4.TableVI()
-	min8, max8, avg8 := s8.TableVI()
-	text := "\n=== Table VI: CMC Mutex Operations (sweep extrema, threads 2..100) ===\n"
-	text += fmt.Sprintf("%-12s %-16s %-16s %-16s\n", "Device", "Min Cycle Count", "Max Cycle Count", "Avg Cycle Count")
-	text += fmt.Sprintf("%-12s %-16d %-16d %-16.2f\n", "4Link-4GB", min4, max4, avg4)
-	text += fmt.Sprintf("%-12s %-16d %-16d %-16.2f\n", "8Link-8GB", min8, max8, avg8)
-	text += "(paper: 4Link 6 / 392 / 226.48; 8Link 6 / 387 / 221.48)\n"
-	printDataset("tableVI", text)
+	_, max4, _ := s4.TableVI()
+	_, max8, _ := s8.TableVI()
+	printSection(b, "tableVI", func(w io.Writer) error { paper.TableVI(w, s4, s8); return nil })
 
 	b.ReportMetric(float64(max4), "4link-max-cycles")
 	b.ReportMetric(float64(max8), "8link-max-cycles")
@@ -199,23 +180,10 @@ func BenchmarkTableVI_MutexSummary(b *testing.B) {
 	}
 }
 
-// figureSeries renders one Figures 5-7 data series.
-func figureSeries(title, metric string, s4, s8 MutexSweepResult, pick func(MutexRun) float64) string {
-	text := fmt.Sprintf("\n=== %s (%s vs thread count) ===\n", title, metric)
-	text += fmt.Sprintf("%-8s %-14s %-14s\n", "Threads", "4Link-4GB", "8Link-8GB")
-	for i := range s4.Runs {
-		if t := s4.Runs[i].Threads; t%7 == 0 || t == 2 || t == 100 || t >= 96 {
-			text += fmt.Sprintf("%-8d %-14.2f %-14.2f\n", t, pick(s4.Runs[i]), pick(s8.Runs[i]))
-		}
-	}
-	return text
-}
-
 // BenchmarkFigure5_MinLockCycles regenerates the Figure 5 series.
 func BenchmarkFigure5_MinLockCycles(b *testing.B) {
 	s4, s8 := mutexSweeps(b)
-	printDataset("fig5", figureSeries("Figure 5: Minimum Lock Cycles", "MIN_CYCLE", s4, s8,
-		func(r MutexRun) float64 { return float64(r.Min) }))
+	printSection(b, "fig5", func(w io.Writer) error { paper.Figure5(w, s4, s8); return nil })
 	for i := 0; i < b.N; i++ {
 		if _, err := RunMutex(FourLink4GB(), 2, lockAddr); err != nil {
 			b.Fatal(err)
@@ -226,8 +194,7 @@ func BenchmarkFigure5_MinLockCycles(b *testing.B) {
 // BenchmarkFigure6_MaxLockCycles regenerates the Figure 6 series.
 func BenchmarkFigure6_MaxLockCycles(b *testing.B) {
 	s4, s8 := mutexSweeps(b)
-	printDataset("fig6", figureSeries("Figure 6: Maximum Lock Cycles", "MAX_CYCLE", s4, s8,
-		func(r MutexRun) float64 { return float64(r.Max) }))
+	printSection(b, "fig6", func(w io.Writer) error { paper.Figure6(w, s4, s8); return nil })
 	for i := 0; i < b.N; i++ {
 		if _, err := RunMutex(FourLink4GB(), 50, lockAddr); err != nil {
 			b.Fatal(err)
@@ -238,8 +205,7 @@ func BenchmarkFigure6_MaxLockCycles(b *testing.B) {
 // BenchmarkFigure7_AvgLockCycles regenerates the Figure 7 series.
 func BenchmarkFigure7_AvgLockCycles(b *testing.B) {
 	s4, s8 := mutexSweeps(b)
-	printDataset("fig7", figureSeries("Figure 7: Average Lock Cycles", "AVG_CYCLE", s4, s8,
-		func(r MutexRun) float64 { return r.Avg }))
+	printSection(b, "fig7", func(w io.Writer) error { paper.Figure7(w, s4, s8); return nil })
 	for i := 0; i < b.N; i++ {
 		if _, err := RunMutex(EightLink8GB(), 50, lockAddr); err != nil {
 			b.Fatal(err)
@@ -250,19 +216,7 @@ func BenchmarkFigure7_AvgLockCycles(b *testing.B) {
 // BenchmarkSuppA_StreamTriad reproduces the prior-work STREAM Triad
 // kernel behaviour (stride-1 across vaults) on both configurations.
 func BenchmarkSuppA_StreamTriad(b *testing.B) {
-	text := "\n=== Supp. A: STREAM Triad (stride-1 kernel, paper SII prior results) ===\n"
-	text += fmt.Sprintf("%-12s %-8s %-10s %-14s %-12s\n", "Device", "Threads", "Cycles", "Bytes/Cycle", "GB/s@1.25GHz")
-	for _, cfg := range []Config{FourLink4GB(), EightLink8GB()} {
-		for _, threads := range []int{1, 8, 32} {
-			r, err := RunStream(cfg, threads, 256, 1.25)
-			if err != nil {
-				b.Fatal(err)
-			}
-			text += fmt.Sprintf("%-12s %-8d %-10d %-14.2f %-12.2f\n",
-				cfg, threads, r.Cycles, r.BytesPerCycle, r.BandwidthGBs)
-		}
-	}
-	printDataset("suppA-stream", text)
+	printSection(b, "suppA-stream", func(w io.Writer) error { return paper.SuppAStream(w) })
 	for i := 0; i < b.N; i++ {
 		if _, err := RunStream(FourLink4GB(), 8, 64, 1.25); err != nil {
 			b.Fatal(err)
@@ -274,23 +228,7 @@ func BenchmarkSuppA_StreamTriad(b *testing.B) {
 // kernel, comparing the cache-less RMW baseline against Gen2 XOR16
 // atomics.
 func BenchmarkSuppA_RandomAccess(b *testing.B) {
-	text := "\n=== Supp. A: HPCC RandomAccess (random kernel, paper SII prior results) ===\n"
-	text += fmt.Sprintf("%-12s %-10s %-8s %-10s %-10s %-16s\n", "Device", "Mode", "Threads", "Cycles", "Flits", "Updates/kCycle")
-	for _, cfg := range []Config{FourLink4GB(), EightLink8GB()} {
-		for _, mode := range []int{0, 1} {
-			m := GUPSBaseline
-			if mode == 1 {
-				m = GUPSAtomic
-			}
-			r, err := RunGUPS(cfg, m, 16, 4096, 1600)
-			if err != nil {
-				b.Fatal(err)
-			}
-			text += fmt.Sprintf("%-12s %-10s %-8d %-10d %-10d %-16.2f\n",
-				cfg, r.Mode, r.Threads, r.Cycles, r.Flits, r.UpdatesPerKCycle)
-		}
-	}
-	printDataset("suppA-gups", text)
+	printSection(b, "suppA-gups", func(w io.Writer) error { return paper.SuppARandomAccess(w) })
 	for i := 0; i < b.N; i++ {
 		if _, err := RunGUPS(FourLink4GB(), GUPSAtomic, 8, 1024, 400); err != nil {
 			b.Fatal(err)
@@ -300,26 +238,11 @@ func BenchmarkSuppA_RandomAccess(b *testing.B) {
 
 // BenchmarkSuppC_ConfigSweep reproduces the very first HMC-Sim result
 // class (paper SII: "the simple application of random memory requests
-// against varying device configurations"): one random request trace
-// replayed against different organizations and queue depths.
+// against varying device configurations") and times one replay of the
+// section's random trace on 4Link-4GB with bank timing on.
 func BenchmarkSuppC_ConfigSweep(b *testing.B) {
-	// Bank timing is enabled so the organization (vault and bank counts)
-	// actually differentiates the configurations under random traffic;
-	// 128 concurrent threads provide the request pressure.
+	printSection(b, "suppC-config", func(w io.Writer) error { return paper.SuppC(w) })
 	trace := GenerateRandomTrace(0, 1<<26, 4096, 7)
-	text := "\n=== Supp. C: random requests vs device configuration (4096 ops, 128 threads, bank timing on) ===\n"
-	text += fmt.Sprintf("%-12s %-8s %-8s %-10s %-12s %-28s\n", "Device", "Vaults", "Banks", "Cycles", "Ops/cycle", "Latency")
-	for _, base := range []Config{TwoGBDev(), FourLink4GB(), EightLink8GB()} {
-		cfg := base
-		cfg.BankLatencyCycles = 1
-		r, err := RunReplay(cfg, 128, trace)
-		if err != nil {
-			b.Fatal(err)
-		}
-		text += fmt.Sprintf("%-12v %-8d %-8d %-10d %-12.3f %-28s\n",
-			cfg, cfg.Vaults, cfg.Vaults*cfg.BanksPerVault, r.Cycles, r.OpsPerCycle, r.Latency.String())
-	}
-	printDataset("suppC-config", text)
 	cfg := FourLink4GB()
 	cfg.BankLatencyCycles = 1
 	for i := 0; i < b.N; i++ {
@@ -333,20 +256,7 @@ func BenchmarkSuppC_ConfigSweep(b *testing.B) {
 // paper cites (SII [10]): the atomic visit halves the claim round trips
 // and removes the double-claim hazard.
 func BenchmarkSuppB_GraphBFS(b *testing.B) {
-	text := "\n=== Supp. B: Graph BFS with CMC visit offload (paper SII [10]) ===\n"
-	text += fmt.Sprintf("%-10s %-10s %-10s %-10s %-14s\n", "Mode", "Vertices", "Cycles", "Flits", "DoubleClaims")
-	for _, mode := range []int{0, 1} {
-		m := BFSBaseline
-		if mode == 1 {
-			m = BFSCMC
-		}
-		r, err := RunBFS(FourLink4GB(), m, 16, 2000, 4, 99)
-		if err != nil {
-			b.Fatal(err)
-		}
-		text += fmt.Sprintf("%-10s %-10d %-10d %-10d %-14d\n", r.Mode, r.Vertices, r.Cycles, r.Flits, r.DoubleClaims)
-	}
-	printDataset("suppB-bfs", text)
+	printSection(b, "suppB-bfs", func(w io.Writer) error { return paper.SuppB(w) })
 	for i := 0; i < b.N; i++ {
 		if _, err := RunBFS(FourLink4GB(), BFSCMC, 8, 500, 4, 1); err != nil {
 			b.Fatal(err)

@@ -6,13 +6,15 @@ import (
 	"testing"
 
 	hmcsim "repro"
+	"repro/internal/paper"
 )
 
-// TestReportSections runs the full report generator over a small sweep
-// and checks every section of the paper's evaluation is present.
+// TestReportSections renders the report over a small sweep and checks
+// every section of the paper's evaluation is present, and that the
+// ablations stay out (ablation_bench_test.go prints those).
 func TestReportSections(t *testing.T) {
 	var buf bytes.Buffer
-	if err := report(&buf, 2, 8, 0, nil, hmcsim.FaultPlan{}, nil); err != nil {
+	if err := paper.Write(&buf, 2, 8, 0, nil, hmcsim.FaultPlan{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -28,17 +30,18 @@ func TestReportSections(t *testing.T) {
 		"## Figure 5: Minimum Lock Cycles",
 		"## Figure 6: Maximum Lock Cycles",
 		"## Figure 7: Average Lock Cycles",
-		"## Supplementary kernels",
-		"STREAM Triad",
-		"RandomAccess",
-		"BFS",
-		"## Ablations",
-		"link FLITs/cycle",
-		"Spin vs ticket",
+		"| 8 | 6 | 6 |",
+		"## Supp. A: STREAM Triad",
+		"## Supp. A: HPCC RandomAccess",
+		"## Supp. B: graph BFS",
+		"## Supp. C: random requests vs device configuration",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q", want)
 		}
+	}
+	if strings.Contains(out, "Ablation") {
+		t.Error("report carries ablation rows")
 	}
 }
 
@@ -46,17 +49,17 @@ func TestReportSections(t *testing.T) {
 // injection: every experiment must still complete, and the banner must
 // record the plan.
 func TestReportUnderFaults(t *testing.T) {
-	plan := hmcsim.FaultPlan{Rate: 0.01, Seed: 42}
 	var buf bytes.Buffer
-	err := report(&buf, 2, 4, 0, nil, plan, []hmcsim.Option{hmcsim.WithFaults(plan)})
-	if err != nil {
+	if err := paper.Write(&buf, 2, 4, 0, nil, hmcsim.FaultPlan{Rate: 0.01, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
 	if !strings.Contains(out, "link fault injection") {
 		t.Error("report missing the fault-injection banner")
 	}
-	if !strings.Contains(out, "## Table VI: mutex sweep extrema") {
-		t.Error("faulted report missing Table VI")
+	for _, want := range []string{"## Table VI: mutex sweep extrema", "## Supp. C:"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("faulted report missing %q", want)
+		}
 	}
 }

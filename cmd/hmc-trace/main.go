@@ -6,7 +6,7 @@
 // requests.
 //
 // It also tabulates the cycle-indexed metrics time series the sampler
-// writes (hmc-mutex -sample): per-interval request throughput, link
+// writes (hmc-bench -sample): per-interval request throughput, link
 // bandwidth, queue occupancy and power draw, plus the end-of-run latency
 // histogram summaries (the per-thread MIN/MAX/AVG_CYCLE view).
 //

@@ -235,7 +235,7 @@ var (
 	// ordered like — MutexSweep.
 	MutexSweepParallel = workload.MutexSweepParallel
 	// MutexSweepWithProgress additionally invokes a (thread-safe)
-	// callback per finished sweep point — the hook behind hmc-mutex's
+	// callback per finished sweep point — the hook behind hmc-bench's
 	// live metrics endpoint.
 	MutexSweepWithProgress = workload.MutexSweepWithProgress
 	// RunStream, RunGUPS and RunBFS run the supplementary kernels;

@@ -20,7 +20,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/metrics"
 	"repro/internal/span"
-	"repro/internal/workload"
 )
 
 // Metrics holds the parsed metrics-endpoint flag value.
@@ -54,24 +53,6 @@ func (f *Metrics) Serve(prog string, reg *metrics.Registry) (net.Listener, error
 	fmt.Fprintf(os.Stderr, "%s: serving metrics at http://%s/\n", prog, ln.Addr())
 	OnShutdown(func() { ln.Close() })
 	return ln, nil
-}
-
-// SweepProgress registers the aggregate sweep-progress instruments on
-// reg and returns the per-run hook feeding them — the shared shape of
-// the sweep CLIs' live endpoints, which expose aggregate push counters
-// rather than registering each of a sweep's thousands of short-lived
-// simulators.
-func SweepProgress(reg *metrics.Registry) func(workload.MutexRun) {
-	runs := reg.Counter("hmc_sweep_runs_completed_total")
-	trylocks := reg.Counter("hmc_sweep_trylocks_total")
-	stalls := reg.Counter("hmc_sweep_send_stalls_total")
-	lastThreads := reg.Gauge("hmc_sweep_last_threads")
-	return func(r workload.MutexRun) {
-		runs.Inc()
-		trylocks.Add(r.Trylocks)
-		stalls.Add(r.SendStalls)
-		lastThreads.Set(int64(r.Threads))
-	}
 }
 
 // Spans holds the parsed span-tracing flag values.

@@ -168,7 +168,7 @@ func TestIntervalReportSingleSample(t *testing.T) {
 }
 
 // TestParseSamplesMixedTags round-trips an interleaved two-run stream —
-// the shape hmc-mutex writes when both configs share one JSONL file —
+// the shape hmc-bench -sample writes when both configs share one JSONL file —
 // and checks the report groups rows per tag set in first-seen order.
 func TestParseSamplesMixedTags(t *testing.T) {
 	var buf bytes.Buffer

@@ -261,7 +261,7 @@ func (ss *Session) BFS(mode BFSMode, threads, vertices, degree int, seed int64) 
 	if mode == BFSCMC {
 		cmcNames = []string{"hmc_visit"}
 	}
-	s, err := ss.begin(cmcNames...)
+	s, err := ss.begin(threads, cmcNames...)
 	if err != nil {
 		return BFSResult{}, err
 	}

@@ -174,7 +174,7 @@ func RunGUPS(cfg config.Config, mode GUPSMode, threads int, tableBlocks, updates
 
 // GUPS is the Session form of RunGUPS.
 func (ss *Session) GUPS(mode GUPSMode, threads int, tableBlocks, updates uint64) (GUPSResult, error) {
-	s, err := ss.begin()
+	s, err := ss.begin(threads)
 	if err != nil {
 		return GUPSResult{}, err
 	}

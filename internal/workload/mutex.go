@@ -153,7 +153,7 @@ func RunMutex(cfg config.Config, threads int, lockAddr uint64, opts ...sim.Optio
 // Mutex is the Session form of RunMutex: the same workload against this
 // session's simulator, Reset in place instead of rebuilt.
 func (ss *Session) Mutex(threads int, lockAddr uint64) (MutexRun, error) {
-	s, err := ss.begin("hmc_lock", "hmc_trylock", "hmc_unlock")
+	s, err := ss.begin(threads, "hmc_lock", "hmc_trylock", "hmc_unlock")
 	if err != nil {
 		return MutexRun{}, err
 	}

@@ -260,7 +260,7 @@ func RunBandwidthProbe(cfg config.Config, threads, width int, blocksPerThread ui
 // pipelined engine allocates its own tag tables per run; only simulator
 // construction is pooled here.
 func (ss *Session) BandwidthProbe(threads, width int, blocksPerThread uint64) (BandwidthProbeResult, error) {
-	s, err := ss.begin()
+	s, err := ss.begin(threads)
 	if err != nil {
 		return BandwidthProbeResult{}, err
 	}

@@ -249,10 +249,7 @@ func RunReplay(cfg config.Config, threads int, ops []ReplayOp, opts ...sim.Optio
 // rebuilt each run (they are data, not scratch); the engine state reuses
 // session scratch.
 func (ss *Session) Replay(threads int, ops []ReplayOp) (ReplayResult, error) {
-	if threads < 1 {
-		return ReplayResult{}, fmt.Errorf("workload: need at least one thread")
-	}
-	if _, err := ss.begin(); err != nil {
+	if _, err := ss.begin(threads); err != nil {
 		return ReplayResult{}, err
 	}
 	agents := ss.agentSlice(threads)

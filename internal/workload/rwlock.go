@@ -171,7 +171,10 @@ func RunRWLock(cfg config.Config, readers, writers, rounds int, opts ...sim.Opti
 
 // RWLock is the Session form of RunRWLock.
 func (ss *Session) RWLock(readers, writers, rounds int) (RWResult, error) {
-	s, err := ss.begin("hmc_rdlock", "hmc_rdunlock", "hmc_wrlock", "hmc_wrunlock")
+	if readers < 0 || writers < 0 {
+		return RWResult{}, fmt.Errorf("workload: negative agent count: readers=%d writers=%d", readers, writers)
+	}
+	s, err := ss.begin(readers+writers, "hmc_rdlock", "hmc_rdunlock", "hmc_wrlock", "hmc_wrunlock")
 	if err != nil {
 		return RWResult{}, err
 	}

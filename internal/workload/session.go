@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+
 	"repro/internal/config"
 	"repro/internal/sim"
 )
@@ -71,10 +73,15 @@ func NewSession(cfg config.Config, opts ...sim.Option) (*Session, error) {
 // Sim exposes the underlying simulator (post-run reports, JTAG pokes).
 func (ss *Session) Sim() *sim.Simulator { return ss.sim }
 
-// begin readies the simulator for the next run: Reset in place when the
-// session has run before, and any CMC operations the driver needs that
-// are not yet loaded. It returns the simulator for the driver body.
-func (ss *Session) begin(cmcNames ...string) (*sim.Simulator, error) {
+// begin readies the simulator for the next run of the given number of
+// agents: Reset in place when the session has run before, and any CMC
+// operations the driver needs that are not yet loaded. It returns the
+// simulator for the driver body. A run without agents is refused before
+// the session is touched.
+func (ss *Session) begin(agents int, cmcNames ...string) (*sim.Simulator, error) {
+	if agents < 1 {
+		return nil, fmt.Errorf("workload: need at least one agent, got %d", agents)
+	}
 	if ss.used {
 		ss.sim.Reset()
 	}

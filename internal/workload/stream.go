@@ -137,7 +137,7 @@ func RunStream(cfg config.Config, threads int, blocks uint64, clockGHz float64, 
 
 // Stream is the Session form of RunStream.
 func (ss *Session) Stream(threads int, blocks uint64, clockGHz float64) (StreamResult, error) {
-	s, err := ss.begin()
+	s, err := ss.begin(threads)
 	if err != nil {
 		return StreamResult{}, err
 	}

@@ -134,7 +134,7 @@ func MutexSweepParallel(cfg config.Config, lo, hi int, lockAddr uint64, workers 
 // MutexSweepWithProgress is MutexSweepParallel with a completion hook:
 // progress (when non-nil) is called once per finished sweep point, from
 // whichever worker goroutine finished it, so it must be safe for
-// concurrent use. The hmc-mutex command feeds its live metrics endpoint
+// concurrent use. The hmc-bench command feeds its live metrics endpoint
 // from this hook (aggregate counters only — a sweep visits thousands of
 // points, too many to register individually).
 //
@@ -144,8 +144,8 @@ func MutexSweepParallel(cfg config.Config, lo, hi int, lockAddr uint64, workers 
 // semantics.
 func MutexSweepWithProgress(cfg config.Config, lo, hi int, lockAddr uint64, workers int, progress func(MutexRun), opts ...sim.Option) (MutexSweepResult, error) {
 	out := MutexSweepResult{Config: cfg}
-	if hi < lo {
-		return out, nil
+	if lo < 1 || hi < lo {
+		return out, fmt.Errorf("workload: mutex sweep needs 1 <= lo <= hi, got lo=%d hi=%d", lo, hi)
 	}
 	n := hi - lo + 1
 	point := func(ss *Session, i int) (MutexRun, error) {

@@ -159,7 +159,7 @@ func RunTicketMutex(cfg config.Config, threads int, addr uint64, opts ...sim.Opt
 
 // TicketMutex is the Session form of RunTicketMutex.
 func (ss *Session) TicketMutex(threads int, addr uint64) (TicketRun, error) {
-	s, err := ss.begin("hmc_ticket", "hmc_ticket_next")
+	s, err := ss.begin(threads, "hmc_ticket", "hmc_ticket_next")
 	if err != nil {
 		return TicketRun{}, err
 	}

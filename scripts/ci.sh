@@ -3,8 +3,9 @@
 # the race detector over the
 # packages whose state crosses goroutines (the parallel sweep running
 # simulators side by side through the shared session, page and packet
-# pools, the atomic metrics registry, the span and trace recorders a
-# sweep's workers share, and the session server's shards), the
+# pools, the evaluation report rendered by four sweep workers against
+# its golden, the atomic metrics registry, the span and trace recorders
+# a sweep's workers share, and the session server's shards), the
 # engine-equivalence suites under -race, the zero-alloc smoke pinning
 # the topo clock's allocation-free forwarding and the spans-disabled
 # clock loop, and finally a 1-iteration benchmark smoke so every
@@ -40,7 +41,7 @@ go test ./...
 # ./... above never builds it; vet and test it here so a removed or
 # renamed name it uses fails CI instead of the next benchmark run.
 (cd bench && go vet ./... && go test .)
-go test -race ./internal/device ./internal/fault ./internal/mem ./internal/metrics ./internal/server ./internal/sim ./internal/span ./internal/topo ./internal/workload
+go test -race ./internal/device ./internal/fault ./internal/mem ./internal/metrics ./internal/paper ./internal/server ./internal/sim ./internal/span ./internal/topo ./internal/workload
 equiv='TestClockModeEquivalence|TestEventClock|TestSpans'
 check_run "$equiv" .
 go test -race -run "$equiv" .
