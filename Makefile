@@ -1,5 +1,5 @@
 # Developer entry points. `make ci` is the gate every change must pass;
-# `make bench` records the hot-path benchmark trajectory.
+# `make bench` records repeated benchmark runs (scripts/bench.sh).
 
 .PHONY: ci test bench build
 

@@ -163,8 +163,10 @@ var (
 	DecodeRsp      = packet.DecodeRsp
 	DecodeRqstInto = packet.DecodeRqstInto
 	DecodeRspInto  = packet.DecodeRspInto
-	// ReleaseRsp returns a response from Recv to the packet pool
-	// (optional; unreleased responses are garbage collected).
+	// ReleaseRsp returns a response from Recv to the free list of the
+	// device that built it (optional; unreleased responses are garbage
+	// collected). Release on the goroutine that drives the simulator,
+	// before the simulator changes hands.
 	ReleaseRsp = sim.ReleaseRsp
 )
 

@@ -140,6 +140,10 @@ type ExecContext struct {
 	// 2*(RspLen-1) words; the implementor fills any data it returns.
 	// Callers may supply a zeroed buffer of exactly that size to avoid
 	// the per-execute allocation; Execute replaces it otherwise.
+	// An operation may instead point RspPayload at a slice of its own of
+	// the same length: the device copies the words into its response
+	// and never keeps the slice. A slice of any other length faults the
+	// request (ERRSTAT CMC fault), as an error from Execute does.
 	RspPayload []uint64
 	// Mem is the in-situ memory of the executing vault's device.
 	Mem MemoryAccess

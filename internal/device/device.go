@@ -34,10 +34,13 @@
 // The host API (Send/Recv/Clock) and every clock phase run on the
 // caller's goroutine, as in the original simulator: a Device, its store
 // and its free lists belong to one goroutine at a time and take no
-// locks. Parallelism comes from running independent simulators side by
-// side (sweep workers, session-server shards); those share only the
-// process-wide store page pool and packet response pool, both
-// sync.Pools.
+// locks. That includes the response free list: every response comes
+// from the list of the device that built it and returns there when the
+// host releases it (packet.PutRsp), so the host must release responses
+// on the goroutine that drives the simulator, before the simulator
+// changes hands. Parallelism comes from running independent simulators
+// side by side (sweep workers, session-server shards); those share only
+// the process-wide store page pool, a sync.Pool.
 package device
 
 import (
@@ -221,6 +224,14 @@ type Device struct {
 	// them. Misses allocate in chunks to amortize warm-up.
 	flightPool []*Flight
 	rqstPool   []*packet.Rqst
+	// rsps is the response free list the execute phase builds from; a
+	// response returns to it when the host releases it (packet.PutRsp),
+	// even after a topology forwarded it through another cube.
+	rsps packet.RspList
+	// cmcCtx is the reusable CMC execute context, allocated on the first
+	// CMC dispatch so workloads that never issue custom commands pay
+	// nothing for it.
+	cmcCtx *cmc.ExecContext
 
 	// vaultRqstMask and vaultRspMask are bitsets of vaults whose request
 	// (resp. response) queues are non-empty, maintained at push/pop so
@@ -278,18 +289,17 @@ func New(id int, cfg config.Config, tracer trace.Tracer) (*Device, error) {
 	// vault — materialize lazily inside queue.Queue as occupancy demands
 	// (architected depths are 64-128 slots but most queues in a
 	// many-thousand-session fleet stay nearly empty; eager rings cost
-	// ~30KB per device). Banks are still carved from one flat array so
-	// construction cost stays flat as the structure count grows.
+	// ~30KB per device). Bank records likewise wait for a vault's first
+	// in-range request (execVault): a session that touches one vault
+	// does not pay 16 KB for the banks of the other 31.
 	d.links = make([]Link, cfg.Links)
 	for i := range d.links {
 		d.links[i].init(i, cfg.LinkDepth)
 	}
 	d.xbar.init(cfg)
-	bankBacking := make([]Bank, cfg.Vaults*cfg.BanksPerVault)
 	d.vaults = make([]Vault, cfg.Vaults)
 	for i := range d.vaults {
-		banks := bankBacking[i*cfg.BanksPerVault : (i+1)*cfg.BanksPerVault]
-		d.vaults[i].init(i, cfg, banks)
+		d.vaults[i].init(i, cfg)
 	}
 	d.vaultRqstMask = make([]uint64, (cfg.Vaults+63)/64)
 	d.vaultRspMask = make([]uint64, (cfg.Vaults+63)/64)
@@ -493,7 +503,8 @@ func (d *Device) Send(link int, r *packet.Rqst) error {
 //
 // The returned response belongs to the host. Callers in steady-state
 // loops should hand it back via packet.PutRsp (sim.ReleaseRsp) once
-// consumed; callers that don't simply let the GC take it.
+// consumed, on the goroutine that drives the device; callers that don't
+// simply let the GC take it.
 func (d *Device) Recv(link int) (*packet.Rsp, bool) {
 	if link < 0 || link >= len(d.links) {
 		return nil, false

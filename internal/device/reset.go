@@ -15,7 +15,9 @@ import (
 //     sample-base wiring survive.
 //   - link retry state: both directions' SEQ/FRP rings, traversal
 //     counters, park and down windows.
-//   - vaults: bank availability/open-row state and per-bank op counts.
+//   - vaults: bank availability/open-row state and per-bank op counts,
+//     in the bank arrays that exist (a vault allocates its banks on its
+//     first in-range request; an untouched vault has none to clear).
 //   - register file: power-on values for the device configuration.
 //   - backing store: block-cleared in place (mem.Store.Zero), keeping
 //     materialized pages warm for the next run.
@@ -25,8 +27,9 @@ import (
 //     so a reused device observes the identical fault sequence.
 //
 // Deliberately retained: the CMC registration table (operations are
-// stateless; reloading them is the session's concern), the flight and
-// request free lists, scratch buffers, the tracer, and any registered
+// stateless; reloading them is the session's concern), the flight,
+// request and response free lists, the allocated bank arrays, scratch
+// buffers, the tracer, and any registered
 // metrics instruments (which accumulate across runs — reusable sessions
 // are built without metrics). After Reset the device is
 // indistinguishable, in every statistic and every packet it emits, from
@@ -67,18 +70,22 @@ func (d *Device) Reset() {
 // Trim releases the reusable capacity Reset deliberately keeps warm,
 // shrinking an idle device toward its freshly built footprint: the
 // backing store's materialized pages scrub back to the process-wide page
-// pool and the flight/request free lists are dropped. Call it after
-// Reset on a device headed for an idle pool — a parked session then
-// costs only its structural allocations, and the first run after
-// revival re-materializes capacity on demand (first writes draw from
-// the same shared pool the trim fed). Trim never touches run-visible
-// state, so Reset+Trim stays bit-identical to a fresh device.
+// pool, and the flight, request and response free lists, the bank
+// arrays and the CMC scratch context are dropped. Call it after Reset on
+// a device headed for an idle pool — a parked session then costs only
+// its structural allocations, and the first run after revival
+// re-materializes capacity on demand (first writes draw from the same
+// shared pool the trim fed). Trim never touches run-visible state, so
+// Reset+Trim stays bit-identical to a fresh device. A response the host
+// still holds may be released afterwards: it rejoins the emptied list.
 func (d *Device) Trim() {
 	d.store.Trim()
 	d.flightPool = nil
 	d.rqstPool = nil
+	d.rsps = packet.RspList{}
+	d.cmcCtx = nil
 	for i := range d.vaults {
-		d.vaults[i].ctxScratch = nil
+		d.vaults[i].banks = nil
 	}
 }
 
@@ -96,7 +103,7 @@ func (d *Device) drainQueue(q *queue.Queue[*Flight]) {
 }
 
 // recycleFlight returns a flight and whatever packets it still carries
-// to their pools.
+// to their free lists.
 func (d *Device) recycleFlight(f *Flight) {
 	if f.Rqst != nil {
 		d.putRqst(f.Rqst)

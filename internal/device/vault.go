@@ -28,28 +28,35 @@ type Bank struct {
 // Vault is one vault controller: a request queue feeding banked DRAM and
 // a response queue draining to the crossbar.
 //
-// Vaults are embedded by value in the device; their queue ring buffers
-// and bank arrays are carved from device-wide backing arrays (device.New)
-// so construction stays allocation-light at any vault count.
+// Vaults are embedded by value in the device, and both their queue ring
+// buffers and their bank records materialize on first use, so
+// construction stays allocation-light at any vault count.
 type Vault struct {
 	// ID is the device-global vault index; Quad is its quadrant.
 	ID, Quad int
 	rqst     queue.Queue[*Flight]
 	rsp      queue.Queue[*Flight]
-	banks    []Bank
-
-	// ctxScratch is the reusable CMC execute context for this vault,
-	// allocated lazily on the first CMC dispatch so workloads that never
-	// issue custom commands pay nothing for it.
-	ctxScratch *cmc.ExecContext
+	// banks holds nbanks records once the vault has executed an in-range
+	// request (bank); nil before that and after Device.Trim.
+	banks  []Bank
+	nbanks int
 }
 
-func (v *Vault) init(id int, cfg config.Config, banks []Bank) {
+func (v *Vault) init(id int, cfg config.Config) {
 	v.ID = id
 	v.Quad = id / cfg.VaultsPerQuad()
 	v.rqst.Init(cfg.QueueDepth)
 	v.rsp.Init(cfg.QueueDepth)
-	v.banks = banks
+	v.nbanks = cfg.BanksPerVault
+}
+
+// bank returns bank i's record, allocating the vault's bank array the
+// first time a request touches it.
+func (v *Vault) bank(i int) *Bank {
+	if v.banks == nil {
+		v.banks = make([]Bank, v.nbanks)
+	}
+	return &v.banks[i]
 }
 
 // RqstStats returns the request queue statistics.
@@ -58,9 +65,10 @@ func (v *Vault) RqstStats() queue.Stats { return v.rqst.Stats() }
 // RspStats returns the response queue statistics.
 func (v *Vault) RspStats() queue.Stats { return v.rsp.Stats() }
 
-// BankOps returns the per-bank service counts.
+// BankOps returns the per-bank service counts: BanksPerVault entries,
+// all zero for a vault no request has reached.
 func (v *Vault) BankOps() []uint64 {
-	out := make([]uint64, len(v.banks))
+	out := make([]uint64, v.nbanks)
 	for i := range v.banks {
 		out[i] = v.banks[i].Ops
 	}
@@ -84,7 +92,7 @@ func (d *Device) execVault(i int) {
 
 		// Bank availability (only meaningful for in-range addresses).
 		if locErr == nil && d.Cfg.BankLatencyCycles > 0 {
-			if b := &v.banks[loc.Bank]; d.cycle < b.readyAt {
+			if b := v.bank(loc.Bank); d.cycle < b.readyAt {
 				d.stats.BankConflicts++
 				if d.spans != nil && d.spans.Tracked(r.TAG) {
 					d.spans.Point(span.KindBankWait, d.ID, -1, v.ID, r.TAG, d.cycle, uint32(loc.Bank))
@@ -116,7 +124,7 @@ func (d *Device) execVault(i int) {
 		d.stats.Rqsts[info.Class]++
 
 		if locErr == nil {
-			b := &v.banks[loc.Bank]
+			b := v.bank(loc.Bank)
 			latency := uint64(d.Cfg.BankLatencyCycles)
 			if d.Cfg.BankLatencyCycles > 0 && d.Cfg.RowMissPenaltyCycles > 0 {
 				// Open-page model: a row miss pays precharge+activate.
@@ -310,18 +318,17 @@ func (d *Device) executeCMC(v *Vault, f *Flight, loc addr.Location, locErr error
 		return d.errorRsp(f, ErrstatBadAddr)
 	}
 	// Draw the response (and its zeroed payload buffer, which the execute
-	// context fills in place) from the packet pool before dispatch; the
-	// table reuses a pre-sized RspPayload instead of allocating.
+	// context fills in place) from the device's free list before
+	// dispatch.
 	desc := slot.Desc
 	var rsp *packet.Rsp
 	if desc.RspLen > 0 {
-		rsp = packet.GetRsp(2 * (int(desc.RspLen) - 1))
+		rsp = d.rsps.Get(2 * (int(desc.RspLen) - 1))
 	}
-	// Reuse the vault's scratch context.
-	if v.ctxScratch == nil {
-		v.ctxScratch = new(cmc.ExecContext)
+	if d.cmcCtx == nil {
+		d.cmcCtx = new(cmc.ExecContext)
 	}
-	ctx := v.ctxScratch
+	ctx := d.cmcCtx
 	*ctx = cmc.ExecContext{
 		Dev:         uint32(d.ID),
 		Quad:        uint32(v.Quad),
@@ -339,11 +346,13 @@ func (d *Device) executeCMC(v *Vault, f *Flight, loc addr.Location, locErr error
 		ctx.RspPayload = rsp.Payload
 	}
 	// Dispatch fast path: the slot lookup above already resolved the
-	// operation, and GetRsp pre-sized RspPayload to exactly what the
-	// descriptor demands, so Table.Execute's re-lookup and payload
+	// operation, and the free list pre-sized RspPayload to exactly what
+	// the descriptor demands, so Table.Execute's re-lookup and payload
 	// re-size check are dead weight on every CMC round trip — call the
-	// registered execute entry point directly.
-	if err := slot.Op.Execute(ctx); err != nil {
+	// registered execute entry point directly. An operation that leaves
+	// a payload of the wrong length behind faults like one that returns
+	// an error.
+	if err := slot.Op.Execute(ctx); err != nil || (rsp != nil && len(ctx.RspPayload) != len(rsp.Payload)) {
 		packet.PutRsp(rsp)
 		d.regs.PostError(ErrBitCMCFault)
 		return d.errorRsp(f, ErrstatCMCFault)
@@ -363,8 +372,10 @@ func (d *Device) executeCMC(v *Vault, f *Flight, loc addr.Location, locErr error
 	rsp.TAG = r.TAG
 	rsp.LNG = desc.RspLen
 	rsp.SLID = r.SLID
-	// An operation may have swapped in its own payload buffer; honor it.
-	rsp.Payload = ctx.RspPayload
+	// An operation may have swapped in its own buffer of the right
+	// length: copy it out, so the response never adopts (and later
+	// recycles) memory the operation owns.
+	copy(rsp.Payload, ctx.RspPayload)
 	if desc.RspCmd == hmccmd.RspCMC {
 		rsp.CmdCode = desc.RspCmdCode
 	} else if code, ok := desc.RspCmd.Code(); ok {
@@ -411,12 +422,12 @@ func (d *Device) blockViolation(r *packet.Rqst, info *hmccmd.Info) bool {
 	return r.ADRS%block+n > block
 }
 
-// dataRsp builds a success response around a pooled packet whose zeroed
-// payload is sized to the response length; a non-nil payload argument is
-// copied in (and zero-padded by construction when shorter).
+// dataRsp builds a success response around a free-list packet whose
+// zeroed payload is sized to the response length; a non-nil payload
+// argument is copied in (and zero-padded by construction when shorter).
 func (d *Device) dataRsp(f *Flight, cmd hmccmd.Resp, flits uint8, payload []uint64, dinv bool) *packet.Rsp {
 	r := f.Rqst
-	rsp := packet.GetRsp(2 * (int(flits) - 1))
+	rsp := d.rsps.Get(2 * (int(flits) - 1))
 	copy(rsp.Payload, payload)
 	rsp.Cmd = cmd
 	rsp.CUB = uint8(d.ID)
@@ -435,7 +446,7 @@ func (d *Device) errorRsp(f *Flight, errstat uint8) *packet.Rsp {
 	d.stats.ErrResponses++
 	r := f.Rqst
 	code, _ := hmccmd.RspError.Code()
-	rsp := packet.GetRsp(0)
+	rsp := d.rsps.Get(0)
 	rsp.Cmd = hmccmd.RspError
 	rsp.CmdCode = code
 	rsp.CUB = uint8(d.ID)

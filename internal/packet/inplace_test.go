@@ -216,11 +216,13 @@ func TestCRCMatchesReference(t *testing.T) {
 	}
 }
 
-// TestGetRspZeroed checks that pooled responses come back fully reset:
-// a dirtied, released response must be indistinguishable from a fresh
-// allocation on the next Get.
+// TestGetRspZeroed checks that free-list responses come back fully
+// reset: a dirtied, released response must be indistinguishable from a
+// fresh allocation on the next Get, and release must reach only the list
+// that built the response.
 func TestGetRspZeroed(t *testing.T) {
-	p := GetRsp(8)
+	var l RspList
+	p := l.Get(8)
 	p.Cmd = hmccmd.WrRS
 	p.TAG = 99
 	p.ERRSTAT = 0x7F
@@ -230,21 +232,47 @@ func TestGetRspZeroed(t *testing.T) {
 	}
 	PutRsp(p)
 	for trial := 0; trial < 100; trial++ {
-		q := GetRsp(8)
+		q := l.Get(8)
+		if q != p {
+			t.Fatalf("trial %d: Get did not recycle the released response", trial)
+		}
 		if q.Cmd != 0 || q.TAG != 0 || q.ERRSTAT != 0 || q.DINV {
-			t.Fatalf("pooled Rsp not reset: %+v", q)
+			t.Fatalf("recycled Rsp not reset: %+v", q)
 		}
 		if len(q.Payload) != 8 {
-			t.Fatalf("pooled Rsp payload length %d, want 8", len(q.Payload))
+			t.Fatalf("recycled Rsp payload length %d, want 8", len(q.Payload))
 		}
 		for i, w := range q.Payload {
 			if w != 0 {
-				t.Fatalf("pooled Rsp payload[%d] = %#x, want 0", i, w)
+				t.Fatalf("recycled Rsp payload[%d] = %#x, want 0", i, w)
 			}
 		}
+		q.Payload[0] = ^uint64(0)
 		PutRsp(q)
 	}
-	PutRsp(nil) // must be a no-op
+	// A second release of the same response, a response no list owns and
+	// nil are all no-ops: the list then holds q alone.
+	q := l.Get(0)
+	PutRsp(q)
+	PutRsp(q)
+	foreign := &Rsp{Payload: make([]uint64, 2)}
+	PutRsp(foreign)
+	PutRsp(nil)
+	if x := l.Get(0); x != q {
+		t.Fatal("Get after a double release did not return the released response")
+	}
+	if y := l.Get(0); y == q || y == foreign {
+		t.Fatal("a no-op release put a response on the list")
+	}
+	// Responses return to their own list, not to whichever list is used
+	// next.
+	var other RspList
+	a, b := l.Get(2), other.Get(2)
+	PutRsp(b)
+	PutRsp(a)
+	if l.Get(2) != a || other.Get(2) != b {
+		t.Fatal("a released response did not return to the list that built it")
+	}
 }
 
 // FuzzDecodeIntoEquivalence feeds arbitrary word streams to both request

@@ -141,6 +141,10 @@ type Rsp struct {
 
 	// Payload holds the data words between header and tail.
 	Payload []uint64
+
+	// owner is the free list that built the response (RspList.Get), nil
+	// for a decoded or hand-built one; PutRsp returns it there.
+	owner *RspList
 }
 
 // payloadWords returns the number of 64-bit data words in a packet of lng

@@ -265,10 +265,11 @@ func (s *Simulator) Reset() {
 }
 
 // Trim releases the reusable capacity Reset keeps warm — every device's
-// materialized store pages (scrubbed back to the process-wide page pool)
-// and packet free lists — shrinking an idle simulator toward its freshly
-// built footprint. Call it after Reset on a simulator headed for an idle
-// pool; capacity re-materializes on demand when the simulator next runs.
+// materialized store pages (scrubbed back to the process-wide page pool),
+// packet free lists and bank arrays — shrinking an idle simulator toward
+// its freshly built footprint. Call it after Reset on a simulator headed
+// for an idle pool; capacity re-materializes on demand when the
+// simulator next runs.
 // Trim never touches run-visible state, so Reset+Trim stays bit-identical
 // to a fresh simulator.
 func (s *Simulator) Trim() {
@@ -651,7 +652,11 @@ func (s *ReqScratch) BuildCMC(cmd hmccmd.Rqst, cub int, adrs uint64, tag uint16,
 	return s.fill(cmd, cub, adrs, tag, link, uint8(1+len(payload)/2), payload), nil
 }
 
-// ReleaseRsp returns a response obtained from Recv to the packet pool.
-// Optional: unreleased responses are simply collected by the GC. The
-// response (including its payload) must not be used after release.
+// ReleaseRsp returns a response obtained from Recv to the free list of
+// the device that built it. Optional: unreleased responses are simply
+// collected by the GC. The response (including its payload) must not be
+// used after release. Release on the goroutine that drives the
+// simulator, before the simulator changes hands (a session or server
+// pool): the free list takes no locks. Releasing nil, a decoded
+// response or an already released one does nothing.
 func ReleaseRsp(r *packet.Rsp) { packet.PutRsp(r) }

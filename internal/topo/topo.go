@@ -487,7 +487,8 @@ func (t *Topology) Cycle() uint64 { return t.cycle }
 
 // Reset rewinds the topology and every device to the as-constructed
 // state without reallocating: in-transit forwarded packets recycle into
-// their free lists, the hop-delay queues rewind onto their backing
+// their free lists (a forwarded response into the list of the cube that
+// built it), the hop-delay queues rewind onto their backing
 // arrays, the forwarding counters and the topology clock zero, and each
 // device resets in place (device.Reset). The calendar (refilled from
 // scratch every cycle) and the clone free list are reusable capacity and

@@ -40,7 +40,7 @@ type pendingSlot struct {
 // RunPipelined drives pipelined agents against the simulator. Completion
 // cycles and totals are reported as in Run.
 //
-// Responses are returned to the packet pool after each Complete call:
+// Responses are returned to the device's free list after each Complete call:
 // agents must not retain the response or its payload past Complete.
 func RunPipelined(s *sim.Simulator, agents []PipelinedAgent, maxCycles uint64) (Result, error) {
 	res := Result{CompletionCycles: make([]uint64, len(agents))}

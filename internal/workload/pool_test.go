@@ -123,7 +123,7 @@ func TestMutexSweepPooledAllocFloor(t *testing.T) {
 // single-goroutine object. sweepWorkers collapses to one worker on a
 // single-proc runtime, so GOMAXPROCS is raised for the test. The four
 // workers draw Sessions from the shared sweep pool, run lock-free
-// stores, and pass responses through the process-wide packet pool;
+// stores, and recycle responses through their own devices' free lists;
 // under -race this catches any state those simulators share without
 // synchronization. The parallel sweep must equal the serial one on
 // both paper presets.

@@ -118,7 +118,7 @@ const (
 // issue events rather than agent-count × cycles, and provably-idle or
 // fault-parked device spans cost one calendar jump instead of a walk.
 //
-// Responses are returned to the packet pool after each Complete call:
+// Responses are returned to the device's free list after each Complete call:
 // agents must not retain the response or its payload past Complete.
 func Run(s *sim.Simulator, agents []Agent, maxCycles uint64) (Result, error) {
 	return runWith(s, agents, maxCycles, make([]agentState, len(agents)), make([]uint64, len(agents)))

@@ -41,7 +41,7 @@ func benchDevice(b *testing.B, cmcNames ...string) *Simulator {
 }
 
 // roundTrip submits one request, clocks until its response arrives and
-// returns the response to the packet pool — the steady-state lifecycle
+// returns the response to the device's free list — the steady-state lifecycle
 // a well-behaved driver follows.
 func roundTrip(b *testing.B, s *Simulator, link int, r *Rqst) {
 	if err := s.Send(link, r); err != nil {
@@ -437,8 +437,8 @@ func TestTopoChainZeroAlloc(t *testing.T) {
 		// Pin bytes too, not just object counts: a zero-object run can
 		// still grow pools through free-list append doubling, which
 		// AllocsPerRun under-reports when the runtime coalesces. GC is
-		// pinned off so sync.Pool victims cannot be dropped and refilled
-		// mid-measurement.
+		// pinned off so the store's sync.Pool victims cannot be dropped
+		// and refilled mid-measurement.
 		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		// Re-warm once with GC pinned: AllocsPerRun's final GC may have
 		// demoted sync.Pool contents, and the first trip after that
@@ -625,6 +625,32 @@ func TestFaultFreeRoundTripZeroAlloc(t *testing.T) {
 	trip() // warm the pools before counting
 	if allocs := testing.AllocsPerRun(200, trip); allocs != 0 {
 		t.Errorf("fault-free round trip: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestNewFootprintBytes pins what building a simulator costs in bytes.
+// Bank records and responses materialize on first use, so New allocates
+// no bank array (16 KiB on 4Link-4GB) and no response; an hmcd session
+// pays this on every init of a cold pool. The pin is the minimum
+// TotalAlloc delta over five builds, which sheds one-off runtime
+// bookkeeping.
+func TestNewFootprintBytes(t *testing.T) {
+	skipIfRace(t)
+	const limit = 18000
+	minDelta := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := New(FourLink4GB())
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(s)
+		minDelta = min(minDelta, after.TotalAlloc-before.TotalAlloc)
+	}
+	if minDelta > limit {
+		t.Errorf("New(FourLink4GB()) allocates %d bytes, want at most %d", minDelta, limit)
 	}
 }
 
