@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/packet"
-	"repro/internal/span"
-	"repro/internal/trace"
 )
 
 // Clock advances the device by one cycle. See the package comment for the
@@ -72,14 +70,14 @@ func (d *Device) responsePhase() {
 			}
 			// Link retry protocol: a packet whose CRC arrives bad is
 			// retransmitted after the retry sequence completes.
-			if stop := d.linkAdvance(l, &l.rspDir, &l.rqstDir, f, nil, f.Rsp.TAG); stop {
+			if stop := d.linkAdvance(l, &l.rspDir, &l.rqstDir, f, nil); stop {
 				break
 			}
 			if err := l.rsp.Push(f); err != nil {
 				break // host not draining: wait
 			}
-			if d.spans != nil && d.spans.Tracked(f.Rsp.TAG) {
-				d.spans.Stage(span.KindRspEgress, d.ID, li, -1, f.Rsp.TAG, d.cycle, 0)
+			if d.obs != nil {
+				d.observe(Event{Stage: StageRspEgress, Flight: f, Link: li, Vault: -1})
 			}
 			if l.rspDir.inj != nil {
 				l.rspDir.stamped = nil
@@ -106,8 +104,8 @@ func (d *Device) drainVaultRsp(i int) {
 		if err := d.xbar.rsp[f.Link].Push(f); err != nil {
 			return // crossbar port full: head-of-line wait
 		}
-		if d.spans != nil && d.spans.Tracked(f.Rsp.TAG) {
-			d.spans.Stage(span.KindRspXbar, d.ID, f.Link, v.ID, f.Rsp.TAG, d.cycle, 0)
+		if d.obs != nil {
+			d.observe(Event{Stage: StageRspXbar, Flight: f, Link: f.Link, Vault: v.ID})
 		}
 		v.rsp.Pop()
 	}
@@ -123,7 +121,7 @@ func (d *Device) drainVaultRsp(i int) {
 // With both injectors disabled (the default) the gate is a single branch
 // and touches no retry state, keeping the zero-fault clock loop
 // bit-identical to a build without the subsystem.
-func (d *Device) linkAdvance(l *Link, dir, opp *linkDir, f *Flight, rqst *packet.Rqst, tag uint16) bool {
+func (d *Device) linkAdvance(l *Link, dir, opp *linkDir, f *Flight, rqst *packet.Rqst) bool {
 	period := uint64(d.Cfg.LinkFaultPeriod)
 	if dir.inj == nil && period == 0 {
 		return false
@@ -138,14 +136,14 @@ func (d *Device) linkAdvance(l *Link, dir, opp *linkDir, f *Flight, rqst *packet
 	if dir.faultAt != 0 {
 		// First attempt after a retry sequence completed: the retransmit
 		// leaves the retry buffer now, closing the latency measurement.
-		if d.retryHist != nil {
-			d.retryHist.Observe(d.cycle - dir.faultAt)
+		if d.obs != nil {
+			d.observe(Event{Stage: StageRetryDone, Flight: f, Link: l.ID, Vault: -1, Arg: int(d.cycle - dir.faultAt)})
 		}
 		dir.faultAt = 0
 	}
 	if dir.inj != nil && !d.retryStamp(dir, opp, f, rqst) {
-		if d.spans != nil && d.spans.Tracked(tag) {
-			d.spans.Point(span.KindRetryStall, d.ID, l.ID, -1, tag, d.cycle, 0)
+		if d.obs != nil {
+			d.observe(Event{Stage: StageRetryStall, Flight: f, Link: l.ID, Vault: -1})
 		}
 		return true // retry buffer full: wait for acknowledgments
 	}
@@ -169,7 +167,7 @@ func (d *Device) linkAdvance(l *Link, dir, opp *linkDir, f *Flight, rqst *packet
 			return false
 		}
 	}
-	return d.injectFault(l, dir, kind, f, rqst, tag)
+	return d.injectFault(l, dir, kind, f, rqst)
 }
 
 // retryStamp assigns the head packet its retry-protocol identity on the
@@ -217,46 +215,28 @@ func (d *Device) retryStamp(dir, opp *linkDir, f *Flight, rqst *packet.Rqst) boo
 // then park the direction for the retry sequence; Drop parks for the
 // longer retransmit timeout (nothing signals the loss); Down takes the
 // whole link out of service. It always returns true: the attempt failed.
-func (d *Device) injectFault(l *Link, dir *linkDir, kind fault.Kind, f *Flight, rqst *packet.Rqst, tag uint16) bool {
-	detail := "link CRC fault: retry sequence"
+func (d *Device) injectFault(l *Link, dir *linkDir, kind fault.Kind, f *Flight, rqst *packet.Rqst) bool {
 	switch kind {
 	case fault.CRC, fault.Flip:
 		if dir.inj != nil {
 			d.corrupt(dir, kind, f, rqst)
-		}
-		if kind == fault.Flip {
-			detail = "injected bit flip: retry sequence"
 		}
 		dir.retryUntil = d.cycle + uint64(d.Cfg.LinkRetryCycles)
 		dir.faultAt = d.cycle
 		l.Retries++
 		d.stats.LinkRetries++
 	case fault.Drop:
-		detail = "injected packet drop: awaiting retransmit timeout"
 		dir.retryUntil = d.cycle + uint64(d.dropTimeout)
 		dir.faultAt = d.cycle
 		d.stats.Drops++
 		l.Retries++
 		d.stats.LinkRetries++
 	case fault.Down:
-		detail = "injected link-down window"
 		l.downUntil = d.cycle + uint64(d.downCycles)
 		d.stats.DownWindows++
 	}
-	if d.spans != nil && d.spans.Tracked(tag) {
-		d.spans.Point(span.KindFault, d.ID, l.ID, -1, tag, d.cycle, uint32(kind))
-	}
-	if d.tracer.Enabled(trace.LevelStall) {
-		ev := trace.Event{
-			Cycle: d.cycle, Kind: trace.LevelStall,
-			Dev: d.ID, Quad: -1, Vault: -1, Bank: -1,
-			Tag: tag, Detail: detail,
-		}
-		if rqst != nil {
-			ev.Cmd = rqst.Cmd.String()
-			ev.Addr = rqst.ADRS
-		}
-		d.tracer.Emit(ev)
+	if d.obs != nil {
+		d.observe(Event{Stage: StageFault, Flight: f, Link: l.ID, Vault: -1, Arg: int(kind)})
 	}
 	return true
 }
@@ -335,14 +315,14 @@ func (d *Device) requestPhase() {
 				d.stats.LinkSerStalls++
 				break
 			}
-			if stop := d.linkAdvance(l, &l.rqstDir, &l.rspDir, f, f.Rqst, f.Rqst.TAG); stop {
+			if stop := d.linkAdvance(l, &l.rqstDir, &l.rspDir, f, f.Rqst); stop {
 				break
 			}
 			if err := q.Push(f); err != nil {
 				break
 			}
-			if d.spans != nil && d.spans.Tracked(f.Rqst.TAG) {
-				d.spans.Stage(span.KindLinkIngress, d.ID, li, -1, f.Rqst.TAG, d.cycle, 0)
+			if d.obs != nil {
+				d.observe(Event{Stage: StageLinkIngress, Flight: f, Link: li, Vault: -1})
 			}
 			if l.rqstDir.inj != nil {
 				l.rqstDir.stamped = nil
@@ -375,18 +355,13 @@ func (d *Device) requestPhase() {
 				// head-of-line blocking — the source of the 4Link/8Link
 				// divergence under hot-spot load (paper §V-C).
 				d.stats.XbarBackpressure++
-				if d.tracer.Enabled(trace.LevelStall) {
-					d.tracer.Emit(trace.Event{
-						Cycle: d.cycle, Kind: trace.LevelStall,
-						Dev: d.ID, Quad: vault.Quad, Vault: vault.ID, Bank: -1,
-						Cmd: f.Rqst.Cmd.String(), Tag: f.Rqst.TAG, Addr: f.Rqst.ADRS,
-						Detail: "xbar head blocked: vault request queue full",
-					})
+				if d.obs != nil {
+					d.observe(Event{Stage: StageXbarBlocked, Flight: f, Link: li, Vault: vi})
 				}
 				break
 			}
-			if d.spans != nil && d.spans.Tracked(f.Rqst.TAG) {
-				d.spans.Stage(span.KindVaultEnq, d.ID, -1, vi, f.Rqst.TAG, d.cycle, 0)
+			if d.obs != nil {
+				d.observe(Event{Stage: StageVaultEnq, Flight: f, Link: -1, Vault: vi})
 			}
 			setBit(d.vaultRqstMask, vi)
 			q.Pop()

@@ -54,10 +54,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hmccmd"
 	"repro/internal/mem"
-	"repro/internal/metrics"
 	"repro/internal/packet"
-	"repro/internal/span"
-	"repro/internal/trace"
 )
 
 // Errors returned by the host-facing API.
@@ -192,23 +189,14 @@ type Device struct {
 	store  *mem.Store
 	amoU   *amo.Unit
 	cmcTab *cmc.Table
-	tracer trace.Tracer
 
-	// spans, when non-nil, is the request-lifecycle flight recorder
-	// (SetSpans). Every hook is guarded by a nil check plus a lock-free
-	// Tracked bitmap read, so the disabled path costs one predictable
-	// branch and the untracked path one array load.
-	spans *span.Tracer
+	// obs holds the attached observers (Observe): the discrete tracer,
+	// the span recorder, the metrics histograms, the power model. Every
+	// observation point is one nil check on it.
+	obs []Observer
 
 	cycle uint64
 	stats Stats
-
-	// ExecHook, when non-nil, is invoked for every executed request with
-	// its command class, request/response FLIT counts and the number of
-	// 16-byte DRAM blocks touched. The simulator layer uses it to drive
-	// the optional power model without coupling the device to it. It
-	// runs on the clocking goroutine, in vault order.
-	ExecHook func(class hmccmd.Class, rqstFlits, rspFlits, dramBlocks int)
 
 	// ForceWalk disables idle skipping, making every clock phase walk
 	// every vault and sample every queue exactly as the original
@@ -238,16 +226,6 @@ type Device struct {
 	// the clock phases touch only active vaults.
 	vaultRqstMask, vaultRspMask []uint64
 
-	// latHist, when RegisterMetrics has run, holds one end-to-end latency
-	// histogram per command class; Recv observes the send-to-recv cycle
-	// count into it. Observe is a handful of atomic ops and allocates
-	// nothing, so the host-path cost of enabling metrics is flat. Nil
-	// entries (metrics disabled) cost one branch.
-	latHist [hmccmd.NumClasses]*metrics.Histogram
-	// retryHist, when RegisterMetrics has run, records the cycle count of
-	// each completed link retry sequence (fault injection to retransmit).
-	retryHist *metrics.Histogram
-
 	// faultPlan is the random fault environment installed by SetFaultPlan;
 	// faultWire is the scratch encoding buffer CRC/Flip corruption uses,
 	// and dropTimeout/downCycles cache the plan's resolved windows.
@@ -257,17 +235,14 @@ type Device struct {
 	downCycles  int
 }
 
-// New builds a device from a configuration. A nil tracer disables
-// tracing.
-func New(id int, cfg config.Config, tracer trace.Tracer) (*Device, error) {
+// New builds a device from a configuration, with no observers attached
+// (Observe).
+func New(id int, cfg config.Config) (*Device, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if id < 0 || id >= config.MaxDevs {
 		return nil, fmt.Errorf("device: id %d out of range [0,%d)", id, config.MaxDevs)
-	}
-	if tracer == nil {
-		tracer = trace.Nop{}
 	}
 	amap, err := addr.NewMap(cfg)
 	if err != nil {
@@ -282,7 +257,6 @@ func New(id int, cfg config.Config, tracer trace.Tracer) (*Device, error) {
 		// each vault's granules pack into whole pages (see mem).
 		store:  mem.NewSharded(cfg.CapacityBytes(), cfg.OffsetBits(), cfg.VaultBits()),
 		cmcTab: cmc.NewTable(),
-		tracer: tracer,
 	}
 	d.amoU = amo.New(d.store)
 	// Queue ring buffers — two per link, two per crossbar port, two per
@@ -445,15 +419,6 @@ func (d *Device) Vault(i int) (*Vault, error) {
 // Xbar returns the crossbar model for stats inspection.
 func (d *Device) Xbar() *Crossbar { return &d.xbar }
 
-// SetSpans attaches a request-lifecycle span tracer; nil detaches it.
-// The tracer only observes (cycle stamps, tags, queue transitions) and
-// never changes device behavior, so results stay bit-identical with or
-// without it.
-func (d *Device) SetSpans(t *span.Tracer) { d.spans = t }
-
-// Spans returns the attached span tracer, nil when tracing is off.
-func (d *Device) Spans() *span.Tracer { return d.spans }
-
 // Send submits a decoded request on a host link. A full link queue
 // returns ErrStall. The request's CUB must address this device.
 //
@@ -473,27 +438,16 @@ func (d *Device) Send(link int, r *packet.Rqst) error {
 	adopted.CopyFrom(r)
 	f.Rqst, f.Link, f.SendCycle = adopted, link, d.cycle
 	if err := d.links[link].rqst.Push(f); err != nil {
+		d.stats.SendStalls++
+		if d.obs != nil {
+			d.observe(Event{Stage: StageSendStall, Flight: f, Link: link, Vault: -1})
+		}
 		d.putRqst(adopted)
 		d.putFlight(f)
-		d.stats.SendStalls++
-		if d.spans != nil && d.spans.Tracked(r.TAG) {
-			d.spans.Point(span.KindSendStall, d.ID, link, -1, r.TAG, d.cycle, 0)
-		}
-		if d.tracer.Enabled(trace.LevelStall) {
-			d.tracer.Emit(trace.Event{
-				Cycle: d.cycle, Kind: trace.LevelStall,
-				Dev: d.ID, Quad: -1, Vault: -1, Bank: -1,
-				Cmd: r.Cmd.String(), Tag: r.TAG, Addr: r.ADRS,
-				Detail: "send stall: link request queue full",
-			})
-		}
 		return ErrStall
 	}
-	if d.spans != nil {
-		// Begin makes the tracking decision (TAG modulo / armed budget)
-		// on first sight; on a topology-forwarded request already being
-		// tracked it records the hop-stage end instead.
-		d.spans.Begin(d.ID, link, r.TAG, uint8(r.Cmd.InfoRef().Class), d.cycle)
+	if d.obs != nil {
+		d.observe(Event{Stage: StageSend, Flight: f, Link: link, Vault: -1})
 	}
 	return nil
 }
@@ -513,29 +467,13 @@ func (d *Device) Recv(link int) (*packet.Rsp, bool) {
 	if !ok {
 		return nil, false
 	}
-	rsp := f.Rsp
-	if d.spans != nil && d.spans.Tracked(rsp.TAG) {
-		// Closes the span unless the request was topology-forwarded
-		// (then the collection here is an intermediate hop and the span
-		// closes at Tracer.Arrive).
-		d.spans.End(d.ID, link, rsp.TAG, d.cycle)
-	}
-	if d.tracer.Enabled(trace.LevelLatency) {
-		d.tracer.Emit(trace.Event{
-			Cycle: d.cycle, Kind: trace.LevelLatency,
-			Dev: d.ID, Quad: -1, Vault: -1, Bank: -1,
-			Cmd: rsp.Cmd.String(), Tag: rsp.TAG,
-			Value: d.cycle - f.SendCycle, Detail: "round-trip cycles at recv",
-		})
+	if d.obs != nil {
+		d.observe(Event{Stage: StageRecv, Flight: f, Link: link, Vault: -1})
 	}
 	// The adopted request and the Flight envelope return to the device
 	// pools; the response packet belongs to the host now.
-	if f.Rqst != nil {
-		if h := d.latHist[f.Rqst.Cmd.InfoRef().Class]; h != nil {
-			h.Observe(d.cycle - f.SendCycle)
-		}
-		d.putRqst(f.Rqst)
-	}
+	rsp := f.Rsp
+	d.putRqst(f.Rqst)
 	d.putFlight(f)
 	return rsp, true
 }

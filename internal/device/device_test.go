@@ -13,7 +13,7 @@ import (
 
 func newDev(t *testing.T, cfg config.Config) *Device {
 	t.Helper()
-	d, err := New(0, cfg, nil)
+	d, err := New(0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestBankConflictModeling(t *testing.T) {
 func TestCMCThroughPipeline(t *testing.T) {
 	d := newDev(t, config.FourLink4GB())
 	rec := trace.NewRecorder(trace.LevelCMC)
-	d.tracer = rec
+	d.Observe(TraceSink(d, rec))
 	if err := d.CMC().Load(testLockOp{}); err != nil {
 		t.Fatal(err)
 	}
@@ -471,10 +471,10 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, config.Config{}, nil); err == nil {
+	if _, err := New(0, config.Config{}); err == nil {
 		t.Error("New accepted zero config")
 	}
-	if _, err := New(9, config.FourLink4GB(), nil); err == nil {
+	if _, err := New(9, config.FourLink4GB()); err == nil {
 		t.Error("New accepted out-of-range device id")
 	}
 }
@@ -483,7 +483,7 @@ func TestNewValidation(t *testing.T) {
 // request (and payload) immediately after Send must not affect the
 // packet the device executes.
 func TestSendAdoptsRequest(t *testing.T) {
-	d, err := New(0, config.FourLink4GB(), nil)
+	d, err := New(0, config.FourLink4GB())
 	if err != nil {
 		t.Fatal(err)
 	}

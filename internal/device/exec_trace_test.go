@@ -18,10 +18,11 @@ import (
 // and the posted faults must latch ErrBitAccessFault.
 func TestExecuteBurstUnderTrace(t *testing.T) {
 	cfg := config.FourLink4GB()
-	d, err := New(0, cfg, trace.NewJSONL(io.Discard, trace.LevelAll))
+	d, err := New(0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.Observe(TraceSink(d, trace.NewJSONL(io.Discard, trace.LevelAll)))
 	if err := d.CMC().Load(testLockOp{}); err != nil {
 		t.Fatal(err)
 	}

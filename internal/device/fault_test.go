@@ -44,7 +44,7 @@ func driveWrites(t *testing.T, d *Device, n, maxCycles int) int {
 // lands in memory — faults delay packets, never lose them.
 func TestFaultPlanRecoversAllPackets(t *testing.T) {
 	cfg := config.FourLink4GB()
-	d, err := New(0, cfg, nil)
+	d, err := New(0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFaultPlanRecoversAllPackets(t *testing.T) {
 // diverges.
 func TestFaultPlanDeterminism(t *testing.T) {
 	run := func(seed uint64) Stats {
-		d, err := New(0, config.FourLink4GB(), nil)
+		d, err := New(0, config.FourLink4GB())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestFaultKindsIsolated(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.kinds.String(), func(t *testing.T) {
-			d, err := New(0, config.FourLink4GB(), nil)
+			d, err := New(0, config.FourLink4GB())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,7 +143,7 @@ func TestFaultKindsIsolated(t *testing.T) {
 // device's stats bit-identical to a device with no plan at all.
 func TestFaultZeroPlanMatchesDefault(t *testing.T) {
 	run := func(install bool) Stats {
-		d, err := New(0, config.FourLink4GB(), nil)
+		d, err := New(0, config.FourLink4GB())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestFaultZeroPlanMatchesDefault(t *testing.T) {
 // the retry-protocol stamp — SEQ counts in 3-bit sequence and RRP
 // acknowledges the request direction's FRP.
 func TestFaultRetryStamping(t *testing.T) {
-	d, err := New(0, config.FourLink4GB(), nil)
+	d, err := New(0, config.FourLink4GB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestFaultRetryStamping(t *testing.T) {
 // with ErrstatPoisoned instead of data; a poisoned posted write is
 // dropped and latches the error register.
 func TestPoisonedRqstRejected(t *testing.T) {
-	d, err := New(0, config.FourLink4GB(), nil)
+	d, err := New(0, config.FourLink4GB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestPeriodicAndRandomInjectorsCompose(t *testing.T) {
 	cfg := config.FourLink4GB()
 	cfg.LinkFaultPeriod = 2
 	cfg.LinkRetryCycles = 8
-	d, err := New(0, cfg, nil)
+	d, err := New(0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // is queued, and cycle+1 unconditionally under ForceWalk.
 func TestNextEventCycleBasics(t *testing.T) {
 	cfg := config.TwoGBDev()
-	d, err := New(0, cfg, nil)
+	d, err := New(0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func skipAdvance(t *testing.T, d *Device, limit uint64) {
 // window expiry or an occupancy sample and diverge the report.
 func runLockstep(t *testing.T, cfg config.Config, plan fault.Plan, seed uint64, skip bool) string {
 	t.Helper()
-	d, err := New(0, cfg, nil)
+	d, err := New(0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func clockUntilParked(t *testing.T, d *Device, window func() uint64) {
 // cycle's traversal attempt.
 func TestSkipNeverJumpsDownWindow(t *testing.T) {
 	cfg := config.TwoGBDev()
-	d, err := New(0, cfg, nil)
+	d, err := New(0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestSkipNeverJumpsDownWindow(t *testing.T) {
 // wake cycle.
 func TestSkipNeverJumpsDropTimeout(t *testing.T) {
 	cfg := config.TwoGBDev()
-	d, err := New(0, cfg, nil)
+	d, err := New(0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ import (
 // Deliberately retained: the CMC registration table (operations are
 // stateless; reloading them is the session's concern), the flight,
 // request and response free lists, the allocated bank arrays, scratch
-// buffers, the tracer, and any registered
+// buffers, the attached observers, and any registered
 // metrics instruments (which accumulate across runs — reusable sessions
 // are built without metrics). After Reset the device is
 // indistinguishable, in every statistic and every packet it emits, from

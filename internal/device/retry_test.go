@@ -17,10 +17,11 @@ func TestLinkRetryDelaysFaultedPacket(t *testing.T) {
 	cfg.LinkFaultPeriod = 2
 	cfg.LinkRetryCycles = 8
 	rec := trace.NewRecorder(trace.LevelStall)
-	d, err := New(0, cfg, rec)
+	d, err := New(0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d.Observe(TraceSink(d, rec))
 	// Two requests on link 0: the second traversal gets corrupted.
 	for i := 0; i < 2; i++ {
 		r := &packet.Rqst{Cmd: hmccmd.RD16, ADRS: uint64(i) * 64, TAG: uint16(i)}
@@ -71,7 +72,7 @@ func TestLinkRetryResponsesAlsoFault(t *testing.T) {
 	cfg := config.FourLink4GB()
 	cfg.LinkFaultPeriod = 2
 	cfg.LinkRetryCycles = 4
-	d, err := New(0, cfg, nil)
+	d, err := New(0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestLinkRetryResponsesAlsoFault(t *testing.T) {
 func TestLinkRetryPreservesCorrectness(t *testing.T) {
 	cfg := config.FourLink4GB()
 	cfg.LinkFaultPeriod = 5
-	d, err := New(0, cfg, nil)
+	d, err := New(0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

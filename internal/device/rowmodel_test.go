@@ -65,7 +65,7 @@ func TestRowMissPenaltySlowsAlternation(t *testing.T) {
 		cfg := config.FourLink4GB()
 		cfg.BankLatencyCycles = 1
 		cfg.RowMissPenaltyCycles = penalty
-		d, err := New(0, cfg, nil)
+		d, err := New(0, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

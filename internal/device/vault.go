@@ -7,8 +7,6 @@ import (
 	"repro/internal/hmccmd"
 	"repro/internal/packet"
 	"repro/internal/queue"
-	"repro/internal/span"
-	"repro/internal/trace"
 )
 
 // Bank tracks the availability of one DRAM bank. A request executing at
@@ -94,16 +92,8 @@ func (d *Device) execVault(i int) {
 		if locErr == nil && d.Cfg.BankLatencyCycles > 0 {
 			if b := v.bank(loc.Bank); d.cycle < b.readyAt {
 				d.stats.BankConflicts++
-				if d.spans != nil && d.spans.Tracked(r.TAG) {
-					d.spans.Point(span.KindBankWait, d.ID, -1, v.ID, r.TAG, d.cycle, uint32(loc.Bank))
-				}
-				if d.tracer.Enabled(trace.LevelBank) {
-					d.tracer.Emit(trace.Event{
-						Cycle: d.cycle, Kind: trace.LevelBank,
-						Dev: d.ID, Quad: v.Quad, Vault: v.ID, Bank: loc.Bank,
-						Cmd: r.Cmd.String(), Tag: r.TAG, Addr: r.ADRS,
-						Detail: "bank busy",
-					})
+				if d.obs != nil {
+					d.observe(Event{Stage: StageBankWait, Flight: f, Link: -1, Vault: v.ID, Arg: loc.Bank})
 				}
 				break
 			}
@@ -113,8 +103,8 @@ func (d *Device) execVault(i int) {
 		needsRsp := info.Class != hmccmd.ClassFlow && info.Rsp != hmccmd.RspNone
 		if needsRsp && v.rsp.Full() {
 			d.stats.RspBackpressure++
-			if d.spans != nil && d.spans.Tracked(r.TAG) {
-				d.spans.Point(span.KindRspWait, d.ID, -1, v.ID, r.TAG, d.cycle, 0)
+			if d.obs != nil {
+				d.observe(Event{Stage: StageRspWait, Flight: f, Link: -1, Vault: v.ID})
 			}
 			break
 		}
@@ -140,55 +130,22 @@ func (d *Device) execVault(i int) {
 			b.Ops++
 		}
 
-		rsp := d.executeRqst(v, f, info, loc, locErr)
-		if d.spans != nil && d.spans.Tracked(r.TAG) {
-			// Dispatch and execution happen in the same cycle; a posted
-			// command (no response) closes its span here.
-			var errstat uint8
-			if rsp != nil {
-				errstat = rsp.ERRSTAT
-			}
-			d.spans.Execute(d.ID, v.ID, r.TAG, d.cycle, errstat, rsp == nil)
+		// f.Rqst stays attached so Recv can recycle the adopted request
+		// into the device pool along with the envelope.
+		f.Rsp = d.executeRqst(v, f, info, loc, locErr)
+		if d.obs != nil {
+			d.observe(Event{Stage: StageExecute, Flight: f, Link: -1, Vault: v.ID, Arg: bankOf(loc, locErr)})
 		}
-		if d.ExecHook != nil {
-			rspFlits := 0
-			if rsp != nil {
-				rspFlits = int(rsp.LNG)
-			}
-			rqstFlits := int(r.LNG)
-			if rqstFlits == 0 {
-				rqstFlits = int(info.RqstFlits)
-			}
-			d.ExecHook(info.Class, rqstFlits, rspFlits, dramBlocksOf(info))
-		}
-		if d.tracer.Enabled(trace.LevelRqst) {
-			d.tracer.Emit(trace.Event{
-				Cycle: d.cycle, Kind: trace.LevelRqst,
-				Dev: d.ID, Quad: v.Quad, Vault: v.ID, Bank: bankOf(loc, locErr),
-				Cmd: r.Cmd.String(), Tag: r.TAG, Addr: r.ADRS,
-			})
-		}
-		if rsp == nil {
+		if f.Rsp == nil {
 			// Posted or flow: no response packet — the envelope and the
 			// adopted request die here.
 			d.putRqst(r)
 			d.putFlight(f)
 			continue
 		}
-		f.Rsp = rsp
-		// f.Rqst stays attached so Recv can recycle the adopted request
-		// into the device pool along with the envelope.
 		// Space was checked above; a failed push here is a programming
 		// error surfaced by queue stats in tests.
 		_ = v.rsp.Push(f)
-		if d.tracer.Enabled(trace.LevelRsp) {
-			d.tracer.Emit(trace.Event{
-				Cycle: d.cycle, Kind: trace.LevelRsp,
-				Dev: d.ID, Quad: v.Quad, Vault: v.ID, Bank: bankOf(loc, locErr),
-				Cmd: rsp.Cmd.String(), Tag: rsp.TAG, Addr: r.ADRS,
-				Value: uint64(rsp.ERRSTAT),
-			})
-		}
 	}
 	if v.rqst.Empty() {
 		clearBit(d.vaultRqstMask, i)
@@ -199,7 +156,7 @@ func (d *Device) execVault(i int) {
 }
 
 // dramBlocksOf returns the number of 16-byte DRAM blocks an executed
-// command touches, for energy accounting.
+// command touches, for energy accounting (PowerSink).
 func dramBlocksOf(info *hmccmd.Info) int {
 	switch info.Class {
 	case hmccmd.ClassRead, hmccmd.ClassWrite, hmccmd.ClassPostedWrite:
@@ -306,8 +263,8 @@ func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Lo
 
 // executeCMC dispatches a custom memory cube request against the device's
 // registration table (paper Figure 3): inactive commands yield an error
-// response, active commands run the user's execute function and are
-// traced under the op's registered name.
+// response, active commands run the user's execute function (the trace
+// sink names them by the op's registered name).
 func (d *Device) executeCMC(v *Vault, f *Flight, loc addr.Location, locErr error) *packet.Rsp {
 	r := f.Rqst
 	slot, ok := d.cmcTab.Slot(r.Cmd.Code())
@@ -356,13 +313,6 @@ func (d *Device) executeCMC(v *Vault, f *Flight, loc addr.Location, locErr error
 		packet.PutRsp(rsp)
 		d.regs.PostError(ErrBitCMCFault)
 		return d.errorRsp(f, ErrstatCMCFault)
-	}
-	if d.tracer.Enabled(trace.LevelCMC) {
-		d.tracer.Emit(trace.Event{
-			Cycle: d.cycle, Kind: trace.LevelCMC,
-			Dev: d.ID, Quad: v.Quad, Vault: v.ID, Bank: loc.Bank,
-			Cmd: slot.Op.Str(), Tag: r.TAG, Addr: r.ADRS,
-		})
 	}
 	if rsp == nil {
 		return nil // posted CMC operation

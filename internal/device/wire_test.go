@@ -58,7 +58,7 @@ func encode(t *testing.T, r *packet.Rqst) []uint64 {
 // device: every response it builds must encode back to wire words, and
 // the decoded read response must carry the written data back.
 func TestWireRoundTrip(t *testing.T) {
-	d, err := New(0, config.FourLink4GB(), nil)
+	d, err := New(0, config.FourLink4GB())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestWireRoundTrip(t *testing.T) {
 // device, and the request already adopted from the same scratch executes
 // untouched.
 func TestWireRejectsCorruptPackets(t *testing.T) {
-	d, err := New(0, config.FourLink4GB(), nil)
+	d, err := New(0, config.FourLink4GB())
 	if err != nil {
 		t.Fatal(err)
 	}

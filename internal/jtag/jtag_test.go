@@ -10,7 +10,7 @@ import (
 
 func newPort(t *testing.T) *Port {
 	t.Helper()
-	dev, err := device.New(1, config.FourLink4GB(), nil)
+	dev, err := device.New(1, config.FourLink4GB())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -92,11 +92,10 @@ func WithSampler(sm *metrics.Sampler) Option {
 // WithSpans attaches a request-lifecycle span tracer (span.New): every
 // device and the topology record cycle-stamped pipeline-stage events
 // for the requests the tracer samples, into its fixed-capacity flight
-// recorder. Purely observational — simulation results are bit-identical
-// with spans on or off — and with no tracer attached the hot path pays
-// a single nil check per hook. When combined with WithMetrics, the
-// tracer also feeds per-stage hmc_stage_cycles histograms into the
-// registry.
+// recorder, which the caller keeps and reads after the run. Purely
+// observational — simulation results are bit-identical with spans on
+// or off. When combined with WithMetrics, the tracer also feeds
+// per-stage hmc_stage_cycles histograms into the registry.
 func WithSpans(t *span.Tracer) Option {
 	return func(o *options) { o.spans = t }
 }
@@ -119,7 +118,6 @@ type Simulator struct {
 	reg       *metrics.Registry
 	sampler   *metrics.Sampler
 	faultPlan fault.Plan
-	spans     *span.Tracer
 	cycle     uint64
 
 	// Wire-level scratch: SendWire decodes into wireRqst (adopted by the
@@ -135,19 +133,13 @@ func New(cfg config.Config, opts ...Option) (*Simulator, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	tp, err := topo.New(o.kind, o.devices, cfg, o.tracer)
+	tp, err := topo.New(o.kind, o.devices, cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Simulator{cfg: cfg, topo: tp}
+	s := &Simulator{cfg: cfg, topo: tp, pm: o.powerModel, reg: o.metricsReg, sampler: o.sampler}
 	if o.eventOff {
 		tp.SetEventDriven(false)
-	}
-	s.pm = o.powerModel
-	if s.pm != nil {
-		for _, d := range tp.Devices() {
-			d.ExecHook = s.pm.ChargeRequest
-		}
 	}
 	if o.faultPlan != nil {
 		s.faultPlan = *o.faultPlan
@@ -157,23 +149,30 @@ func New(cfg config.Config, opts ...Option) (*Simulator, error) {
 			}
 		}
 	}
-	if o.spans != nil {
-		s.spans = o.spans
-		tp.SetSpans(o.spans)
-	}
-	if o.metricsReg != nil {
-		s.reg = o.metricsReg
-		for _, d := range tp.Devices() {
-			d.RegisterMetrics(s.reg)
+	// Each observer is one sink of every device's pipeline events.
+	for _, d := range tp.Devices() {
+		if o.tracer != nil {
+			d.Observe(device.TraceSink(d, o.tracer))
+		}
+		if o.spans != nil {
+			d.Observe(device.SpanSink(d, o.spans))
 		}
 		if s.pm != nil {
-			s.pm.RegisterMetrics(s.reg)
+			d.Observe(device.PowerSink(s.pm))
 		}
-		if s.spans != nil {
-			s.spans.RegisterMetrics(s.reg)
+		if s.reg != nil {
+			d.RegisterMetrics(s.reg)
 		}
 	}
-	s.sampler = o.sampler
+	if o.spans != nil {
+		tp.SetSpans(o.spans) // the inter-cube hop events
+		if s.reg != nil {
+			o.spans.RegisterMetrics(s.reg)
+		}
+	}
+	if s.pm != nil && s.reg != nil {
+		s.pm.RegisterMetrics(s.reg)
+	}
 	return s, nil
 }
 
@@ -400,12 +399,6 @@ func (s *Simulator) Metrics() *metrics.Registry { return s.reg }
 // Sampler returns the time-series sampler attached via WithSampler, or
 // nil. Drivers use it to force a final sample at run end before flushing.
 func (s *Simulator) Sampler() *metrics.Sampler { return s.sampler }
-
-// Spans returns the request-lifecycle span tracer attached via
-// WithSpans, or nil when span tracing is disabled. Drivers dump its
-// flight recorder (Events, WritePerfetto) or attribution table
-// (Attribution) after the run.
-func (s *Simulator) Spans() *span.Tracer { return s.spans }
 
 // Links returns the number of host links.
 func (s *Simulator) Links() int { return s.cfg.Links }

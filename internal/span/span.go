@@ -10,7 +10,7 @@
 // wraps, the oldest events are overwritten (Dropped counts them). Which
 // requests are tracked is decided once, at host send, by TAG modulo
 // sampling (Config.SampleMod) or by explicit arming (TraceNext); every
-// later pipeline hook is a single bitmap read for untracked tags.
+// later event of an untracked tag is a single bitmap read.
 //
 // The recorded events reconstruct, per request, a chain of stage
 // transitions whose cycle deltas telescope exactly to the end-to-end
@@ -18,12 +18,12 @@
 // ring into a Chrome/Perfetto trace (WritePerfetto) or a per-stage
 // latency-attribution table (Attribute).
 //
-// Concurrency: a tracer passed as a simulator option may be shared by
-// simulators clocking on different goroutines (a sweep hands the same
-// options to every worker), so all recorder state mutates under one
-// mutex. Tracked is a lock-free read: the tracking bitmap is written
-// only from the host side (Send/Recv) or under the mutex (posted
-// completions).
+// Concurrency: a tracer records one simulator at a time, on the
+// goroutine that clocks it — simulators on other goroutines would
+// collide in its per-tag state, so a sweep carrying a tracer runs its
+// points on one worker. Recorder state mutates under one mutex, so
+// another goroutine may read the ring (Events, Attribution) while a run
+// records.
 package span
 
 import (
@@ -223,9 +223,8 @@ func (t *Tracer) TraceNext(n int) {
 	t.mu.Unlock()
 }
 
-// Tracked reports whether tag has an open tracked span. It is the
-// lock-free guard every pipeline hook checks before paying for an
-// emit.
+// Tracked reports whether tag has an open tracked span, without
+// taking the lock.
 func (t *Tracer) Tracked(tag uint16) bool { return t.tracked[tag&packet.MaxTag] }
 
 // decide consumes the arming budget or applies the TAG modulo. Called
@@ -256,25 +255,6 @@ func (t *Tracer) observeStage(s StageID, delta uint64) {
 	}
 }
 
-// stage appends a stage-transition event and advances the tag's stage
-// clock, attributing the elapsed cycles to the ending stage.
-func (t *Tracer) stage(kind Kind, dev, link, vault int, tag uint16, cycle uint64, class uint8, arg uint32) {
-	i := tag & packet.MaxTag
-	t.append(Event{Cycle: cycle, Tag: tag, Kind: kind, Class: class,
-		Dev: int16(dev), Link: int16(link), Vault: int16(vault), Arg: arg})
-	t.observeStage(stageOf(kind, t.forwarded[i]), cycle-t.lastCycle[i])
-	t.lastCycle[i] = cycle
-}
-
-// open starts a tracked span for tag. Called with the mutex held.
-func (t *Tracer) open(tag uint16, cycle uint64, forwarded bool) {
-	i := tag & packet.MaxTag
-	t.tracked[i] = true
-	t.forwarded[i] = forwarded
-	t.openCycle[i] = cycle
-	t.lastCycle[i] = cycle
-}
-
 // close finishes tag's span: anomaly check, completion count, total
 // histogram. Called with the mutex held.
 func (t *Tracer) close(tag uint16, cycle uint64) {
@@ -296,106 +276,41 @@ func (t *Tracer) close(tag uint16, cycle uint64) {
 	t.forwarded[i] = false
 }
 
-// Begin records a request entering a host link queue. On the first
-// sight of the tag it runs the sampling decision and opens the span;
-// for a tag already tracked (a topology-forwarded request arriving at
-// its remote cube) it records the hop-stage end instead.
-func (t *Tracer) Begin(dev, link int, tag uint16, class uint8, cycle uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+// Record records one lifecycle event of the request tagged tag, for
+// the device's span sink and the topology's hop hooks alike. An opening
+// kind (KindHostSend, KindTopoForward) on an untracked tag runs the
+// sampling decision and opens the span; any other kind on an untracked
+// tag is one lock-free bitmap read. Stage kinds attribute the cycles
+// since the tag's previous stage event; markers leave that clock alone.
+// KindExecute with ArgPosted, KindHostRecv of an unforwarded request
+// and KindTopoArrive close the span. Callers pass the command class on
+// opening kinds and zero elsewhere.
+func (t *Tracer) Record(kind Kind, dev, link, vault int, tag uint16, class uint8, cycle uint64, arg uint32) {
 	i := tag & packet.MaxTag
+	opens := kind == KindHostSend || kind == KindTopoForward
+	if !opens && !t.tracked[i] {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if !t.tracked[i] {
-		if !t.decide(tag) {
+		if !opens || !t.decide(tag) {
 			return
 		}
-		t.open(tag, cycle, false)
+		t.tracked[i], t.forwarded[i] = true, kind == KindTopoForward
+		t.openCycle[i], t.lastCycle[i] = cycle, cycle
 	}
-	t.stage(KindHostSend, dev, link, -1, tag, cycle, class, 0)
-}
-
-// Forward records a request entering the inter-cube hop-delay path,
-// running the sampling decision and opening the span for remote
-// requests.
-func (t *Tracer) Forward(link int, tag uint16, class uint8, hops int, cycle uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.tracked[tag&packet.MaxTag] {
-		if !t.decide(tag) {
-			return
-		}
-		t.open(tag, cycle, true)
-	}
-	t.stage(KindTopoForward, -1, link, -1, tag, cycle, class, uint32(hops))
-}
-
-// Stage records one stage transition for a tracked tag; untracked tags
-// are ignored (callers check Tracked first anyway, to skip the lock).
-func (t *Tracer) Stage(kind Kind, dev, link, vault int, tag uint16, cycle uint64, arg uint32) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.tracked[tag&packet.MaxTag] {
-		return
-	}
-	t.stage(kind, dev, link, vault, tag, cycle, 0, arg)
-}
-
-// Execute records vault dispatch and execution. posted closes the span
-// (no response will ever arrive); errstat carries the response status.
-func (t *Tracer) Execute(dev, vault int, tag uint16, cycle uint64, errstat uint8, posted bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.tracked[tag&packet.MaxTag] {
-		return
-	}
-	arg := uint32(errstat)
-	if posted {
-		arg |= ArgPosted
-	}
-	t.stage(KindExecute, dev, -1, vault, tag, cycle, 0, arg)
-	if posted {
-		t.close(tag, cycle)
-	}
-}
-
-// End records the host popping the response on a device link. For
-// locally serviced requests it closes the span; for forwarded requests
-// the pop happens on the remote cube and the span stays open until the
-// response's return hops mature (Arrive).
-func (t *Tracer) End(dev, link int, tag uint16, cycle uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.tracked[tag&packet.MaxTag] {
-		return
-	}
-	t.stage(KindHostRecv, dev, link, -1, tag, cycle, 0, 0)
-	if !t.forwarded[tag&packet.MaxTag] {
-		t.close(tag, cycle)
-	}
-}
-
-// Arrive records a forwarded response maturing at the host and closes
-// the span.
-func (t *Tracer) Arrive(link int, tag uint16, cycle uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.tracked[tag&packet.MaxTag] {
-		return
-	}
-	t.stage(KindTopoArrive, -1, link, -1, tag, cycle, 0, 0)
-	t.close(tag, cycle)
-}
-
-// Point records a zero-width marker (stall, fault, retry-buffer wait)
-// without touching the stage clock.
-func (t *Tracer) Point(kind Kind, dev, link, vault int, tag uint16, cycle uint64, arg uint32) {
-	t.mu.Lock()
-	if !t.tracked[tag&packet.MaxTag] {
-		t.mu.Unlock()
-		return
-	}
-	t.append(Event{Cycle: cycle, Tag: tag, Kind: kind,
+	t.append(Event{Cycle: cycle, Tag: tag, Kind: kind, Class: class,
 		Dev: int16(dev), Link: int16(link), Vault: int16(vault), Arg: arg})
-	t.mu.Unlock()
+	if kind.Marker() {
+		return
+	}
+	t.observeStage(stageOf(kind, t.forwarded[i]), cycle-t.lastCycle[i])
+	t.lastCycle[i] = cycle
+	if kind == KindExecute && arg&ArgPosted != 0 ||
+		kind == KindHostRecv && !t.forwarded[i] || kind == KindTopoArrive {
+		t.close(tag, cycle)
+	}
 }
 
 // Events returns the recorded events, oldest first. The slice is a

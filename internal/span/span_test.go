@@ -14,21 +14,21 @@ import (
 // (with one bank-wait marker), response drain +1, egress +1, host recv
 // +1 — 7 cycles end to end.
 func record(t *Tracer, tag uint16, c0 uint64) {
-	t.Begin(0, 0, tag, uint8(hmccmd.ClassRead), c0)
-	t.Stage(KindLinkIngress, 0, 0, -1, tag, c0+1, 0)
-	t.Stage(KindVaultEnq, 0, -1, 3, tag, c0+2, 0)
-	t.Point(KindBankWait, 0, -1, 3, tag, c0+3, 0)
-	t.Execute(0, 3, tag, c0+4, 0, false)
-	t.Stage(KindRspXbar, 0, 0, 3, tag, c0+5, 0)
-	t.Stage(KindRspEgress, 0, 0, -1, tag, c0+6, 0)
-	t.End(0, 0, tag, c0+7)
+	t.Record(KindHostSend, 0, 0, -1, tag, uint8(hmccmd.ClassRead), c0, 0)
+	t.Record(KindLinkIngress, 0, 0, -1, tag, 0, c0+1, 0)
+	t.Record(KindVaultEnq, 0, -1, 3, tag, 0, c0+2, 0)
+	t.Record(KindBankWait, 0, -1, 3, tag, 0, c0+3, 0)
+	t.Record(KindExecute, 0, -1, 3, tag, 0, c0+4, 0)
+	t.Record(KindRspXbar, 0, 0, 3, tag, 0, c0+5, 0)
+	t.Record(KindRspEgress, 0, 0, -1, tag, 0, c0+6, 0)
+	t.Record(KindHostRecv, 0, 0, -1, tag, 0, c0+7, 0)
 }
 
 func TestLifecycleAndAttributionSum(t *testing.T) {
 	tr := New(Config{})
 	record(tr, 5, 100)
 	if tr.Tracked(5) {
-		t.Fatal("span should close at End")
+		t.Fatal("span should close at host recv")
 	}
 	if got := tr.Completed(); got != 1 {
 		t.Fatalf("Completed = %d, want 1", got)
@@ -77,7 +77,7 @@ func TestLifecycleAndAttributionSum(t *testing.T) {
 func TestTagModuloSampling(t *testing.T) {
 	tr := New(Config{SampleMod: 4})
 	for tag := uint16(0); tag < 8; tag++ {
-		tr.Begin(0, 0, tag, 0, 10)
+		tr.Record(KindHostSend, 0, 0, -1, tag, 0, 10, 0)
 		if got, want := tr.Tracked(tag), tag%4 == 0; got != want {
 			t.Fatalf("tag %d tracked = %v, want %v", tag, got, want)
 		}
@@ -92,8 +92,8 @@ func TestTraceNextArming(t *testing.T) {
 	tr := New(Config{SampleMod: 1 << 20}) // modulo tracks only tag 0
 	tr.TraceNext(2)
 	for tag := uint16(1); tag <= 3; tag++ {
-		tr.Begin(0, 0, tag, 0, 1)
-		tr.End(0, 0, tag, 2)
+		tr.Record(KindHostSend, 0, 0, -1, tag, 0, 1, 0)
+		tr.Record(KindHostRecv, 0, 0, -1, tag, 0, 2, 0)
 	}
 	// Tags 1 and 2 consumed the armed budget; tag 3 fell back to the
 	// modulo and was not tracked.
@@ -148,10 +148,10 @@ func TestAnomalyThreshold(t *testing.T) {
 
 func TestPostedExecuteClosesSpan(t *testing.T) {
 	tr := New(Config{})
-	tr.Begin(0, 0, 9, uint8(hmccmd.ClassPostedWrite), 10)
-	tr.Stage(KindLinkIngress, 0, 0, -1, 9, 11, 0)
-	tr.Stage(KindVaultEnq, 0, -1, 1, 9, 12, 0)
-	tr.Execute(0, 1, 9, 13, 0, true)
+	tr.Record(KindHostSend, 0, 0, -1, 9, uint8(hmccmd.ClassPostedWrite), 10, 0)
+	tr.Record(KindLinkIngress, 0, 0, -1, 9, 0, 11, 0)
+	tr.Record(KindVaultEnq, 0, -1, 1, 9, 0, 12, 0)
+	tr.Record(KindExecute, 0, -1, 1, 9, 0, 13, ArgPosted)
 	if tr.Tracked(9) {
 		t.Fatal("posted execute must close the span")
 	}
@@ -165,18 +165,18 @@ func TestForwardedSpanLifecycle(t *testing.T) {
 	tr := New(Config{})
 	// Remote request: topo forward at 0 (2 hops), remote send at 2,
 	// pipeline 3 cycles, remote recv at 5, return arrival at 7.
-	tr.Forward(0, 7, uint8(hmccmd.ClassRead), 2, 0)
-	tr.Begin(1, 0, 7, uint8(hmccmd.ClassRead), 2)
-	tr.Stage(KindLinkIngress, 1, 0, -1, 7, 3, 0)
-	tr.Stage(KindVaultEnq, 1, -1, 0, 7, 4, 0)
-	tr.Execute(1, 0, 7, 5, 0, false)
-	tr.End(1, 0, 7, 5)
+	tr.Record(KindTopoForward, -1, 0, -1, 7, uint8(hmccmd.ClassRead), 0, 2)
+	tr.Record(KindHostSend, 1, 0, -1, 7, uint8(hmccmd.ClassRead), 2, 0)
+	tr.Record(KindLinkIngress, 1, 0, -1, 7, 0, 3, 0)
+	tr.Record(KindVaultEnq, 1, -1, 0, 7, 0, 4, 0)
+	tr.Record(KindExecute, 1, -1, 0, 7, 0, 5, 0)
+	tr.Record(KindHostRecv, 1, 0, -1, 7, 0, 5, 0)
 	if !tr.Tracked(7) {
 		t.Fatal("remote HostRecv must not close a forwarded span")
 	}
-	tr.Arrive(0, 7, 7)
+	tr.Record(KindTopoArrive, -1, 0, -1, 7, 0, 7, 0)
 	if tr.Tracked(7) {
-		t.Fatal("Arrive must close the forwarded span")
+		t.Fatal("topo arrival must close the forwarded span")
 	}
 	a := tr.Attribution()
 	if a.Spans != 1 || a.TotalCycles != 7 {
@@ -198,13 +198,13 @@ func TestForwardedSpanLifecycle(t *testing.T) {
 
 func TestEmitZeroAlloc(t *testing.T) {
 	tr := New(Config{Capacity: 1 << 12})
-	tr.Begin(0, 0, 1, 0, 0)
+	tr.Record(KindHostSend, 0, 0, -1, 1, 0, 0, 0)
 	cycle := uint64(1)
 	// Appends into the preallocated ring must never allocate, including
 	// across wrap-around.
 	allocs := testing.AllocsPerRun(5000, func() {
-		tr.Stage(KindLinkIngress, 0, 0, -1, 1, cycle, 0)
-		tr.Point(KindBankWait, 0, -1, 2, 1, cycle, 0)
+		tr.Record(KindLinkIngress, 0, 0, -1, 1, 0, cycle, 0)
+		tr.Record(KindBankWait, 0, -1, 2, 1, 0, cycle, 0)
 		cycle++
 	})
 	if allocs != 0 {

@@ -50,7 +50,7 @@ func TestTopoClockNEquivalence(t *testing.T) {
 // TestTopoClockNSingleFastPath pins the single-cube fast path: ClockN
 // must advance the clock and the device identically to n Clock calls.
 func TestTopoClockNSingleFastPath(t *testing.T) {
-	tp, err := New(KindSingle, 1, config.TwoGBDev(), nil)
+	tp, err := New(KindSingle, 1, config.TwoGBDev())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // layer, invisible to the host beyond added latency.
 func TestChainFaultsOnInterCubeLink(t *testing.T) {
 	cfg := config.FourLink4GB()
-	tp, err := New(KindChain, 2, cfg, nil)
+	tp, err := New(KindChain, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestChainFaultsOnInterCubeLink(t *testing.T) {
 // identical fault counters across runs.
 func TestChainFaultDeterminism(t *testing.T) {
 	run := func() (uint64, uint64) {
-		tp, err := New(KindChain, 2, config.TwoGBDev(), nil)
+		tp, err := New(KindChain, 2, config.TwoGBDev())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/packet"
 	"repro/internal/span"
-	"repro/internal/trace"
 )
 
 // Kind selects the inter-cube wiring.
@@ -109,15 +108,15 @@ type Topology struct {
 	// capacity.
 	rqstFree []*packet.Rqst
 
-	// spans, when non-nil, is the request-lifecycle flight recorder
-	// shared with every device (SetSpans): the topology contributes the
+	// spans, when non-nil, is the request-lifecycle flight recorder the
+	// devices' span sinks also feed (SetSpans): the topology records the
 	// inter-cube hop events (forward departure, return arrival).
 	spans *span.Tracer
 }
 
-// New builds n identically configured devices wired as kind. A nil tracer
-// disables tracing.
-func New(kind Kind, n int, cfg config.Config, tracer trace.Tracer) (*Topology, error) {
+// New builds n identically configured devices wired as kind, with no
+// observers attached.
+func New(kind Kind, n int, cfg config.Config) (*Topology, error) {
 	if n < 1 || n > config.MaxDevs {
 		return nil, fmt.Errorf("%w: %d", ErrBadCount, n)
 	}
@@ -126,7 +125,7 @@ func New(kind Kind, n int, cfg config.Config, tracer trace.Tracer) (*Topology, e
 	}
 	t := &Topology{kind: kind}
 	for i := 0; i < n; i++ {
-		d, err := device.New(i, cfg, tracer)
+		d, err := device.New(i, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -147,18 +146,11 @@ func New(kind Kind, n int, cfg config.Config, tracer trace.Tracer) (*Topology, e
 // for debugging and for the equivalence suite's reference runs.
 func (t *Topology) SetEventDriven(on bool) { t.eventOff = !on }
 
-// SetSpans attaches one request-lifecycle span tracer to the topology
-// and every device in it; nil detaches. Purely observational — results
-// are bit-identical with or without it.
-func (t *Topology) SetSpans(tr *span.Tracer) {
-	t.spans = tr
-	for _, d := range t.devs {
-		d.SetSpans(tr)
-	}
-}
-
-// Spans returns the attached span tracer, nil when tracing is off.
-func (t *Topology) Spans() *span.Tracer { return t.spans }
+// SetSpans makes the topology record its inter-cube hop events into a
+// span tracer; nil stops it. The devices record their own stages
+// through their span sinks (device.SpanSink). Purely observational —
+// results are bit-identical with or without it.
+func (t *Topology) SetSpans(tr *span.Tracer) { t.spans = tr }
 
 // Devices returns the topology's devices; device 0 is host-attached.
 func (t *Topology) Devices() []*device.Device { return t.devs }
@@ -225,10 +217,10 @@ func (t *Topology) Send(link int, r *packet.Rqst) error {
 	})
 	t.ForwardedRqsts++
 	if t.spans != nil {
-		// Forward makes the tracking decision and opens the span for
-		// remote requests; the remote device's Send then records the
-		// hop-stage end, and Arrive (below) closes after the return hops.
-		t.spans.Forward(link, r.TAG, uint8(r.Cmd.InfoRef().Class), hops, t.cycle)
+		// Opens the span of a remote request; the remote device's Send
+		// ends the hop stage, and the arrival (Recv) closes the span.
+		t.spans.Record(span.KindTopoForward, -1, link, -1, r.TAG,
+			uint8(r.Cmd.InfoRef().Class), t.cycle, uint32(hops))
 	}
 	return nil
 }
@@ -264,8 +256,8 @@ func (t *Topology) Recv(link int) (*packet.Rsp, bool) {
 	h := t.rspHead[link]
 	if h < len(q) && q[h].deliverAt <= t.cycle {
 		rsp := q[h].rsp
-		if t.spans != nil && t.spans.Tracked(rsp.TAG) {
-			t.spans.Arrive(link, rsp.TAG, t.cycle)
+		if t.spans != nil {
+			t.spans.Record(span.KindTopoArrive, -1, link, -1, rsp.TAG, 0, t.cycle, 0)
 		}
 		q[h].rsp = nil // release the head entry's packet reference
 		h++

@@ -11,7 +11,7 @@ import (
 
 func newChain(t *testing.T, n int) *Topology {
 	t.Helper()
-	tp, err := New(KindChain, n, config.TwoGBDev(), nil)
+	tp, err := New(KindChain, n, config.TwoGBDev())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,14 +40,14 @@ func TestHops(t *testing.T) {
 	if chain.Hops(0, 3) != 3 || chain.Hops(2, 1) != 1 || chain.Hops(1, 1) != 0 {
 		t.Error("chain hop counts wrong")
 	}
-	star, err := New(KindStar, 4, config.TwoGBDev(), nil)
+	star, err := New(KindStar, 4, config.TwoGBDev())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if star.Hops(0, 3) != 1 || star.Hops(1, 2) != 2 {
 		t.Error("star hop counts wrong")
 	}
-	ring, err := New(KindRing, 6, config.TwoGBDev(), nil)
+	ring, err := New(KindRing, 6, config.TwoGBDev())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,16 +110,16 @@ func TestBadCUB(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(KindChain, 0, config.TwoGBDev(), nil); !errors.Is(err, ErrBadCount) {
+	if _, err := New(KindChain, 0, config.TwoGBDev()); !errors.Is(err, ErrBadCount) {
 		t.Errorf("zero devices: %v", err)
 	}
-	if _, err := New(KindChain, 9, config.TwoGBDev(), nil); !errors.Is(err, ErrBadCount) {
+	if _, err := New(KindChain, 9, config.TwoGBDev()); !errors.Is(err, ErrBadCount) {
 		t.Errorf("nine devices: %v", err)
 	}
-	if _, err := New(KindSingle, 2, config.TwoGBDev(), nil); !errors.Is(err, ErrBadCount) {
+	if _, err := New(KindSingle, 2, config.TwoGBDev()); !errors.Is(err, ErrBadCount) {
 		t.Errorf("single with 2: %v", err)
 	}
-	if _, err := New(KindChain, 2, config.Config{}, nil); err == nil {
+	if _, err := New(KindChain, 2, config.Config{}); err == nil {
 		t.Error("bad config accepted")
 	}
 }
@@ -171,7 +171,7 @@ func TestInterleavedRemoteTraffic(t *testing.T) {
 func TestRingTrafficBothDirections(t *testing.T) {
 	// In a 6-cube ring, cube 5 is one hop from cube 0 (wrapping), cube 3
 	// is three hops; round trips reflect that.
-	tp, err := New(KindRing, 6, config.TwoGBDev(), nil)
+	tp, err := New(KindRing, 6, config.TwoGBDev())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestRingTrafficBothDirections(t *testing.T) {
 func TestStarRemoteToRemote(t *testing.T) {
 	// Star topology: leaf cubes are two hops apart through the hub, so a
 	// request to cube 2 pays 1 hop (host is attached to hub cube 0).
-	tp, err := New(KindStar, 3, config.TwoGBDev(), nil)
+	tp, err := New(KindStar, 3, config.TwoGBDev())
 	if err != nil {
 		t.Fatal(err)
 	}

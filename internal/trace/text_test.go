@@ -13,7 +13,7 @@ import (
 // randomEvent builds an event exercising every formatted field,
 // including the -1 coordinate convention and empty/non-empty details.
 func randomEvent(rng *rand.Rand) Event {
-	kinds := []Level{LevelBank, LevelQueue, LevelLatency, LevelStall, LevelRqst, LevelRsp, LevelCMC, LevelPower}
+	kinds := []Level{LevelBank, LevelLatency, LevelStall, LevelRqst, LevelRsp, LevelCMC}
 	e := Event{
 		Cycle: rng.Uint64() % 1_000_000,
 		Kind:  kinds[rng.Intn(len(kinds))],

@@ -8,8 +8,10 @@
 // command".
 //
 // Tracing is organized as a bitmask of event levels and pluggable sinks: a
-// human-readable text writer, a machine-readable JSONL writer, an
-// in-memory recorder for tests, and a no-op sink for hot simulations.
+// human-readable text writer, a machine-readable JSONL writer and an
+// in-memory recorder for tests. A device feeds a sink through its trace
+// observer (device.TraceSink); with no tracer attached it builds no
+// records at all.
 package trace
 
 import (
@@ -26,28 +28,26 @@ import (
 // simulator's trace-level macros.
 type Level uint32
 
-// Trace levels.
+// Trace levels. JSONL records carry the number, so the values are
+// fixed: 2 and 128 belonged to queue and power levels that nothing
+// emitted and are not reused.
 const (
 	// LevelBank traces bank conflicts and bank busy stalls.
-	LevelBank Level = 1 << iota
-	// LevelQueue traces queue-depth high-water events.
-	LevelQueue
+	LevelBank Level = 1
 	// LevelLatency traces per-packet end-to-end latency at response
 	// delivery.
-	LevelLatency
+	LevelLatency Level = 4
 	// LevelStall traces send-side and internal pipeline stalls.
-	LevelStall
+	LevelStall Level = 8
 	// LevelRqst traces request packet processing.
-	LevelRqst
+	LevelRqst Level = 16
 	// LevelRsp traces response packet construction.
-	LevelRsp
+	LevelRsp Level = 32
 	// LevelCMC traces custom memory cube operation execution.
-	LevelCMC
-	// LevelPower traces per-operation energy estimates (extension).
-	LevelPower
+	LevelCMC Level = 64
 
 	// LevelAll enables every category.
-	LevelAll Level = 1<<iota - 1
+	LevelAll = LevelBank | LevelLatency | LevelStall | LevelRqst | LevelRsp | LevelCMC
 )
 
 var levelNames = []struct {
@@ -55,13 +55,11 @@ var levelNames = []struct {
 	name string
 }{
 	{LevelBank, "BANK"},
-	{LevelQueue, "QUEUE"},
 	{LevelLatency, "LATENCY"},
 	{LevelStall, "STALL"},
 	{LevelRqst, "RQST"},
 	{LevelRsp, "RSP"},
 	{LevelCMC, "CMC"},
-	{LevelPower, "POWER"},
 }
 
 // String renders the level set as a "+"-joined list of category names.
@@ -128,8 +126,8 @@ type Event struct {
 	Tag uint16 `json:"tag"`
 	// Addr is the target address, if any.
 	Addr uint64 `json:"addr"`
-	// Value carries an event-specific quantity (latency cycles, queue
-	// depth, energy picojoules).
+	// Value carries an event-specific quantity (latency cycles for
+	// LATENCY, the response ERRSTAT for RSP).
 	Value uint64 `json:"value,omitempty"`
 	// Detail is a freeform annotation.
 	Detail string `json:"detail,omitempty"`
@@ -144,15 +142,6 @@ type Tracer interface {
 	// Emit records one event.
 	Emit(Event)
 }
-
-// Nop is a Tracer that collects nothing.
-type Nop struct{}
-
-// Enabled always reports false.
-func (Nop) Enabled(Level) bool { return false }
-
-// Emit discards the event.
-func (Nop) Emit(Event) {}
 
 func kindName(l Level) string {
 	for _, ln := range levelNames {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/sim"
+	"repro/internal/span"
 )
 
 // TestSessionPoolRecycles pins the pool contract: a Put Session comes
@@ -127,6 +128,10 @@ func TestMutexSweepPooledAllocFloor(t *testing.T) {
 // under -race this catches any state those simulators share without
 // synchronization. The parallel sweep must equal the serial one on
 // both paper presets.
+//
+// A sweep with a span recorder builds a fresh simulator per point, all
+// feeding the one recorder: asked for four workers it must still record
+// exactly the events of a one-worker sweep, in the same order.
 func TestMutexSweepParallelMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for i, cfg := range []config.Config{config.FourLink4GB(), config.EightLink8GB()} {
@@ -141,5 +146,26 @@ func TestMutexSweepParallelMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(par, ser) {
 			t.Errorf("preset %d: parallel sweep diverges from serial:\nparallel: %+v\nserial:   %+v", i, par, ser)
 		}
+	}
+
+	traced := func(workers int) (MutexSweepResult, []span.Event) {
+		tr := span.New(span.Config{Capacity: 1 << 16})
+		res, err := MutexSweepParallel(config.FourLink4GB(), 2, 9, 0x40, workers, sim.WithSpans(tr))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr.Dropped() != 0 {
+			t.Fatalf("span ring dropped %d events", tr.Dropped())
+		}
+		return res, tr.Events()
+	}
+	parRes, parEvents := traced(4)
+	serRes, serEvents := traced(1)
+	if !reflect.DeepEqual(parRes, serRes) {
+		t.Errorf("span-traced sweep: 4 workers diverge from 1:\nparallel: %+v\nserial:   %+v", parRes, serRes)
+	}
+	if len(serEvents) == 0 || !reflect.DeepEqual(parEvents, serEvents) {
+		t.Errorf("span-traced sweep: 4 workers recorded %d events, 1 worker %d; the streams differ",
+			len(parEvents), len(serEvents))
 	}
 }

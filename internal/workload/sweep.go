@@ -27,7 +27,7 @@ func sweepWorkers(workers, n int) int {
 	return workers
 }
 
-// RunIndexed executes n independent jobs across a bounded pool of
+// RunIndexedPooled executes n independent jobs across a bounded pool of
 // workers and returns the results in index order. workers <= 0 selects
 // one worker per schedulable core (GOMAXPROCS); on a single-proc host
 // the jobs run serially on the calling goroutine regardless of the
@@ -35,24 +35,12 @@ func sweepWorkers(workers, n int) int {
 // fail, the error of the lowest index is returned, so the outcome is
 // deterministic regardless of scheduling.
 //
-// Sweep points are embarrassingly parallel — each builds its own
-// simulator, memory and agents — which is what makes regenerating the
-// paper's Figures 5-7 (hundreds of full simulations) scale with host
-// cores.
-func RunIndexed[T any](workers, n int, job func(i int) (T, error)) ([]T, error) {
-	return RunIndexedPooled(workers, n,
-		func() (struct{}, error) { return struct{}{}, nil },
-		func(_ struct{}, i int) (T, error) { return job(i) },
-		nil)
-}
-
-// RunIndexedPooled is RunIndexed with per-worker state: newW constructs
-// one W per worker before any job runs, job receives the worker's W
-// alongside the index, and closeW (optional) releases each W after the
-// pool drains. This is the sweep engine's reuse hook — a W wrapping a
-// workload.Session turns a sweep from simulator-per-point into
-// simulator-per-worker, which removes construction from the per-point
-// cost entirely.
+// Each worker has its own state: newW constructs one W per worker
+// before any job runs, job receives the worker's W alongside the index,
+// and closeW (optional) releases each W after the pool drains. This is
+// the sweep engine's reuse hook — a W wrapping a workload.Session turns
+// a sweep from simulator-per-point into simulator-per-worker, which
+// removes construction from the per-point cost entirely.
 //
 // Construction is serial and fail-fast: an error from newW closes the
 // already-built workers and aborts before any job runs. Worker i's W is
@@ -126,7 +114,8 @@ func RunIndexedPooled[W, T any](workers, n int, newW func() (W, error), job func
 // simulator session across its share of the thread counts (Reset in
 // place between points), so results — including every cycle count and
 // statistic — are identical to the serial sweep and to per-point fresh
-// construction; only wall time and allocation change.
+// construction; only wall time and allocation change. An option set
+// sim.Reusable refuses runs on one worker (MutexSweepWithProgress).
 func MutexSweepParallel(cfg config.Config, lo, hi int, lockAddr uint64, workers int, opts ...sim.Option) (MutexSweepResult, error) {
 	return MutexSweepWithProgress(cfg, lo, hi, lockAddr, workers, nil, opts...)
 }
@@ -138,10 +127,12 @@ func MutexSweepParallel(cfg config.Config, lo, hi int, lockAddr uint64, workers 
 // from this hook (aggregate counters only — a sweep visits thousands of
 // points, too many to register individually).
 //
-// Session reuse engages only for option sets sim.Reusable accepts;
-// construction-bound options (tracing, power, metrics) fall back to a
-// fresh simulator per point, preserving their per-construction
-// semantics.
+// Session reuse engages only for option sets sim.Reusable accepts.
+// Construction-bound options (a tracer, span recorder, power model,
+// metrics registry or sampler) fall back to a fresh simulator per point,
+// and those points run one after another on one worker: every point's
+// simulator feeds the same observers, which record one simulator at a
+// time, so the output equals a serial sweep's.
 func MutexSweepWithProgress(cfg config.Config, lo, hi int, lockAddr uint64, workers int, progress func(MutexRun), opts ...sim.Option) (MutexSweepResult, error) {
 	out := MutexSweepResult{Config: cfg}
 	if lo < 1 || hi < lo {
@@ -182,9 +173,8 @@ func MutexSweepWithProgress(cfg config.Config, lo, hi int, lockAddr uint64, work
 			point,
 			nil)
 	default:
-		runs, err = RunIndexed(workers, n, func(i int) (MutexRun, error) {
-			return point(nil, i)
-		})
+		// No session: each point builds its own simulator.
+		runs, err = RunIndexedPooled(1, n, func() (*Session, error) { return nil, nil }, point, nil)
 	}
 	if err != nil {
 		return out, err

@@ -1,16 +1,17 @@
 #!/usr/bin/env sh
 # CI gate: build, vet, full test suite (this module and bench/), then
-# the race detector over the
-# packages whose state crosses goroutines (the parallel sweep running
-# simulators side by side through the shared session and page pools,
-# each simulator recycling responses through its own devices' free
-# lists, the evaluation report rendered by four sweep workers against
-# its golden, the atomic metrics registry, the span and trace recorders
-# a sweep's workers share, and the session server's shards), the
-# engine-equivalence suites under -race, the zero-alloc smoke pinning
-# the topo clock's allocation-free forwarding and the spans-disabled
-# clock loop, and finally a 1-iteration benchmark smoke so every
-# benchmark at least compiles and executes (~5s; it measures nothing).
+# the race detector over the packages whose state crosses goroutines
+# (the parallel sweep running simulators side by side through the
+# shared session and page pools, each simulator recycling responses
+# through its own devices' free lists, the evaluation report rendered by
+# four sweep workers against its golden, the atomic metrics registry, a
+# span-traced sweep asked for four workers, which must feed its one
+# recorder from one simulator at a time, and the session server's
+# shards), the engine-equivalence suites under -race, the zero-alloc
+# smoke pinning the topo clock's allocation-free forwarding and the
+# clock loop with no observer and with every observer attached, and
+# finally a 1-iteration benchmark smoke so every benchmark at least
+# compiles and executes (~5s; it measures nothing).
 # Speed is not gated here: scripts/bench.sh measures it from repeated,
 # alternating runs.
 set -eux
@@ -64,7 +65,9 @@ go run -race ./cmd/hmcd-load -sessions 200 -rounds 2 -warmup 1 -conns 4 -workers
 # Allocation-regression gate: every pin that asserts a hot path stays
 # allocation-free (the pins skip themselves under -race, so this is a
 # separate non-race invocation). TestClockLoopSpansOffZeroAlloc in the
-# root package pins the disabled-tracer clock loop; TestEmitZeroAlloc
+# root package pins the clock loop with no observer attached and
+# TestClockLoopObserversZeroAlloc the loop with the trace writer, span
+# recorder, metrics and power model all attached; TestEmitZeroAlloc
 # in internal/span pins the recording path itself;
 # TestSteadyStateAllocs pins the warm server round trip (clock and
 # batched send/recv, both protocols) at single-digit allocs/op;

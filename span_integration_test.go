@@ -3,8 +3,11 @@ package hmcsim
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"reflect"
 	"testing"
+
+	"repro/internal/hmccmd"
 )
 
 // The span tracer is observational by construction: attaching it must
@@ -81,6 +84,67 @@ func TestClockLoopSpansOffZeroAlloc(t *testing.T) {
 	trip() // warm the pools before counting
 	if allocs := testing.AllocsPerRun(200, trip); allocs != 0 {
 		t.Errorf("spans-off round trip: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestClockLoopObserversZeroAlloc pins the enabled path: with every
+// observer attached — the text trace at every level, spans on every tag,
+// metrics and the power model — a steady-state round trip of a read, an
+// atomic and a CMC op still allocates nothing. Each pipeline event
+// reaches its sinks through an interface call, so an Event or a trace
+// record that escaped to the heap would show up here.
+func TestClockLoopObserversZeroAlloc(t *testing.T) {
+	skipIfRace(t)
+	tracer := NewTextTracer(io.Discard, TraceAll)
+	s, err := New(FourLink4GB(),
+		WithTracer(tracer),
+		WithSpans(NewSpanTracer(SpanConfig{})),
+		WithMetrics(NewMetricsRegistry()),
+		WithPowerModel(NewPowerModel(DefaultPowerParams())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadCMC("hmc_lock"); err != nil {
+		t.Fatal(err)
+	}
+	var rqsts []*Rqst
+	for _, build := range []func() (*Rqst, error){
+		func() (*Rqst, error) { return BuildRead(0, 0x1000, 1, 0, 64) },
+		func() (*Rqst, error) { return BuildAtomic(hmccmd.ADD16, 0, 0x2000, 2, 1, []uint64{1, 2}) },
+		func() (*Rqst, error) { return BuildCMC(hmccmd.CMC125, 0, 0x40, 3, 2, []uint64{7, 0}) },
+	} {
+		r, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rqsts = append(rqsts, r)
+	}
+	trip := func() {
+		for i, r := range rqsts {
+			if err := s.Send(i, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := 0
+		for c := 0; c < 16 && got < len(rqsts); c++ {
+			s.Clock()
+			for l := range rqsts {
+				if rsp, ok := s.Recv(l); ok {
+					ReleaseRsp(rsp)
+					got++
+				}
+			}
+		}
+		if got != len(rqsts) {
+			t.Fatalf("%d of %d responses within 16 cycles", got, len(rqsts))
+		}
+	}
+	trip() // warm the pools before counting
+	if allocs := testing.AllocsPerRun(200, trip); allocs != 0 {
+		t.Errorf("observed round trip: %.1f allocs/op, want 0", allocs)
+	}
+	if err := tracer.Flush(); err != nil {
+		t.Fatal(err)
 	}
 }
 
