@@ -18,6 +18,7 @@ package addr
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/config"
 )
@@ -45,11 +46,14 @@ type Location struct {
 
 // Map decodes addresses for one device configuration.
 type Map struct {
-	cfg        config.Config
 	offsetBits int
 	vaultBits  int
 	bankBits   int
-	capacity   uint64
+	// quadBits is log2 of the vaults per quadrant, which Validate makes
+	// 2, 4 or 8: Decode splits the vault index with a shift and a mask.
+	quadBits     int
+	dramsPerBank uint64
+	capacity     uint64
 }
 
 // NewMap builds the address map for a validated configuration.
@@ -58,11 +62,12 @@ func NewMap(cfg config.Config) (*Map, error) {
 		return nil, err
 	}
 	return &Map{
-		cfg:        cfg,
-		offsetBits: cfg.OffsetBits(),
-		vaultBits:  cfg.VaultBits(),
-		bankBits:   cfg.BankBits(),
-		capacity:   cfg.CapacityBytes(),
+		offsetBits:   cfg.OffsetBits(),
+		vaultBits:    cfg.VaultBits(),
+		bankBits:     cfg.BankBits(),
+		quadBits:     bits.TrailingZeros(uint(cfg.VaultsPerQuad())),
+		dramsPerBank: uint64(cfg.DRAMsPerBank),
+		capacity:     cfg.CapacityBytes(),
 	}, nil
 }
 
@@ -80,13 +85,12 @@ func (m *Map) Decode(a uint64) (Location, error) {
 	rest >>= m.vaultBits
 	bank := int(rest & (1<<m.bankBits - 1))
 	row := rest >> m.bankBits
-	vpq := m.cfg.VaultsPerQuad()
 	return Location{
-		Quad:        vault / vpq,
+		Quad:        vault >> m.quadBits,
 		Vault:       vault,
-		VaultInQuad: vault % vpq,
+		VaultInQuad: vault & (1<<m.quadBits - 1),
 		Bank:        bank,
-		DRAM:        int(row % uint64(m.cfg.DRAMsPerBank)),
+		DRAM:        int(row % m.dramsPerBank),
 		Row:         row,
 		Offset:      offset,
 	}, nil
@@ -95,8 +99,8 @@ func (m *Map) Decode(a uint64) (Location, error) {
 // Encode reassembles a physical address from a coordinate. It is the
 // inverse of Decode.
 func (m *Map) Encode(loc Location) (uint64, error) {
-	if loc.Vault < 0 || loc.Vault >= m.cfg.Vaults ||
-		loc.Bank < 0 || loc.Bank >= m.cfg.BanksPerVault ||
+	if loc.Vault < 0 || loc.Vault >= 1<<m.vaultBits ||
+		loc.Bank < 0 || loc.Bank >= 1<<m.bankBits ||
 		loc.Offset >= 1<<m.offsetBits {
 		return 0, fmt.Errorf("%w: coordinate %+v", ErrOutOfRange, loc)
 	}
@@ -118,8 +122,7 @@ func (m *Map) BlockBase(a uint64) uint64 {
 // QuadOf returns the quadrant servicing address a; it is a cheaper path
 // than a full Decode for the crossbar routing hot path.
 func (m *Map) QuadOf(a uint64) int {
-	vault := int(a >> m.offsetBits & (1<<m.vaultBits - 1))
-	return vault / m.cfg.VaultsPerQuad()
+	return m.VaultOf(a) >> m.quadBits
 }
 
 // VaultOf returns the device-global vault index servicing address a.

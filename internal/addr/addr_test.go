@@ -52,6 +52,36 @@ func TestRoundTripQuick(t *testing.T) {
 	}
 }
 
+// TestDecodeMatchesDivision checks Decode and QuadOf against the address
+// layout written out as divisions and remainders, on every preset.
+func TestDecodeMatchesDivision(t *testing.T) {
+	for _, cfg := range []config.Config{config.FourLink4GB(), config.EightLink8GB(), config.TwoGBDev()} {
+		m := mustMap(t, cfg)
+		vaultsPerQuad := cfg.Vaults / cfg.Links
+		f := func(a uint64) bool {
+			a %= m.Capacity()
+			block := a / uint64(cfg.MaxBlockSize)
+			vault := int(block % uint64(cfg.Vaults))
+			rest := block / uint64(cfg.Vaults)
+			row := rest / uint64(cfg.BanksPerVault)
+			want := Location{
+				Quad:        vault / vaultsPerQuad,
+				Vault:       vault,
+				VaultInQuad: vault % vaultsPerQuad,
+				Bank:        int(rest % uint64(cfg.BanksPerVault)),
+				DRAM:        int(row % uint64(cfg.DRAMsPerBank)),
+				Row:         row,
+				Offset:      a % uint64(cfg.MaxBlockSize),
+			}
+			loc, err := m.Decode(a)
+			return err == nil && loc == want && m.QuadOf(a) == want.Quad
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Errorf("%v: %v", cfg, err)
+		}
+	}
+}
+
 func TestBlockInterleaveAcrossVaults(t *testing.T) {
 	// Consecutive 64-byte blocks must land in consecutive vaults so that
 	// stride-1 streams spread across the device.
