@@ -177,9 +177,11 @@ type Slot struct {
 	Active bool
 }
 
-// Table is the per-simulator CMC registration table.
+// Table is the per-simulator CMC registration table. Its slot array is
+// built by the first Load, so a simulator that loads no operation pays
+// a pointer for it.
 type Table struct {
-	slots [hmccmd.NumCodes]*Slot
+	slots *[hmccmd.NumCodes]*Slot
 	count int
 }
 
@@ -201,6 +203,9 @@ func (t *Table) Load(op Operation) error {
 	if t.count >= hmccmd.NumCMCSlots {
 		return ErrTableFull
 	}
+	if t.slots == nil {
+		t.slots = new([hmccmd.NumCodes]*Slot)
+	}
 	code := uint8(d.Cmd)
 	if s := t.slots[code]; s != nil && s.Active {
 		return fmt.Errorf("%w: code %d (%s)", ErrSlotBusy, code, s.Desc.OpName)
@@ -213,7 +218,7 @@ func (t *Table) Load(op Operation) error {
 // Unload deactivates the operation bound to a command code, freeing the
 // slot for reuse.
 func (t *Table) Unload(code uint8) error {
-	if code >= hmccmd.NumCodes || t.slots[code] == nil || !t.slots[code].Active {
+	if _, ok := t.Slot(code); !ok {
 		return fmt.Errorf("%w: code %d", ErrInactive, code)
 	}
 	t.slots[code] = nil
@@ -221,10 +226,18 @@ func (t *Table) Unload(code uint8) error {
 	return nil
 }
 
+// Trim drops the slot array of a table with no active operation; the
+// next Load builds it again.
+func (t *Table) Trim() {
+	if t.count == 0 {
+		t.slots = nil
+	}
+}
+
 // Slot returns the active slot for a command code; ok is false for
 // inactive or unbound codes.
 func (t *Table) Slot(code uint8) (*Slot, bool) {
-	if code >= hmccmd.NumCodes || t.slots[code] == nil || !t.slots[code].Active {
+	if code >= hmccmd.NumCodes || t.slots == nil || t.slots[code] == nil || !t.slots[code].Active {
 		return nil, false
 	}
 	return t.slots[code], true
@@ -235,6 +248,9 @@ func (t *Table) Count() int { return t.count }
 
 // Active returns the active slots in ascending command-code order.
 func (t *Table) Active() []*Slot {
+	if t.slots == nil {
+		return nil
+	}
 	var out []*Slot
 	for _, s := range t.slots {
 		if s != nil && s.Active {

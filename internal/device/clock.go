@@ -15,8 +15,8 @@ import (
 // The phases skip idle components: bitsets track which vaults hold
 // queued requests or responses (maintained where packets are pushed and
 // popped), and only those vaults are visited. Setting ForceWalk restores
-// the walk-everything behaviour; both modes produce bit-identical
-// results.
+// the walk-everything behaviour over every built vault (an unbuilt one
+// has empty queues); both modes produce bit-identical results.
 func (d *Device) Clock() {
 	d.cycle++
 	d.stats.Cycles++
@@ -41,8 +41,10 @@ func clearBit(mask []uint64, i int) { mask[i>>6] &^= 1 << (i & 63) }
 // uncongested.
 func (d *Device) responsePhase() {
 	if d.ForceWalk {
-		for i := range d.vaults {
-			d.drainVaultRsp(i)
+		for i, v := range d.vaults {
+			if v != nil {
+				d.drainVaultRsp(i)
+			}
 		}
 	} else {
 		for wi, w := range d.vaultRspMask {
@@ -79,9 +81,9 @@ func (d *Device) responsePhase() {
 			if d.obs != nil {
 				d.observe(Event{Stage: StageRspEgress, Flight: f, Link: li, Vault: -1})
 			}
-			if l.rspDir.inj != nil {
-				l.rspDir.stamped = nil
-				l.rspDir.lastFrp = f.Rsp.FRP
+			if ring := l.rspDir.ring; ring != nil {
+				ring.stamped = nil
+				ring.lastFrp = f.Rsp.FRP
 			}
 			budget -= int(f.Rsp.LNG)
 			d.stats.RspFlits += uint64(f.Rsp.LNG)
@@ -94,7 +96,7 @@ func (d *Device) responsePhase() {
 // drainVaultRsp moves vault i's queued responses into the crossbar until
 // the queue empties (clearing its dirty bit) or the port fills.
 func (d *Device) drainVaultRsp(i int) {
-	v := &d.vaults[i]
+	v := d.vaults[i]
 	for {
 		f, ok := v.rsp.Peek()
 		if !ok {
@@ -141,7 +143,7 @@ func (d *Device) linkAdvance(l *Link, dir, opp *linkDir, f *Flight, rqst *packet
 		}
 		dir.faultAt = 0
 	}
-	if dir.inj != nil && !d.retryStamp(dir, opp, f, rqst) {
+	if dir.inj != nil && !d.retryStamp(dir.ring, opp.ring, f, rqst) {
 		if d.obs != nil {
 			d.observe(Event{Stage: StageRetryStall, Flight: f, Link: l.ID, Vault: -1})
 		}
@@ -176,36 +178,36 @@ func (d *Device) linkAdvance(l *Link, dir, opp *linkDir, f *Flight, rqst *packet
 // the opposite direction. Retransmissions (budget stalls, queue-full
 // waits, fault retries) keep their stamp. It reports false when the
 // retry buffer is full.
-func (d *Device) retryStamp(dir, opp *linkDir, f *Flight, rqst *packet.Rqst) bool {
-	if dir.stamped == f {
+func (d *Device) retryStamp(ring, opp *retryRing, f *Flight, rqst *packet.Rqst) bool {
+	if ring.stamped == f {
 		return true
 	}
 	// Retire slots whose acknowledgment lag has elapsed.
-	for dir.n > 0 {
-		if dir.slots[dir.head].sentAt+retryAckLag > d.cycle {
+	for ring.n > 0 {
+		if ring.sentAt[ring.head]+retryAckLag > d.cycle {
 			break
 		}
-		dir.head = (dir.head + 1) % RetrySlots
-		dir.n--
+		ring.head = (ring.head + 1) % RetrySlots
+		ring.n--
 	}
-	if dir.n == RetrySlots {
+	if ring.n == RetrySlots {
 		d.stats.RetryBufStalls++
 		return false
 	}
-	slot := (dir.head + dir.n) % RetrySlots
-	dir.slots[slot] = retrySlot{sentAt: d.cycle, seq: dir.seq}
-	dir.n++
-	dir.stamped = f
+	slot := (ring.head + ring.n) % RetrySlots
+	ring.sentAt[slot] = d.cycle
+	ring.n++
+	ring.stamped = f
 	if rqst != nil {
-		rqst.SEQ = dir.seq
+		rqst.SEQ = ring.seq
 		rqst.FRP = uint16(slot)
 		rqst.RRP = opp.lastFrp
 	} else {
-		f.Rsp.SEQ = dir.seq
+		f.Rsp.SEQ = ring.seq
 		f.Rsp.FRP = uint16(slot)
 		f.Rsp.RRP = opp.lastFrp
 	}
-	dir.seq = (dir.seq + 1) & (RetrySlots - 1)
+	ring.seq = (ring.seq + 1) & (RetrySlots - 1)
 	return true
 }
 
@@ -279,8 +281,10 @@ func (d *Device) corrupt(dir *linkDir, kind fault.Kind, f *Flight, rqst *packet.
 // visit set fixed to the vaults active when the phase began.
 func (d *Device) executePhase() {
 	if d.ForceWalk {
-		for i := range d.vaults {
-			d.execVault(i)
+		for i, v := range d.vaults {
+			if v != nil {
+				d.execVault(i)
+			}
 		}
 		return
 	}
@@ -324,9 +328,9 @@ func (d *Device) requestPhase() {
 			if d.obs != nil {
 				d.observe(Event{Stage: StageLinkIngress, Flight: f, Link: li, Vault: -1})
 			}
-			if l.rqstDir.inj != nil {
-				l.rqstDir.stamped = nil
-				l.rqstDir.lastFrp = f.Rqst.FRP
+			if ring := l.rqstDir.ring; ring != nil {
+				ring.stamped = nil
+				ring.lastFrp = f.Rqst.FRP
 			}
 			budget -= flits
 			d.stats.RqstFlits += uint64(flits)
@@ -349,8 +353,7 @@ func (d *Device) requestPhase() {
 			if vi < 0 || vi >= len(d.vaults) {
 				vi = 0
 			}
-			vault := &d.vaults[vi]
-			if err := vault.rqst.Push(f); err != nil {
+			if err := d.vault(vi).rqst.Push(f); err != nil {
 				// Full vault queue: strict FIFO per crossbar port means
 				// head-of-line blocking — the source of the 4Link/8Link
 				// divergence under hot-spot load (paper §V-C).
@@ -384,9 +387,11 @@ func (d *Device) samplePhase() {
 			d.xbar.rqst[li].Sample()
 			d.xbar.rsp[li].Sample()
 		}
-		for i := range d.vaults {
-			d.vaults[i].rqst.Sample()
-			d.vaults[i].rsp.Sample()
+		for _, v := range d.vaults {
+			if v != nil {
+				v.rqst.Sample()
+				v.rsp.Sample()
+			}
 		}
 		return
 	}

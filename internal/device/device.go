@@ -180,9 +180,11 @@ type Device struct {
 	// Cfg is the validated device configuration.
 	Cfg config.Config
 
-	links  []Link
-	xbar   Crossbar
-	vaults []Vault
+	links []Link
+	xbar  Crossbar
+	// vaults holds each vault once a request has been routed to it
+	// (vault); nil before that and after Trim.
+	vaults []*Vault
 	regs   *RegFile
 
 	amap   *addr.Map
@@ -199,7 +201,7 @@ type Device struct {
 	stats Stats
 
 	// ForceWalk disables idle skipping, making every clock phase walk
-	// every vault and sample every queue exactly as the original
+	// every built vault and sample every queue exactly as the original
 	// implementation did. Results are bit-identical either way (the
 	// equivalence tests prove it); the switch exists for those tests and
 	// for debugging.
@@ -259,22 +261,22 @@ func New(id int, cfg config.Config) (*Device, error) {
 		cmcTab: cmc.NewTable(),
 	}
 	d.amoU = amo.New(d.store)
-	// Queue ring buffers — two per link, two per crossbar port, two per
-	// vault — materialize lazily inside queue.Queue as occupancy demands
-	// (architected depths are 64-128 slots but most queues in a
-	// many-thousand-session fleet stay nearly empty; eager rings cost
-	// ~30KB per device). Bank records likewise wait for a vault's first
-	// in-range request (execVault): a session that touches one vault
-	// does not pay 16 KB for the banks of the other 31.
+	// New builds only what every run uses: the links, the crossbar and
+	// the register file. The rest waits for first use, since most
+	// sessions in a many-thousand-session fleet touch little of it:
+	// queue ring buffers materialize inside queue.Queue as occupancy
+	// demands (architected depths are 64-128 slots); a vault is built
+	// when the first request is routed to it (vault) and its bank
+	// records on its first in-range request (execVault); the CMC slot
+	// array on the first Load; link retry rings with a fault plan
+	// (SetFaultPlan). A session that touches one vault does not pay for
+	// the other 31.
 	d.links = make([]Link, cfg.Links)
 	for i := range d.links {
 		d.links[i].init(i, cfg.LinkDepth)
 	}
 	d.xbar.init(cfg)
-	d.vaults = make([]Vault, cfg.Vaults)
-	for i := range d.vaults {
-		d.vaults[i].init(i, cfg)
-	}
+	d.vaults = make([]*Vault, cfg.Vaults)
 	d.vaultRqstMask = make([]uint64, (cfg.Vaults+63)/64)
 	d.vaultRspMask = make([]uint64, (cfg.Vaults+63)/64)
 	// Tie every queue's sample count to the cycle counter so the sample
@@ -287,11 +289,17 @@ func New(id int, cfg config.Config) (*Device, error) {
 		d.xbar.rqst[i].SetSampleBase(&d.stats.Cycles)
 		d.xbar.rsp[i].SetSampleBase(&d.stats.Cycles)
 	}
-	for i := range d.vaults {
-		d.vaults[i].rqst.SetSampleBase(&d.stats.Cycles)
-		d.vaults[i].rsp.SetSampleBase(&d.stats.Cycles)
-	}
 	return d, nil
+}
+
+// vault returns vault i, building it on first use.
+func (d *Device) vault(i int) *Vault {
+	v := d.vaults[i]
+	if v == nil {
+		v = newVault(i, &d.Cfg, &d.stats.Cycles)
+		d.vaults[i] = v
+	}
+	return v
 }
 
 // poolChunk is how many Flights or Rqsts a pool miss materializes at
@@ -346,9 +354,9 @@ func (d *Device) putRqst(r *packet.Rqst) {
 // SetFaultPlan installs (or, with a disabled plan, removes) the random
 // fault environment: every link direction derives its own deterministic
 // injector stream, keyed by device, link and direction, so the fault
-// sequence on one link is independent of traffic on every other. Call
-// before clocking; installing a plan mid-run starts its streams at the
-// current cycle.
+// sequence on one link is independent of traffic on every other, and
+// gets a retry ring for the packets it stamps. Call before clocking;
+// installing a plan mid-run starts its streams at the current cycle.
 func (d *Device) SetFaultPlan(p fault.Plan) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -356,8 +364,9 @@ func (d *Device) SetFaultPlan(p fault.Plan) error {
 	d.faultPlan = p
 	if !p.Enabled() {
 		for i := range d.links {
-			d.links[i].rqstDir.inj = nil
-			d.links[i].rspDir.inj = nil
+			l := &d.links[i]
+			l.rqstDir.inj, l.rqstDir.ring = nil, nil
+			l.rspDir.inj, l.rspDir.ring = nil, nil
 		}
 		return nil
 	}
@@ -373,6 +382,9 @@ func (d *Device) SetFaultPlan(p fault.Plan) error {
 		stream := uint64(d.ID)<<16 | uint64(i)<<1
 		l.rqstDir.inj = p.Injector(stream)
 		l.rspDir.inj = p.Injector(stream | 1)
+		if l.rqstDir.ring == nil {
+			l.rqstDir.ring, l.rspDir.ring = new(retryRing), new(retryRing)
+		}
 	}
 	return nil
 }
@@ -408,12 +420,14 @@ func (d *Device) Link(i int) (*Link, error) {
 	return &d.links[i], nil
 }
 
-// Vault returns the vault model for stats inspection.
+// Vault returns the vault model for stats inspection, building it if no
+// request has reached it yet: an unbuilt vault and an empty built one
+// report the same statistics.
 func (d *Device) Vault(i int) (*Vault, error) {
 	if i < 0 || i >= len(d.vaults) {
 		return nil, fmt.Errorf("device: invalid vault index %d", i)
 	}
-	return &d.vaults[i], nil
+	return d.vault(i), nil
 }
 
 // Xbar returns the crossbar model for stats inspection.

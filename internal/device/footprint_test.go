@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/fault"
 	"repro/internal/hmccmd"
 	"repro/internal/packet"
 )
@@ -13,11 +14,153 @@ import (
 func bankArrays(d *Device) []int {
 	var ids []int
 	for i := range d.vaults {
-		if d.vaults[i].banks != nil {
+		if d.vaults[i] != nil && d.vaults[i].banks != nil {
 			ids = append(ids, i)
 		}
 	}
 	return ids
+}
+
+// builtVaults lists the vaults the device has built.
+func builtVaults(d *Device) []int {
+	var ids []int
+	for i, v := range d.vaults {
+		if v != nil {
+			ids = append(ids, i)
+		}
+	}
+	return ids
+}
+
+// hasSlotArray reports whether d's CMC table holds a slot array.
+func hasSlotArray(d *Device) bool {
+	return !reflect.ValueOf(d.cmcTab).Elem().FieldByName("slots").IsNil()
+}
+
+// retryRings counts the link directions holding a retry ring.
+func retryRings(d *Device) int {
+	n := 0
+	for i := range d.links {
+		for _, dir := range []*linkDir{&d.links[i].rqstDir, &d.links[i].rspDir} {
+			if dir.ring != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestVaultsOnFirstUse pins the state New leaves for first use: no vault,
+// no CMC slot array and no retry ring. A request builds its own vault
+// only; Vault on an unbuilt index reports what a vault that existed all
+// along reports; a fault plan builds a ring per link direction and a
+// disabled one drops them; and Reset+Trim drops the vaults and an empty
+// slot array, after which the device runs as a fresh one does.
+func TestVaultsOnFirstUse(t *testing.T) {
+	cfg := config.FourLink4GB()
+	d := newDev(t, cfg)
+	if ids := builtVaults(d); ids != nil {
+		t.Fatalf("New built vaults %v", ids)
+	}
+	if hasSlotArray(d) {
+		t.Fatal("New built a CMC slot array")
+	}
+	if n := retryRings(d); n != 0 {
+		t.Fatalf("New built %d retry rings", n)
+	}
+
+	rsp, _ := roundTrip(t, d, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0x40, TAG: 1})
+	if rsp.ERRSTAT != ErrstatOK {
+		t.Fatalf("read: ERRSTAT %#x", rsp.ERRSTAT)
+	}
+	if ids := builtVaults(d); !reflect.DeepEqual(ids, []int{1}) {
+		t.Fatalf("vaults built by one vault-1 read: %v, want [1]", ids)
+	}
+
+	// The reference vault exists from cycle 0 and is sampled every cycle.
+	ref := newDev(t, cfg)
+	ref.ForceWalk = true
+	rv, err := ref.Vault(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ref.Cycle() < d.Cycle() {
+		ref.Clock()
+	}
+	v, err := d.Vault(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.RqstStats() != rv.RqstStats() || v.RspStats() != rv.RspStats() {
+		t.Errorf("unbuilt vault stats %+v/%+v, want %+v/%+v", v.RqstStats(), v.RspStats(), rv.RqstStats(), rv.RspStats())
+	}
+	if got := v.RqstStats().Samples(); got != d.Cycle() {
+		t.Errorf("unbuilt vault samples %d, want the %d cycles", got, d.Cycle())
+	}
+	if !reflect.DeepEqual(v.BankOps(), rv.BankOps()) {
+		t.Errorf("unbuilt vault BankOps %v, want %v", v.BankOps(), rv.BankOps())
+	}
+
+	if err := d.SetFaultPlan(fault.Plan{Rate: 0.1, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if n := retryRings(d); n != 2*cfg.Links {
+		t.Fatalf("enabled fault plan built %d retry rings, want %d", n, 2*cfg.Links)
+	}
+	if err := d.SetFaultPlan(fault.Plan{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := retryRings(d); n != 0 {
+		t.Fatalf("disabled fault plan left %d retry rings", n)
+	}
+
+	if err := d.CMC().Load(testFailOp{}); err != nil {
+		t.Fatal(err)
+	}
+	roundTrip(t, d, &packet.Rqst{Cmd: hmccmd.CMC56, ADRS: 0x80, TAG: 2})
+	if err := d.CMC().Unload(56); err != nil {
+		t.Fatal(err)
+	}
+	d.Reset()
+	if ids := builtVaults(d); !reflect.DeepEqual(ids, []int{1, 2, 5}) || !hasSlotArray(d) {
+		t.Fatalf("Reset dropped warm state: vaults %v, slot array %v", ids, hasSlotArray(d))
+	}
+	d.Trim()
+	if ids := builtVaults(d); ids != nil {
+		t.Errorf("vaults after Reset+Trim: %v", ids)
+	}
+	if hasSlotArray(d) {
+		t.Error("Reset+Trim kept an empty CMC slot array")
+	}
+
+	fresh := newDev(t, cfg)
+	run := func(dev *Device) (out [][]uint64) {
+		for i, a := range []uint64{0x1000, 0x40, 0x1040, cfg.CapacityBytes()} {
+			r := &packet.Rqst{Cmd: hmccmd.WR16, ADRS: a, TAG: uint16(i), Payload: []uint64{a, ^a}}
+			if i%2 == 1 {
+				r = &packet.Rqst{Cmd: hmccmd.RD16, ADRS: a, TAG: uint16(i)}
+			}
+			rsp, _ := roundTrip(t, dev, r)
+			w, err := rsp.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, w)
+		}
+		return out
+	}
+	if a, b := run(d), run(fresh); !reflect.DeepEqual(a, b) {
+		t.Errorf("responses after Reset+Trim %x, fresh %x", a, b)
+	}
+	if d.Stats() != fresh.Stats() {
+		t.Errorf("stats after Reset+Trim %+v, fresh %+v", d.Stats(), fresh.Stats())
+	}
+	if a, b := d.BuildReport(), fresh.BuildReport(); !reflect.DeepEqual(a, b) {
+		t.Errorf("report after Reset+Trim %+v, fresh %+v", a, b)
+	}
+	if a, b := builtVaults(d), builtVaults(fresh); !reflect.DeepEqual(a, b) {
+		t.Errorf("vaults built after Reset+Trim %v, fresh %v", a, b)
+	}
 }
 
 // TestBanksOnFirstUse pins the lazy bank records: New allocates none, an

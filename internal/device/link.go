@@ -19,45 +19,45 @@ const RetrySlots = 8
 // when the reverse direction carries no traffic at all.
 const retryAckLag = 1
 
-// retrySlot is one retry-buffer entry: the packet occupying it is
-// identified by its SEQ, and the slot retires retryAckLag cycles after
-// the transmission attempt.
-type retrySlot struct {
-	sentAt uint64
-	seq    uint8
+// retryRing is one link direction's SEQ/FRP retry buffer: a ring of
+// RetrySlots outstanding transmissions, each retiring retryAckLag cycles
+// after its attempt. Only the random fault injector stamps packets, so
+// SetFaultPlan builds a ring beside each injector and a fault-free link
+// carries none.
+type retryRing struct {
+	// sentAt holds each occupied slot's transmission cycle; head and n
+	// index the ring, and seq is the next 3-bit sequence number.
+	sentAt  [RetrySlots]uint64
+	head, n int
+	seq     uint8
+	// lastFrp is the FRP of the last packet delivered in this direction;
+	// the opposite direction stamps it into RRP as the piggybacked
+	// acknowledgment pointer.
+	lastFrp uint16
+	// stamped marks the head packet as already stamped and buffered, so
+	// budget stalls, queue-full retries and fault retransmissions reuse
+	// the same SEQ/FRP instead of consuming new slots.
+	stamped *Flight
 }
 
 // linkDir is the per-direction link-layer state: the traversal counter
 // and park window of the retry protocol, the deterministic fault
-// injector, and the SEQ/FRP retry buffer.
+// injector, and its retry buffer.
 type linkDir struct {
 	// traversals counts transmission attempts, driving the periodic
 	// injector (Config.LinkFaultPeriod); retryUntil parks the head packet
 	// while a retry sequence (error abort, IRTRY, retransmit) plays out.
 	traversals uint64
 	retryUntil uint64
-
-	// inj is the direction's seeded fault stream; nil when the random
-	// injector is disabled (the zero-fault fast path).
-	inj *fault.Injector
-
-	// Retry buffer: a ring of RetrySlots outstanding transmissions. seq
-	// is the next 3-bit sequence number to assign; head/n index the ring.
-	seq   uint8
-	slots [RetrySlots]retrySlot
-	head  int
-	n     int
-	// stamped marks the head packet as already stamped and buffered, so
-	// budget stalls, queue-full retries and fault retransmissions reuse
-	// the same SEQ/FRP instead of consuming new slots.
-	stamped *Flight
-	// lastFrp is the FRP of the last packet delivered in this direction;
-	// the opposite direction stamps it into RRP as the piggybacked
-	// acknowledgment pointer.
-	lastFrp uint16
 	// faultAt is the cycle the current retry sequence started, for the
 	// retry-latency histogram (zero when no retry is pending).
 	faultAt uint64
+
+	// inj is the direction's seeded fault stream and ring its retry
+	// buffer; both are nil when the random injector is disabled (the
+	// zero-fault fast path).
+	inj  *fault.Injector
+	ring *retryRing
 }
 
 // Link models one host-facing HMC link: a request queue carrying packets
@@ -68,9 +68,9 @@ type linkDir struct {
 // layer above the device); the device model itself is agnostic — both
 // kinds of traffic enter through the same queues.
 //
-// Links are embedded by value in the device, with their queue ring
-// buffers carved from one device-wide backing array (see device.New), so
-// building a device costs O(1) allocations regardless of link count.
+// Links are held by value in the device. Their queue ring buffers
+// materialize on first use, and their retry rings only with a fault plan
+// (Device.SetFaultPlan).
 type Link struct {
 	// ID is the link index, matching the SLID field of packets that enter
 	// on it.
@@ -95,12 +95,15 @@ func (l *Link) init(id, depth int) {
 }
 
 // reset rewinds one direction's retry-protocol state to power-on. The
-// injector pointer survives (Device.Reset reseeds it in place when a
-// plan is installed); everything else — traversal counter, park window,
-// SEQ/FRP ring, stamp marker — returns to zero.
+// injector and the ring survive (Device.Reset reseeds the injector in
+// place when a plan is installed); everything else — traversal counter,
+// park window, ring contents — returns to zero.
 func (ld *linkDir) reset() {
-	inj := ld.inj
-	*ld = linkDir{inj: inj}
+	inj, ring := ld.inj, ld.ring
+	*ld = linkDir{inj: inj, ring: ring}
+	if ring != nil {
+		*ring = retryRing{}
+	}
 }
 
 // reset rewinds the link to power-on: both directions' retry state, the

@@ -68,18 +68,21 @@ func (d *Device) RegisterMetrics(reg *metrics.Registry) {
 		reg.GaugeFunc(metrics.NameLinkRqstOcc, func() float64 { return float64(l.rqst.Len()) }, dev, link)
 		reg.GaugeFunc(metrics.NameLinkRspOcc, func() float64 { return float64(l.rsp.Len()) }, dev, link)
 	}
+	// An unbuilt vault holds no request.
 	reg.GaugeFunc(metrics.NameVaultOccTotal, func() float64 {
 		total := 0
-		for i := range d.vaults {
-			total += d.vaults[i].rqst.Len()
+		for _, v := range d.vaults {
+			if v != nil {
+				total += v.rqst.Len()
+			}
 		}
 		return float64(total)
 	}, dev)
 	reg.GaugeFunc("hmc_vault_rqst_occupancy_max", func() float64 {
 		m := 0
-		for i := range d.vaults {
-			if n := d.vaults[i].rqst.Len(); n > m {
-				m = n
+		for _, v := range d.vaults {
+			if v != nil {
+				m = max(m, v.rqst.Len())
 			}
 		}
 		return float64(m)

@@ -138,7 +138,7 @@ func (s *traceSink) request(level trace.Level, e Event, bank int, detail string)
 func (s *traceSink) emit(level trace.Level, e Event, bank int, cmd string, addr, value uint64, detail string) {
 	quad := -1
 	if e.Vault >= 0 {
-		quad = s.d.vaults[e.Vault].Quad
+		quad = e.Vault / s.d.Cfg.VaultsPerQuad()
 	}
 	s.t.Emit(trace.Event{
 		Cycle: s.d.cycle, Kind: level,

@@ -29,8 +29,11 @@ type Report struct {
 func (d *Device) BuildReport() Report {
 	r := Report{Dev: d.ID, Cycles: d.cycle, Stats: d.stats}
 	r.VaultOps = make([]uint64, len(d.vaults))
-	for i := range d.vaults {
-		st := d.vaults[i].RqstStats()
+	for i, v := range d.vaults {
+		if v == nil {
+			continue // no request reached it: zero ops
+		}
+		st := v.RqstStats()
 		r.VaultOps[i] = st.Pops
 		if st.MaxOccupancy > r.MaxVaultQueue {
 			r.MaxVaultQueue = st.MaxOccupancy

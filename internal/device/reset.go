@@ -13,10 +13,11 @@ import (
 //   - queues: drained (in-flight packets recycle into the device pools)
 //     and their occupancy statistics cleared; the ring buffers and the
 //     sample-base wiring survive.
-//   - link retry state: both directions' SEQ/FRP rings, traversal
-//     counters, park and down windows.
+//   - link retry state: both directions' SEQ/FRP rings (built only
+//     with a fault plan), traversal counters, park and down windows.
 //   - vaults: bank availability/open-row state and per-bank op counts,
-//     in the bank arrays that exist (a vault allocates its banks on its
+//     in the vaults and bank arrays that exist (a vault is built when a
+//     request is first routed to it and allocates its banks on its
 //     first in-range request; an untouched vault has none to clear).
 //   - register file: power-on values for the device configuration.
 //   - backing store: block-cleared in place (mem.Store.Zero), keeping
@@ -27,14 +28,14 @@ import (
 //     so a reused device observes the identical fault sequence.
 //
 // Deliberately retained: the CMC registration table (operations are
-// stateless; reloading them is the session's concern), the flight,
-// request and response free lists, the allocated bank arrays, scratch
-// buffers, the attached observers, and any registered
-// metrics instruments (which accumulate across runs — reusable sessions
-// are built without metrics). After Reset the device is
-// indistinguishable, in every statistic and every packet it emits, from
-// a freshly constructed one with the same CMC
-// table (the reset bit-identity suite pins this).
+// stateless; reloading them is the session's concern) and its slot
+// array, the flight, request and response free lists, the built vaults
+// and their bank arrays, scratch buffers, the attached observers, and
+// any registered metrics instruments (which accumulate across runs —
+// reusable sessions are built without metrics). After Reset the device
+// is indistinguishable, in every statistic and every packet it emits,
+// from a freshly constructed one with the same CMC table (the reset
+// bit-identity suite pins this).
 func (d *Device) Reset() {
 	for i := range d.links {
 		d.drainQueue(&d.links[i].rqst)
@@ -45,11 +46,12 @@ func (d *Device) Reset() {
 		d.drainQueue(&d.xbar.rqst[i])
 		d.drainQueue(&d.xbar.rsp[i])
 	}
-	for i := range d.vaults {
-		v := &d.vaults[i]
-		d.drainQueue(&v.rqst)
-		d.drainQueue(&v.rsp)
-		clear(v.banks)
+	for _, v := range d.vaults {
+		if v != nil {
+			d.drainQueue(&v.rqst)
+			d.drainQueue(&v.rsp)
+			clear(v.banks)
+		}
 	}
 	clear(d.vaultRqstMask)
 	clear(d.vaultRspMask)
@@ -70,23 +72,24 @@ func (d *Device) Reset() {
 // Trim releases the reusable capacity Reset deliberately keeps warm,
 // shrinking an idle device toward its freshly built footprint: the
 // backing store's materialized pages scrub back to the process-wide page
-// pool, and the flight, request and response free lists, the bank
-// arrays and the CMC scratch context are dropped. Call it after Reset on
-// a device headed for an idle pool — a parked session then costs only
-// its structural allocations, and the first run after revival
-// re-materializes capacity on demand (first writes draw from the same
-// shared pool the trim fed). Trim never touches run-visible state, so
-// Reset+Trim stays bit-identical to a fresh device. A response the host
-// still holds may be released afterwards: it rejoins the emptied list.
+// pool, and the flight, request and response free lists, the vaults
+// with their bank arrays, an empty CMC slot array and the CMC scratch
+// context are dropped. Call it after Reset on a device headed for an
+// idle pool — a parked session then costs only its structural
+// allocations, and the first run after revival re-materializes capacity
+// on demand (first writes draw from the same shared pool the trim fed).
+// After Reset, Trim touches no run-visible state, so Reset+Trim stays
+// bit-identical to a fresh device; mid-run it would discard live store
+// pages, bank timing and queued packets. A response the host still
+// holds may be released afterwards: it rejoins the emptied list.
 func (d *Device) Trim() {
 	d.store.Trim()
 	d.flightPool = nil
 	d.rqstPool = nil
 	d.rsps = packet.RspList{}
 	d.cmcCtx = nil
-	for i := range d.vaults {
-		d.vaults[i].banks = nil
-	}
+	clear(d.vaults)
+	d.cmcTab.Trim()
 }
 
 // drainQueue empties one flight queue into the device pools and clears

@@ -26,9 +26,10 @@ type Bank struct {
 // Vault is one vault controller: a request queue feeding banked DRAM and
 // a response queue draining to the crossbar.
 //
-// Vaults are embedded by value in the device, and both their queue ring
-// buffers and their bank records materialize on first use, so
-// construction stays allocation-light at any vault count.
+// The device builds a vault when the first request is routed to it, and
+// the vault's queue ring buffers and bank records materialize on first
+// use in turn, so construction stays allocation-light at any vault
+// count.
 type Vault struct {
 	// ID is the device-global vault index; Quad is its quadrant.
 	ID, Quad int
@@ -40,12 +41,17 @@ type Vault struct {
 	nbanks int
 }
 
-func (v *Vault) init(id int, cfg config.Config) {
-	v.ID = id
-	v.Quad = id / cfg.VaultsPerQuad()
+// newVault builds vault id. Its queues' sample counts are tied to the
+// device's cycle counter like every other queue's, so a vault built
+// mid-run reports the statistics of one that always existed and was
+// empty until now.
+func newVault(id int, cfg *config.Config, cycles *uint64) *Vault {
+	v := &Vault{ID: id, Quad: id / cfg.VaultsPerQuad(), nbanks: cfg.BanksPerVault}
 	v.rqst.Init(cfg.QueueDepth)
 	v.rsp.Init(cfg.QueueDepth)
-	v.nbanks = cfg.BanksPerVault
+	v.rqst.SetSampleBase(cycles)
+	v.rsp.SetSampleBase(cycles)
+	return v
 }
 
 // bank returns bank i's record, allocating the vault's bank array the
@@ -78,7 +84,7 @@ func (v *Vault) BankOps() []uint64 {
 // queue. This is the hmcsim_process_rqst() stage of paper Figure 3. On
 // the way out it reconciles the vault's dirty bits with its queues.
 func (d *Device) execVault(i int) {
-	v := &d.vaults[i]
+	v := d.vaults[i]
 	for {
 		f, ok := v.rqst.Peek()
 		if !ok {

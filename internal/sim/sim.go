@@ -265,12 +265,13 @@ func (s *Simulator) Reset() {
 
 // Trim releases the reusable capacity Reset keeps warm — every device's
 // materialized store pages (scrubbed back to the process-wide page pool),
-// packet free lists and bank arrays — shrinking an idle simulator toward
-// its freshly built footprint. Call it after Reset on a simulator headed
-// for an idle pool; capacity re-materializes on demand when the
-// simulator next runs.
-// Trim never touches run-visible state, so Reset+Trim stays bit-identical
-// to a fresh simulator.
+// packet free lists, vaults with their bank arrays, and an empty CMC
+// slot array — shrinking an idle simulator toward its freshly built
+// footprint. Call it after Reset on a simulator headed for an idle
+// pool; capacity re-materializes on demand when the simulator next
+// runs. After Reset, Trim touches no run-visible state, so Reset+Trim
+// stays bit-identical to a fresh simulator; mid-run it would discard
+// live state.
 func (s *Simulator) Trim() {
 	for _, d := range s.topo.Devices() {
 		d.Trim()

@@ -629,28 +629,35 @@ func TestFaultFreeRoundTripZeroAlloc(t *testing.T) {
 }
 
 // TestNewFootprintBytes pins what building a simulator costs in bytes.
-// Bank records and responses materialize on first use, so New allocates
-// no bank array (16 KiB on 4Link-4GB) and no response; an hmcd session
-// pays this on every init of a cold pool. The pin is the minimum
-// TotalAlloc delta over five builds, which sheds one-off runtime
-// bookkeeping.
+// Vaults, bank records, the CMC slot array, link retry rings and
+// responses all wait for first use, so New allocates none of them; an
+// hmcd session pays this on every init of a cold pool. The pin is the
+// minimum TotalAlloc delta over five builds, which sheds one-off
+// runtime bookkeeping.
 func TestNewFootprintBytes(t *testing.T) {
 	skipIfRace(t)
-	const limit = 18000
-	minDelta := ^uint64(0)
-	for i := 0; i < 5; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		s, err := New(FourLink4GB())
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		cfg   Config
+		limit uint64
+	}{
+		{FourLink4GB(), 6000},
+		{EightLink8GB(), 9000},
+	} {
+		minDelta := ^uint64(0)
+		for i := 0; i < 5; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s, err := New(c.cfg)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.KeepAlive(s)
+			minDelta = min(minDelta, after.TotalAlloc-before.TotalAlloc)
 		}
-		runtime.KeepAlive(s)
-		minDelta = min(minDelta, after.TotalAlloc-before.TotalAlloc)
-	}
-	if minDelta > limit {
-		t.Errorf("New(FourLink4GB()) allocates %d bytes, want at most %d", minDelta, limit)
+		if minDelta > c.limit {
+			t.Errorf("New(%v) allocates %d bytes, want at most %d", c.cfg, minDelta, c.limit)
+		}
 	}
 }
 
