@@ -84,9 +84,8 @@ func sweepEvery(ttl time.Duration) time.Duration {
 // session is one hosted simulator, owned exclusively by its shard
 // goroutine — no field is accessed from any other goroutine.
 type session struct {
-	id      uint64
-	sim     *sim.Simulator
-	scratch sim.ReqScratch
+	id  uint64
+	sim *sim.Simulator
 	// cmcNames/cmcCodes track LoadCMC bindings: names make loadcmc
 	// idempotent per session; codes let release scrub the table before
 	// the simulator is pooled for its next tenant.
@@ -119,6 +118,9 @@ type shard struct {
 	// — the batch hot path allocates nothing on the shard.
 	brsps []Response
 	brefs []*packet.Rsp
+	// scratch builds each send's request; Send copies it, so one per
+	// shard serves all its sessions.
+	scratch sim.ReqScratch
 }
 
 // Server hosts simulator sessions behind the line-JSON protocol.
@@ -514,7 +516,7 @@ func (sh *shard) execOp(op Op, ss *session, req *Request, rsp *Response) *packet
 			fail(rsp, CodeSim, fmt.Sprintf("link %d out of range (%d links)", req.Link, ss.sim.Links()))
 			break
 		}
-		r, err := ss.scratch.Build(cmd, req.Cub, req.Adrs, req.Tag, req.Link, req.Payload)
+		r, err := sh.scratch.Build(cmd, req.Cub, req.Adrs, req.Tag, req.Link, req.Payload)
 		if err != nil {
 			fail(rsp, CodeSim, err.Error())
 			break
@@ -613,9 +615,9 @@ func fail(rsp *Response, code, msg string) {
 // Session churn on a warm pool allocates almost nothing in the device
 // model: init pops a clean simulator, close Resets and pushes it back.
 // Parked simulators are additionally Trimmed — their store pages scrub
-// back to the shared page pool and their packet free lists drop — so an
-// idle pool holds only structural memory, not the peak footprint of its
-// last tenant.
+// back to the shared page pool and their packet free lists and vaults
+// drop — so an idle pool holds only structural memory, not the peak
+// footprint of its last tenant.
 type simPool struct {
 	mu   sync.Mutex
 	cap  int
