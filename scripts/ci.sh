@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# CI gate: build, vet, full test suite (this module and bench/), then
+# CI gate: build, vet, gofmt, full test suite (this module and bench/), then
 # the race detector over the packages whose state crosses goroutines
 # (the parallel sweep running simulators side by side through the
 # shared session and page pools, each simulator recycling responses
@@ -40,6 +40,9 @@ check_run() {
 
 go build ./...
 go vet ./...
+# Formatting gate over the tracked Go files (bench/ included; build
+# output such as .bench_build/ is untracked and never counts).
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 go test ./...
 # bench/ is its own module (it imports this one through a replace), so
 # ./... above never builds it; vet and test it here so a removed or
