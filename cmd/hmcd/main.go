@@ -9,7 +9,7 @@
 //	hmcd -tcp :7470                      # serve the protocol over TCP
 //	hmcd -sock /run/hmcd.sock            # ... and/or a Unix socket
 //	hmcd -ttl 5m                         # evict sessions idle for 5 minutes
-//	hmcd -max-sessions 65536 -shards 8   # capacity and concurrency
+//	hmcd -max-sessions 65536             # session capacity
 //	hmcd -listen :8080                   # live /metrics, /debug/vars, /debug/pprof/
 //
 // A session is one simulator: init it on a preset, drive it with
@@ -33,7 +33,6 @@ import (
 func main() {
 	tcpAddr := flag.String("tcp", ":7470", "serve the session protocol on this TCP address (\"\" disables)")
 	sockPath := flag.String("sock", "", "serve the session protocol on this Unix socket path")
-	shards := flag.Int("shards", 0, "session-owning goroutines (0 = one per schedulable core)")
 	maxSessions := flag.Int("max-sessions", 0, "concurrent session cap (0 = default 65536)")
 	ttl := flag.Duration("ttl", 0, "evict sessions idle this long (0 disables eviction)")
 	poolCap := flag.Int("pool", 0, "idle simulators retained for reuse (0 = default 1024, negative disables pooling)")
@@ -47,7 +46,6 @@ func main() {
 
 	reg := hmcsim.NewMetricsRegistry()
 	srv := hmcsim.ServeSessions(hmcsim.SessionServerConfig{
-		Shards:      *shards,
 		MaxSessions: *maxSessions,
 		IdleTTL:     *ttl,
 		PoolCap:     *poolCap,

@@ -415,12 +415,12 @@ var (
 // cmd/hmcd-load the load generator). See internal/server for the
 // protocol specification.
 type (
-	// SessionServer hosts concurrent simulator sessions; every session
-	// is pinned to one shard goroutine, so per-session requests
-	// serialize without locks while sessions execute concurrently.
+	// SessionServer hosts concurrent simulator sessions. Requests on one
+	// connection execute in arrival order; requests on different
+	// connections execute concurrently.
 	SessionServer = server.Server
-	// SessionServerConfig parameterizes a SessionServer (shard count,
-	// session cap, idle TTL, simulator pool size, metrics registry).
+	// SessionServerConfig parameterizes a SessionServer (session cap,
+	// idle TTL, simulator pool size, metrics registry).
 	SessionServerConfig = server.Config
 	// SessionClient speaks the wire protocol; one client multiplexes
 	// any number of concurrent sessions over one connection.

@@ -39,8 +39,9 @@
 // host releases it (packet.PutRsp), so the host must release responses
 // on the goroutine that drives the simulator, before the simulator
 // changes hands. Parallelism comes from running independent simulators
-// side by side (sweep workers, session-server shards); those share only
-// the process-wide store page pool, a sync.Pool.
+// side by side (sweep workers, session-server connections, which pass
+// a session from one reader to the next under its stripe lock); those
+// share only the process-wide store page pool, a sync.Pool.
 package device
 
 import (

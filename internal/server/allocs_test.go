@@ -11,7 +11,8 @@ import (
 // TestSteadyStateAllocs is the allocation regression gate for the
 // server hot path. AllocsPerRun counts mallocs process-wide, so the
 // numbers cover the whole round trip — client encode, both readers,
-// shard execution, response encode — across every goroutine involved.
+// execution under the stripe lock, response encode, the writer —
+// across every goroutine involved.
 // The pins are deliberately loose (pool misses and map growth are
 // legitimate noise) but they fail hard if a per-op allocation sneaks
 // back into the path this package spent its budget removing.
@@ -19,7 +20,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are meaningless")
 	}
-	srv := New(Config{Shards: 1})
+	srv := New(Config{})
 	defer srv.Close()
 
 	for _, proto := range []string{ProtoJSON, ProtoBinary} {

@@ -22,7 +22,7 @@ func pipeClient(t *testing.T, srv *Server) *Client {
 // explicit-JSON forms keep line-JSON, binary switches both directions,
 // and a bogus protocol name is refused without killing the connection.
 func TestHelloNegotiation(t *testing.T) {
-	srv := New(Config{Shards: 1})
+	srv := New(Config{})
 	defer srv.Close()
 
 	for _, c := range []struct {
@@ -75,7 +75,7 @@ func TestHelloNegotiation(t *testing.T) {
 // same acceptance, timing and data as one op per frame, in both wire
 // encodings.
 func TestBatchCoalescedRound(t *testing.T) {
-	srv := New(Config{Shards: 1})
+	srv := New(Config{})
 	defer srv.Close()
 
 	for _, proto := range []string{ProtoJSON, ProtoBinary} {
@@ -161,7 +161,7 @@ func (b *Batch) sendRaw(op Op) { b.add(op) }
 // sub-op answers with its own ok=false and code, and execution
 // continues through the rest of the frame.
 func TestBatchPartialFailure(t *testing.T) {
-	srv := New(Config{Shards: 1})
+	srv := New(Config{})
 	defer srv.Close()
 	cl := pipeClient(t, srv)
 	sess, err := cl.Init("2gb-dev")
@@ -211,7 +211,7 @@ func TestBatchPartialFailure(t *testing.T) {
 // MaxBatchOps sub-ops is refused client-side, and non-batchable ops
 // (init, close, nested batch) are refused by request validation.
 func TestBatchRejectsOverAndIllegal(t *testing.T) {
-	srv := New(Config{Shards: 1})
+	srv := New(Config{})
 	defer srv.Close()
 	cl := pipeClient(t, srv)
 	sess, err := cl.Init("2gb-dev")

@@ -9,11 +9,11 @@ import (
 )
 
 // BenchmarkServerOpRoundTrip measures one full wire round trip — encode,
-// pipe, decode, shard dispatch, simulator clock, response encode, pipe,
-// decode — against a warm session. This is the per-operation floor of
-// the co-simulation path.
+// pipe, decode, stripe lock, simulator clock, response encode, writer
+// hand-off, pipe, decode — against a warm session. This is the
+// per-operation floor of the co-simulation path.
 func BenchmarkServerOpRoundTrip(b *testing.B) {
-	srv := New(Config{Shards: 1})
+	srv := New(Config{})
 	defer srv.Close()
 	here, there := net.Pipe()
 	srv.ServeConn(there)
@@ -38,7 +38,7 @@ func BenchmarkServerOpRoundTrip(b *testing.B) {
 // BenchmarkServerSendRecvRoundTrip measures a full request round trip:
 // send a read, run the clock until the response surfaces, receive it.
 func BenchmarkServerSendRecvRoundTrip(b *testing.B) {
-	srv := New(Config{Shards: 1})
+	srv := New(Config{})
 	defer srv.Close()
 	here, there := net.Pipe()
 	srv.ServeConn(there)
@@ -72,7 +72,7 @@ func BenchmarkServerSendRecvRoundTrip(b *testing.B) {
 func BenchmarkServerBatchedSendRecv(b *testing.B) {
 	for _, proto := range []string{ProtoJSON, ProtoBinary} {
 		b.Run(proto, func(b *testing.B) {
-			srv := New(Config{Shards: 1})
+			srv := New(Config{})
 			defer srv.Close()
 			here, there := net.Pipe()
 			srv.ServeConn(there)
@@ -110,7 +110,7 @@ func BenchmarkServerBatchedSendRecv(b *testing.B) {
 // simulator pool — the allocation-free session recycling path the
 // many-thousand-session harness leans on.
 func BenchmarkServerSessionChurn(b *testing.B) {
-	srv := New(Config{Shards: 1})
+	srv := New(Config{})
 	defer srv.Close()
 	here, there := net.Pipe()
 	srv.ServeConn(there)

@@ -143,7 +143,7 @@ func TestBinaryResponseRoundTrip(t *testing.T) {
 // keeps serving — the resynchronization property that motivates length
 // prefixes.
 func TestBinaryMalformedFrames(t *testing.T) {
-	srv := New(Config{Shards: 1})
+	srv := New(Config{})
 	defer srv.Close()
 	here, there := net.Pipe()
 	srv.ServeConn(there)

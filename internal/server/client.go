@@ -16,7 +16,10 @@ import (
 // wire encoding (Hello negotiates; line-JSON is the default). It is
 // safe for concurrent use: calls from many goroutines pipeline onto the
 // single connection and are demultiplexed by response id, so one Client
-// can drive thousands of sessions at once.
+// can drive thousands of sessions at once. The server executes one
+// connection's requests in arrival order; requests execute in parallel
+// only across connections, so a caller that wants that dials several
+// Clients.
 type Client struct {
 	nc net.Conn
 
@@ -409,9 +412,10 @@ func (c *Client) CloseSession(sess uint64) error {
 
 // Batch accumulates session ops and executes them in one coalesced
 // round trip — one frame out, one frame back, the sub-ops run
-// back-to-back on the session's shard. A Batch is reusable (Begin
-// rewinds it, recycling every buffer) but not safe for concurrent use;
-// the results a Do returns stay valid until the next Begin/Do.
+// back-to-back with no other request against the session in between.
+// A Batch is reusable (Begin rewinds it, recycling every buffer) but
+// not safe for concurrent use; the results a Do returns stay valid
+// until the next Begin/Do.
 type Batch struct {
 	c    *Client
 	req  Request

@@ -14,43 +14,46 @@ import (
 	"time"
 
 	"repro/internal/packet"
+	"repro/internal/sim"
 )
 
-// conn is one client connection. The reader goroutine decodes request
-// lines and routes them to shards; the writer goroutine owns the socket
+// conn is one client connection. The reader goroutine decodes each
+// request and executes it under its session's stripe lock, then queues
+// the encoded response on out; the writer goroutine owns the socket
 // write side, batching queued responses and flushing when the queue
-// drains. Responses travel reader→shard→out-channel→writer, so a shard
-// never blocks on a slow socket: if out fills up (connWriteDepth
-// pipelined responses unread), the connection is dropped instead.
+// drains. The reader never blocks on a slow socket: if out fills up
+// (connWriteDepth pipelined responses unread), the connection is
+// dropped instead. The reader is out's only sender and closes it when
+// it stops, so a client that half-closes still gets every answer: the
+// writer flushes them all before it closes the socket.
 type conn struct {
-	srv *Server
-	nc  net.Conn
-	out chan []byte
+	srv  *Server
+	nc   net.Conn
+	out  chan []byte
+	dead atomic.Bool
 
-	// pending counts requests routed to shards whose responses have
-	// not yet been handed to the writer; the conn dies only after the
-	// last one lands (a half-closed client still gets its answers).
-	pending    atomic.Int64
-	readerDone atomic.Bool
-	dead       atomic.Bool
-	dropOnce   sync.Once
-	done       chan struct{}
+	// Reader-owned scratch, reused by every request of the connection:
+	// the decoded request, the batch's coalesced sub-responses and the
+	// pooled response packets their payloads alias until the encode,
+	// and the scratch each send's request is built in (Send copies it).
+	req     Request
+	brsps   []Response
+	brefs   []*packet.Rsp
+	scratch sim.ReqScratch
 }
 
-// drop marks the connection dead and wakes both loops: the deadline
-// unblocks any in-flight Read/Write, and done tells the writer to
-// flush what it has and close the socket. Idempotent.
+// drop marks the connection dead and sets a past deadline, which
+// unblocks the reader's Read and the writer's Write at once. Only
+// Server.Close, a full queue and a failed write drop a connection; an
+// ordinary EOF lets the writer flush. Idempotent.
 func (c *conn) drop() {
-	c.dropOnce.Do(func() {
-		c.dead.Store(true)
-		c.nc.SetDeadline(time.Unix(0, 0))
-		close(c.done)
-	})
+	c.dead.Store(true)
+	c.nc.SetDeadline(time.Unix(0, 0))
 }
 
 // send hands an encoded response to the writer. It never blocks: a
 // full queue means the client stopped reading, and the connection is
-// dropped rather than allowed to wedge the shard that produced buf.
+// dropped rather than allowed to stall the reader.
 func (c *conn) send(buf []byte) {
 	if c.dead.Load() {
 		putBuf(buf)
@@ -74,18 +77,15 @@ var (
 )
 
 func (c *conn) readLoop() {
-	defer func() {
-		c.readerDone.Store(true)
-		if c.pending.Load() == 0 {
-			c.drop()
-		}
-		c.srv.connWG.Done()
-	}()
+	defer c.srv.connWG.Done()
+	defer close(c.out)
 	br := bufio.NewReaderSize(c.nc, 4096)
-	nshards := uint64(len(c.srv.shards))
 	binmode := false
 	var scratch []byte
-	for {
+	req := &c.req
+	// A dropped connection stops at once, even with requests still
+	// buffered: nobody would read their answers.
+	for !c.dead.Load() {
 		var body []byte
 		var err error
 		if binmode {
@@ -112,7 +112,6 @@ func (c *conn) readLoop() {
 		if !binmode && len(bytes.TrimSpace(body)) == 0 {
 			continue
 		}
-		req := getRequest()
 		var op Op
 		if binmode {
 			op, err = DecodeRequestBinary(body, req)
@@ -122,11 +121,10 @@ func (c *conn) readLoop() {
 		if err != nil {
 			c.srv.met.protoErrs.Inc()
 			c.sendError(req.ID, err.Error(), binmode)
-			putRequest(req)
 			continue
 		}
 		if op == OpHello {
-			// hello never reaches a shard: the reader answers it in the
+			// hello touches no session: the reader answers it in the
 			// current encoding and switches modes for everything after.
 			rsp := Response{ID: req.ID, OK: true, Proto: ProtoJSON}
 			if req.Proto == ProtoBinary {
@@ -135,19 +133,14 @@ func (c *conn) readLoop() {
 			c.send(AppendResponse(getBuf(), OpHello, &rsp))
 			binmode = rsp.Proto == ProtoBinary
 			c.srv.met.ops[OpHello].Inc()
-			putRequest(req)
 			continue
 		}
 		if op == OpInit {
-			// The session id is minted here so the reader alone decides
-			// the owning shard; the shard fills in the rest.
+			// The session id is minted here; exec inserts the session
+			// under the lock of the id's stripe.
 			req.Sess = c.srv.nextSess.Add(1)
 		}
-		c.pending.Add(1)
-		// Blocking send: shard backlog is the protocol's backpressure.
-		// Shards drain their channels until Server.Close closes them,
-		// which happens only after every reader has exited.
-		c.srv.shards[req.Sess%nshards].ch <- task{op: op, req: req, c: c, bin: binmode}
+		c.exec(op, req, binmode)
 	}
 }
 
@@ -202,12 +195,19 @@ func readLine(br *bufio.Reader, scratch *[]byte, max int) ([]byte, error) {
 // readFrame returns the next binary frame body, read into scratch (the
 // returned slice aliases it). An oversized frame is skipped in full and
 // reported as errFrameSkipped so the caller can keep the connection.
+// The header is peeked from br's buffer, not copied into a local array
+// (which would escape through io.ReadFull); a header cut short by EOF
+// reads as io.ErrUnexpectedEOF, as io.ReadFull reports it.
 func readFrame(br *bufio.Reader, scratch *[]byte, max int) ([]byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	hdr, err := br.Peek(frameHeaderLen)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	n := int(binary.LittleEndian.Uint32(hdr[:]))
+	n := int(binary.LittleEndian.Uint32(hdr))
+	br.Discard(frameHeaderLen)
 	if n > max {
 		if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
 			return nil, err
@@ -224,8 +224,8 @@ func readFrame(br *bufio.Reader, scratch *[]byte, max int) ([]byte, error) {
 	return *scratch, nil
 }
 
-// sendError emits a bad_request response from the reader itself —
-// malformed input never reaches a shard.
+// sendError emits a bad_request response for input that never decoded
+// into a request.
 func (c *conn) sendError(id uint64, msg string, bin bool) {
 	code := CodeBadRequest
 	if i := strings.IndexByte(msg, ':'); i > 0 {
@@ -255,60 +255,35 @@ func (c *conn) sendBinError(id uint64, codeByte uint8, msg string) {
 	c.send(AppendResponseBinary(getBuf(), 0, &rsp))
 }
 
+// writeLoop writes queued responses until the reader closes out, then
+// closes the socket. After a failed write it keeps draining out without
+// writing, so the reader never blocks.
 func (c *conn) writeLoop() {
 	defer c.srv.connWG.Done()
 	defer c.srv.forget(c)
 	bw := bufio.NewWriterSize(c.nc, 16<<10)
 	broken := false
-	for {
-		select {
-		case buf := <-c.out:
-			c.writeOne(bw, buf, &broken)
-			if len(c.out) == 0 && !broken {
-				if err := bw.Flush(); err != nil {
-					broken = true
-					c.drop()
-				}
+	for buf := range c.out {
+		if !broken {
+			_, err := bw.Write(buf)
+			if err == nil && len(c.out) == 0 {
+				err = bw.Flush()
 			}
-		case <-c.done:
-			for {
-				select {
-				case buf := <-c.out:
-					c.writeOne(bw, buf, &broken)
-				default:
-					if !broken {
-						bw.Flush()
-					}
-					c.nc.Close()
-					return
-				}
+			if err != nil {
+				broken = true
+				c.drop()
 			}
 		}
+		putBuf(buf)
 	}
+	c.nc.Close()
 }
 
-func (c *conn) writeOne(bw *bufio.Writer, buf []byte, broken *bool) {
-	if !*broken {
-		if _, err := bw.Write(buf); err != nil {
-			*broken = true
-			c.drop()
-		}
-	}
-	putBuf(buf)
-}
-
-// Request and response-buffer pools: the hot path (decode → exec →
-// encode → write) recycles both, so a warmed-up server allocates
-// nothing per operation beyond what the simulator itself does.
-var reqPool = sync.Pool{
-	New: func() any {
-		return &Request{Payload: make([]uint64, 0, packet.MaxPayloadWords)}
-	},
-}
-
-func getRequest() *Request  { return reqPool.Get().(*Request) }
-func putRequest(r *Request) { reqPool.Put(r) }
-
+// Response-buffer pools: the hot path (decode → exec → encode → write)
+// recycles encoded responses, and each connection reuses its decoded
+// request, so a warmed-up server allocates nothing per operation beyond
+// what the simulator itself does.
+//
 // bufPool holds response buffers as *[]byte; hdrPool recycles the
 // slice-header boxes themselves, so putBuf re-boxes a buffer without
 // the `&b` escape allocating a fresh header every call. Each box lives

@@ -361,7 +361,7 @@ func (d *batchDriver) stats() (uint64, []device.Stats, error) {
 // every wire mode: line-JSON and binary framing, plain ops and batch
 // frames.
 func TestWireEquivalence(t *testing.T) {
-	srv := New(Config{Shards: 2})
+	srv := New(Config{})
 	defer srv.Close()
 
 	modes := []struct {

@@ -7,9 +7,12 @@
 //
 // Protocol (version 1): each request is one JSON object on one line,
 // each response is one JSON object on one line, matched to its request
-// by the client-chosen id. Requests against one session execute in
-// arrival order; requests against different sessions execute
-// concurrently. The operations mirror the HMC-Sim host API:
+// by the client-chosen id. Requests on one connection execute in
+// arrival order, and their responses come back in that order; requests
+// on different connections execute concurrently, except that requests
+// against one session never overlap. A client that wants parallel
+// execution opens more connections. The operations mirror the HMC-Sim
+// host API:
 //
 //	{"v":1,"id":1,"op":"init","preset":"4link-4gb"}
 //	{"id":2,"op":"send","sess":7,"link":0,"cmd":56,"adrs":64,"tag":1}
@@ -58,11 +61,11 @@ const (
 	OpClose
 	// OpHello negotiates the connection's wire encoding (see Proto*).
 	// It is always line-JSON — the encoding switch takes effect after
-	// its response — and is handled by the connection reader itself,
-	// never routed to a shard.
+	// its response — and touches no session.
 	OpHello
 	// OpBatch carries N session ops in one frame, executed back-to-back
-	// on the session's shard and answered with one coalesced response.
+	// with no other request against the session in between, and
+	// answered with one coalesced response.
 	OpBatch
 	// NumOps is the number of protocol operations.
 	NumOps

@@ -154,7 +154,7 @@ func TestAppendResponseGolden(t *testing.T) {
 }
 
 // TestDecodeRequestRejects pins structural validation: every malformed
-// line is refused before it can reach a shard.
+// line is refused before it can reach a session.
 func TestDecodeRequestRejects(t *testing.T) {
 	big := `{"id":1,"op":"send","sess":1,"cmd":56,"payload":[` +
 		strings.TrimSuffix(strings.Repeat("1,", packet.MaxPayloadWords+1), ",") + `]}`
@@ -208,7 +208,7 @@ func TestDecodeRequestReusesBuffers(t *testing.T) {
 // connection and pins the exact response bytes — the end-to-end golden
 // transcript of a minimal session.
 func TestWireGoldenTranscript(t *testing.T) {
-	srv := New(Config{Shards: 1})
+	srv := New(Config{})
 	defer srv.Close()
 	here, there := net.Pipe()
 	srv.ServeConn(there)
@@ -248,7 +248,7 @@ func TestWireGoldenTranscript(t *testing.T) {
 // TestWireMalformedInput feeds a live server garbage and checks each
 // line draws a structured refusal while the connection stays usable.
 func TestWireMalformedInput(t *testing.T) {
-	srv := New(Config{Shards: 1})
+	srv := New(Config{})
 	defer srv.Close()
 	here, there := net.Pipe()
 	srv.ServeConn(there)

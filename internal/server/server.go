@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,11 +19,6 @@ import (
 
 // Config parameterizes a Server. The zero value serves with defaults.
 type Config struct {
-	// Shards is the number of session-owning goroutines. Each session
-	// is pinned to one shard (sess % Shards), so requests against one
-	// session serialize without locks while distinct sessions execute
-	// concurrently. 0 = GOMAXPROCS.
-	Shards int
 	// MaxSessions caps concurrently live sessions fleet-wide
 	// (0 = DefaultMaxSessions).
 	MaxSessions int
@@ -48,7 +42,7 @@ const (
 )
 
 // Per-request and per-connection bounds. They keep one client from
-// monopolizing a shard or the server's memory.
+// monopolizing a stripe of the session table or the server's memory.
 const (
 	// maxClockBatch caps clockn's n per request.
 	maxClockBatch = 1 << 20
@@ -58,14 +52,16 @@ const (
 	maxLineBytes = 1 << 16
 	// connWriteDepth is the per-connection pipelined-response queue; a
 	// client that stops reading past this depth is disconnected rather
-	// than allowed to wedge a shard.
+	// than allowed to stall its connection's reader.
 	connWriteDepth = 1 << 12
+	// numStripes is the number of lock stripes in the session table.
+	// A stripe's lock is held for one request's execution, so two
+	// connection readers wait for each other only when both run
+	// sessions of one stripe at the same moment.
+	numStripes = 64
 )
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = DefaultMaxSessions
 	}
@@ -81,8 +77,8 @@ func sweepEvery(ttl time.Duration) time.Duration {
 	return max(ttl/4, 10*time.Millisecond)
 }
 
-// session is one hosted simulator, owned exclusively by its shard
-// goroutine — no field is accessed from any other goroutine.
+// session is one hosted simulator. Every field is guarded by the lock
+// of the stripe that holds the session.
 type session struct {
 	id  uint64
 	sim *sim.Simulator
@@ -95,41 +91,23 @@ type session struct {
 	lastOp int64
 }
 
-// task is one unit of shard work: a decoded request bound to the
-// connection that must receive its response, or an eviction sweep tick.
-type task struct {
-	op  Op
-	req *Request
-	c   *conn
-	// bin marks a request that arrived on a binary-mode connection; its
-	// response is encoded in the same framing.
-	bin   bool
-	sweep bool
-	now   int64
-}
-
-type shard struct {
-	srv      *Server
-	ch       chan task
+// stripe is one lock-guarded part of the session table: the sessions
+// whose id is congruent to its index modulo numStripes. Its lock is
+// held from a request's session lookup through the response encode, so
+// the requests against one session serialize and a batch frame runs
+// atomically.
+type stripe struct {
+	mu       sync.Mutex
 	sessions map[uint64]*session
-	// brsps and brefs are the shard's batch scratch: the coalesced
-	// sub-response slice and the pooled response packets whose payloads
-	// it aliases until the frame is encoded. Both recycle across batches
-	// — the batch hot path allocates nothing on the shard.
-	brsps []Response
-	brefs []*packet.Rsp
-	// scratch builds each send's request; Send copies it, so one per
-	// shard serves all its sessions.
-	scratch sim.ReqScratch
 }
 
 // Server hosts simulator sessions behind the line-JSON protocol.
 type Server struct {
-	cfg    Config
-	shards []*shard
-	pool   simPool
-	met    serverMetrics
-	reg    *metrics.Registry
+	cfg     Config
+	stripes [numStripes]stripe
+	pool    simPool
+	met     serverMetrics
+	reg     *metrics.Registry
 
 	nextSess atomic.Uint64
 	active   atomic.Int64
@@ -140,7 +118,6 @@ type Server struct {
 	closed    bool
 	stop      chan struct{}
 
-	shardWG sync.WaitGroup
 	sweepWG sync.WaitGroup
 	connWG  sync.WaitGroup
 }
@@ -155,12 +132,14 @@ type serverMetrics struct {
 	connsOpened    *metrics.Counter
 	connsDropped   *metrics.Counter
 	ops            [NumOps]*metrics.Counter
-	opLat          [NumOps]*metrics.Histogram
+	// opLat times a request from before its stripe lock is taken to the
+	// hand-off of its response to the connection writer, so it includes
+	// the wait for the lock.
+	opLat [NumOps]*metrics.Histogram
 }
 
-// New builds and starts a Server: shard goroutines and (when IdleTTL is
-// set) the eviction sweeper run immediately; attach transports with
-// Serve/ServeConn.
+// New builds and starts a Server (and, when IdleTTL is set, its
+// eviction sweeper); attach transports with Serve/ServeConn.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	reg := cfg.Registry
@@ -194,16 +173,8 @@ func New(cfg Config) *Server {
 		return float64(srv.pool.size())
 	})
 
-	srv.shards = make([]*shard, cfg.Shards)
-	for i := range srv.shards {
-		sh := &shard{
-			srv:      srv,
-			ch:       make(chan task, 256),
-			sessions: make(map[uint64]*session),
-		}
-		srv.shards[i] = sh
-		srv.shardWG.Add(1)
-		go sh.run()
+	for i := range srv.stripes {
+		srv.stripes[i].sessions = make(map[uint64]*session)
 	}
 	if cfg.IdleTTL > 0 {
 		srv.sweepWG.Add(1)
@@ -253,10 +224,9 @@ func (s *Server) Serve(ln net.Listener) error {
 // reader and writer run on their own goroutines.
 func (s *Server) ServeConn(nc net.Conn) {
 	c := &conn{
-		srv:  s,
-		nc:   nc,
-		out:  make(chan []byte, connWriteDepth),
-		done: make(chan struct{}),
+		srv: s,
+		nc:  nc,
+		out: make(chan []byte, connWriteDepth),
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -265,17 +235,20 @@ func (s *Server) ServeConn(nc net.Conn) {
 		return
 	}
 	s.conns[c] = struct{}{}
+	// Added under mu, so a Close that has not seen this conn cannot be
+	// waiting on connWG yet.
+	s.connWG.Add(2)
 	s.mu.Unlock()
 	s.met.connsOpened.Inc()
 	s.met.connsActive.Add(1)
-	s.connWG.Add(2)
 	go c.readLoop()
 	go c.writeLoop()
 }
 
-// Close shuts the server down: listeners close, connections drop,
-// shards drain their queued requests and release every live session's
-// simulator. Close is idempotent and safe to call concurrently.
+// Close shuts the server down: listeners close, the sweeper stops,
+// connections drop, their readers and writers exit, every live
+// session's simulator is released and the pool drains. Close is
+// idempotent and safe to call concurrently.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -298,14 +271,17 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		c.drop()
 	}
-	// Readers exit (their connections are dead), so no producer can
-	// touch shard channels once connWG drains; then the shards flush
-	// and tear down their sessions.
+	// Once the readers are gone no request can reach a session.
 	s.connWG.Wait()
-	for _, sh := range s.shards {
-		close(sh.ch)
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		st.mu.Lock()
+		for _, ss := range st.sessions {
+			s.release(ss)
+		}
+		clear(st.sessions)
+		st.mu.Unlock()
 	}
-	s.shardWG.Wait()
 	s.pool.drain()
 	return nil
 }
@@ -321,9 +297,7 @@ func (s *Server) forget(c *conn) {
 	}
 }
 
-// sweeper periodically offers every shard an eviction tick. A shard too
-// busy to take the tick skips that round — eviction is best-effort
-// housekeeping, never backpressure.
+// sweeper evicts idle sessions on every tick until Close.
 func (s *Server) sweeper() {
 	defer s.sweepWG.Done()
 	tick := time.NewTicker(sweepEvery(s.cfg.IdleTTL))
@@ -333,156 +307,143 @@ func (s *Server) sweeper() {
 		case <-s.stop:
 			return
 		case now := <-tick.C:
-			for _, sh := range s.shards {
-				select {
-				case sh.ch <- task{sweep: true, now: now.UnixNano()}:
-				default:
-				}
+			s.sweepIdle(now.UnixNano())
+		}
+	}
+}
+
+// sweepIdle closes sessions idle past the TTL, one stripe at a time
+// under its lock. An evicted session is indistinguishable from a closed
+// one: the handle answers no_session and the simulator is already
+// serving (or pooled for) someone else.
+func (s *Server) sweepIdle(now int64) {
+	ttl := int64(s.cfg.IdleTTL)
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		st.mu.Lock()
+		for id, ss := range st.sessions {
+			if now-ss.lastOp > ttl {
+				delete(st.sessions, id)
+				s.release(ss)
+				s.met.evictions.Inc()
+				s.met.sessionsClosed.Inc()
 			}
 		}
-	}
-}
-
-func (sh *shard) run() {
-	defer sh.srv.shardWG.Done()
-	for t := range sh.ch {
-		if t.sweep {
-			sh.sweepIdle(t.now)
-			continue
-		}
-		sh.exec(t)
-	}
-	// Shutdown: every remaining session releases its simulator.
-	for _, ss := range sh.sessions {
-		sh.release(ss)
-	}
-	sh.sessions = nil
-}
-
-// sweepIdle closes sessions idle past the TTL. An evicted session is
-// indistinguishable from a closed one: the handle answers no_session
-// and the simulator is already serving (or pooled for) someone else.
-func (sh *shard) sweepIdle(now int64) {
-	ttl := int64(sh.srv.cfg.IdleTTL)
-	for id, ss := range sh.sessions {
-		if now-ss.lastOp > ttl {
-			delete(sh.sessions, id)
-			sh.release(ss)
-			sh.srv.met.evictions.Inc()
-			sh.srv.met.sessionsClosed.Inc()
-		}
+		st.mu.Unlock()
 	}
 }
 
 // release scrubs a session's CMC bindings and hands its simulator to
-// the pool (Reset-in-place), or drops it when the pool is full.
-func (sh *shard) release(ss *session) {
-	sh.srv.active.Add(-1)
-	sh.srv.met.sessionsActive.Add(-1)
+// the pool (Reset-in-place), or drops it when the pool is full. The
+// caller holds the session's stripe lock.
+func (s *Server) release(ss *session) {
+	s.active.Add(-1)
+	s.met.sessionsActive.Add(-1)
 	for _, code := range ss.cmcCodes {
 		for _, d := range ss.sim.Devices() {
 			d.CMC().Unload(code)
 		}
 	}
-	sh.srv.pool.put(ss.sim.Config(), ss.sim)
+	s.pool.put(ss.sim.Config(), ss.sim)
 	ss.sim = nil
 }
 
-// exec runs one request to completion: the session lookup, the
-// simulator call, the response encode, and the hand-off to the
-// connection writer — all on the shard goroutine, with no locks taken
-// on the session.
-func (sh *shard) exec(t task) {
+// exec runs one request to completion on the connection's reader. The
+// session's stripe lock is held from the lookup through the simulator
+// call, the response encode and the release of the pooled packets the
+// response aliased; the hand-off to the writer happens after it.
+func (c *conn) exec(op Op, req *Request, bin bool) {
+	srv := c.srv
 	start := time.Now()
 	var rsp Response
-	rsp.ID = t.req.ID
+	rsp.ID = req.ID
 	rsp.OK = true
 
-	switch {
-	case t.op == OpInit:
-		sh.execInit(t.req, &rsp)
-	case t.op == OpBatch:
-		sh.execBatch(t.req, &rsp, start)
+	st := &srv.stripes[req.Sess%numStripes]
+	st.mu.Lock()
+	switch op {
+	case OpInit:
+		c.execInit(st, req, &rsp)
+	case OpBatch:
+		c.execBatch(st, req, &rsp, start)
 	default:
-		if ss := sh.sessions[t.req.Sess]; ss == nil {
-			fail(&rsp, CodeNoSession, fmt.Sprintf("unknown session %d", t.req.Sess))
+		if ss := st.sessions[req.Sess]; ss == nil {
+			fail(&rsp, CodeNoSession, fmt.Sprintf("unknown session %d", req.Sess))
 		} else {
 			ss.lastOp = start.UnixNano()
-			if r := sh.execOp(t.op, ss, t.req, &rsp); r != nil {
-				sh.brefs = append(sh.brefs, r)
+			if r := c.execOp(op, st, ss, req, &rsp); r != nil {
+				c.brefs = append(c.brefs, r)
 			}
 		}
 	}
 
 	buf := getBuf()
-	if t.bin {
-		buf = AppendResponseBinary(buf, t.op, &rsp)
+	if bin {
+		buf = AppendResponseBinary(buf, op, &rsp)
 	} else {
-		buf = AppendResponse(buf, t.op, &rsp)
+		buf = AppendResponse(buf, op, &rsp)
 	}
 	// Response payloads alias pooled packets until the encode above
 	// copies them out; now the packets can recycle.
-	for i, r := range sh.brefs {
+	for i, r := range c.brefs {
 		sim.ReleaseRsp(r)
-		sh.brefs[i] = nil
+		c.brefs[i] = nil
 	}
-	sh.brefs = sh.brefs[:0]
-	t.c.send(buf)
-	putRequest(t.req)
+	c.brefs = c.brefs[:0]
+	st.mu.Unlock()
 
-	sh.srv.met.ops[t.op].Inc()
-	sh.srv.met.opLat[t.op].Observe(uint64(time.Since(start)))
-	if t.c.pending.Add(-1) == 0 && t.c.readerDone.Load() {
-		t.c.drop()
-	}
+	c.send(buf)
+	srv.met.ops[op].Inc()
+	srv.met.opLat[op].Observe(uint64(time.Since(start)))
 }
 
 // execBatch runs a batch frame's sub-ops back-to-back on the session.
-// The frame is atomic on the shard — no other request against this
-// session (nor any other session of this shard) interleaves — but not
-// transactional: a failed sub-op reports its own ok=false and the
-// remaining sub-ops still run, exactly as if the client had pipelined
-// them as separate requests.
-func (sh *shard) execBatch(req *Request, rsp *Response, start time.Time) {
-	ss := sh.sessions[req.Sess]
+// The frame is atomic — the stripe lock keeps every other request
+// against this session out until it ends — but not transactional: a
+// failed sub-op reports its own ok=false and the remaining sub-ops
+// still run, exactly as if the client had pipelined them as separate
+// requests.
+func (c *conn) execBatch(st *stripe, req *Request, rsp *Response, start time.Time) {
+	ss := st.sessions[req.Sess]
 	if ss == nil {
 		fail(rsp, CodeNoSession, fmt.Sprintf("unknown session %d", req.Sess))
 		return
 	}
 	ss.lastOp = start.UnixNano()
-	rsps := sh.brsps[:0]
+	rsps := c.brsps[:0]
 	for i := range req.Ops {
 		sub := &req.Ops[i]
 		var sr Response
 		sr.OK = true
 		sr.opc = sub.opc
-		if r := sh.execOp(sub.opc, ss, sub, &sr); r != nil {
-			sh.brefs = append(sh.brefs, r)
+		if r := c.execOp(sub.opc, st, ss, sub, &sr); r != nil {
+			c.brefs = append(c.brefs, r)
 		}
-		sh.srv.met.ops[sub.opc].Inc()
+		c.srv.met.ops[sub.opc].Inc()
 		rsps = append(rsps, sr)
 	}
-	sh.brsps = rsps
+	c.brsps = rsps
 	rsp.Rsps = rsps
 	rsp.Cycle = ss.sim.Cycle()
 }
 
-func (sh *shard) execInit(req *Request, rsp *Response) {
+func (c *conn) execInit(st *stripe, req *Request, rsp *Response) {
+	srv := c.srv
 	cfg, err := config.ByName(req.Preset)
 	if err != nil {
 		fail(rsp, CodeBadPreset, fmt.Sprintf("unknown preset %q", req.Preset))
 		return
 	}
-	if n := sh.srv.active.Add(1); n > int64(sh.srv.cfg.MaxSessions) {
-		sh.srv.active.Add(-1)
-		fail(rsp, CodeSessionLimit, fmt.Sprintf("session limit %d reached", sh.srv.cfg.MaxSessions))
+	if n := srv.active.Add(1); n > int64(srv.cfg.MaxSessions) {
+		srv.active.Add(-1)
+		fail(rsp, CodeSessionLimit, fmt.Sprintf("session limit %d reached", srv.cfg.MaxSessions))
 		return
 	}
-	sm, ok := sh.srv.pool.get(cfg)
+	sm, ok := srv.pool.get(cfg)
 	if !ok {
 		sm, err = sim.New(cfg)
 		if err != nil {
-			sh.srv.active.Add(-1)
+			srv.active.Add(-1)
 			fail(rsp, CodeSim, err.Error())
 			return
 		}
@@ -492,9 +453,9 @@ func (sh *shard) execInit(req *Request, rsp *Response) {
 		sim:    sm,
 		lastOp: time.Now().UnixNano(),
 	}
-	sh.sessions[ss.id] = ss
-	sh.srv.met.sessionsOpened.Inc()
-	sh.srv.met.sessionsActive.Add(1)
+	st.sessions[ss.id] = ss
+	srv.met.sessionsOpened.Inc()
+	srv.met.sessionsActive.Add(1)
 	rsp.V = Version
 	rsp.Sess = ss.id
 	rsp.Cycle = 0
@@ -503,7 +464,7 @@ func (sh *shard) execInit(req *Request, rsp *Response) {
 // execOp executes one session op. A non-nil return is a pooled response
 // packet whose payload rsp aliases; the caller releases it after
 // encoding.
-func (sh *shard) execOp(op Op, ss *session, req *Request, rsp *Response) *packet.Rsp {
+func (c *conn) execOp(op Op, st *stripe, ss *session, req *Request, rsp *Response) *packet.Rsp {
 	var ref *packet.Rsp
 	switch op {
 	case OpSend:
@@ -516,7 +477,7 @@ func (sh *shard) execOp(op Op, ss *session, req *Request, rsp *Response) *packet
 			fail(rsp, CodeSim, fmt.Sprintf("link %d out of range (%d links)", req.Link, ss.sim.Links()))
 			break
 		}
-		r, err := sh.scratch.Build(cmd, req.Cub, req.Adrs, req.Tag, req.Link, req.Payload)
+		r, err := c.scratch.Build(cmd, req.Cub, req.Adrs, req.Tag, req.Link, req.Payload)
 		if err != nil {
 			fail(rsp, CodeSim, err.Error())
 			break
@@ -559,7 +520,7 @@ func (sh *shard) execOp(op Op, ss *session, req *Request, rsp *Response) *packet
 		rsp.Advanced = ss.sim.ClockUntilRecv(req.Budget)
 		rsp.Avail = ss.sim.RspAvailable()
 	case OpLoadCMC:
-		sh.execLoadCMC(ss, req.Name, rsp)
+		ss.loadCMC(req.Name, rsp)
 	case OpReset:
 		ss.sim.Reset()
 	case OpStats:
@@ -569,10 +530,10 @@ func (sh *shard) execOp(op Op, ss *session, req *Request, rsp *Response) *packet
 			rsp.Devices[i] = d.Stats()
 		}
 	case OpClose:
-		delete(sh.sessions, ss.id)
+		delete(st.sessions, ss.id)
 		rsp.Cycle = ss.sim.Cycle()
-		sh.release(ss)
-		sh.srv.met.sessionsClosed.Inc()
+		c.srv.release(ss)
+		c.srv.met.sessionsClosed.Inc()
 		return nil
 	}
 	if rsp.OK {
@@ -581,11 +542,11 @@ func (sh *shard) execOp(op Op, ss *session, req *Request, rsp *Response) *packet
 	return ref
 }
 
-// execLoadCMC binds a registered CMC operation, idempotently per
-// session: reloading a name the session already bound succeeds without
-// touching the table (pooled simulators arrive scrubbed, so a fresh
-// session never inherits a previous tenant's bindings).
-func (sh *shard) execLoadCMC(ss *session, name string, rsp *Response) {
+// loadCMC binds a registered CMC operation, idempotently per session:
+// reloading a name the session already bound succeeds without touching
+// the table (pooled simulators arrive scrubbed, so a fresh session
+// never inherits a previous tenant's bindings).
+func (ss *session) loadCMC(name string, rsp *Response) {
 	for _, n := range ss.cmcNames {
 		if n == name {
 			return

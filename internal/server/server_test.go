@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -40,7 +41,7 @@ func wantCode(t *testing.T, err error, code string) {
 
 // TestSessionLifecycle walks one session through every operation.
 func TestSessionLifecycle(t *testing.T) {
-	srv, cl := newTestPair(t, Config{Shards: 2})
+	srv, cl := newTestPair(t, Config{})
 
 	sess, err := cl.Init("4link-4gb")
 	if err != nil {
@@ -121,7 +122,7 @@ func TestSessionLifecycle(t *testing.T) {
 
 // TestInitErrors covers preset and capacity failures.
 func TestInitErrors(t *testing.T) {
-	srv, cl := newTestPair(t, Config{Shards: 1, MaxSessions: 2})
+	srv, cl := newTestPair(t, Config{MaxSessions: 2})
 
 	_, err := cl.Init("16link-1tb")
 	wantCode(t, err, CodeBadPreset)
@@ -152,7 +153,7 @@ func TestInitErrors(t *testing.T) {
 // config.ByName accepts, and that the idle pool keys by the resolved
 // configuration: two spellings of one preset share pooled simulators.
 func TestInitPresetNames(t *testing.T) {
-	srv, cl := newTestPair(t, Config{Shards: 1})
+	srv, cl := newTestPair(t, Config{})
 	for _, name := range []string{"4Link-4GB", "2gb"} {
 		sess, err := cl.Init(name)
 		if err != nil {
@@ -176,7 +177,7 @@ func TestInitPresetNames(t *testing.T) {
 
 // TestBatchLimits pins the per-request clock caps.
 func TestBatchLimits(t *testing.T) {
-	_, cl := newTestPair(t, Config{Shards: 1})
+	_, cl := newTestPair(t, Config{})
 	sess, err := cl.Init("2gb-dev")
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +197,7 @@ func TestBatchLimits(t *testing.T) {
 
 // TestSendValidation covers simulator-level send refusals.
 func TestSendValidation(t *testing.T) {
-	_, cl := newTestPair(t, Config{Shards: 1})
+	_, cl := newTestPair(t, Config{})
 	sess, err := cl.Init("2gb-dev")
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +217,7 @@ func TestSendValidation(t *testing.T) {
 // the same op succeeds (a dirty table would answer ErrSlotBusy) and the
 // statistics restart from zero.
 func TestPooledSimulatorScrubbed(t *testing.T) {
-	srv, cl := newTestPair(t, Config{Shards: 1})
+	srv, cl := newTestPair(t, Config{})
 	sess, err := cl.Init("2gb-dev")
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +254,7 @@ func TestPooledSimulatorScrubbed(t *testing.T) {
 // TestIdleEviction pins the TTL sweep: an untouched session dies, an
 // active one survives, and eviction is indistinguishable from close.
 func TestIdleEviction(t *testing.T) {
-	srv, cl := newTestPair(t, Config{Shards: 1, IdleTTL: 80 * time.Millisecond})
+	srv, cl := newTestPair(t, Config{IdleTTL: 80 * time.Millisecond})
 	idle, err := cl.Init("2gb-dev")
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +400,7 @@ func TestTCPAndUnixTransports(t *testing.T) {
 // TestServerCloseReleasesSessions shuts down with live sessions and
 // in-flight clients; everything must unwind without hanging.
 func TestServerCloseReleasesSessions(t *testing.T) {
-	srv := New(Config{Shards: 2})
+	srv := New(Config{})
 	here, there := net.Pipe()
 	srv.ServeConn(there)
 	cl := NewClient(here)
@@ -423,5 +424,114 @@ func TestServerCloseReleasesSessions(t *testing.T) {
 	}
 	if srv.Close() != nil {
 		t.Fatal("second close errored")
+	}
+}
+
+// TestStripesAcrossConnections drives sessions from connections other
+// than the ones that opened them: four connections, eight goroutines
+// each, every round a write and a read-back whose tags and data are
+// checked. A fifth session is left idle until the sweeper evicts it;
+// the busy ones must all survive to be closed by the goroutines that
+// drive them.
+func TestStripesAcrossConnections(t *testing.T) {
+	const conns, workers, perWorker, minRounds = 4, 8, 2, 8
+	srv := New(Config{IdleTTL: 400 * time.Millisecond})
+	defer srv.Close()
+	cls := make([]*Client, conns)
+	for i := range cls {
+		here, there := net.Pipe()
+		srv.ServeConn(there)
+		cls[i] = NewClient(here)
+		defer cls[i].Close()
+	}
+	opened := make([][]uint64, conns)
+	for i, cl := range cls {
+		for j := 0; j < workers*perWorker; j++ {
+			sess, err := cl.Init("2gb-dev")
+			if err != nil {
+				t.Fatal(err)
+			}
+			opened[i] = append(opened[i], sess)
+		}
+	}
+	idle, err := cls[0].Init("2gb-dev")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	evicted := srv.Metrics().Lookup("hmc_server_sessions_evicted_total")
+	wr, rd := hmccmd.WR64.Code(), hmccmd.RD64.Code()
+	wrRS, _ := hmccmd.WrRS.Code()
+	rdRS, _ := hmccmd.RdRS.Code()
+	var wg sync.WaitGroup
+	errCh := make(chan error, conns*workers)
+	deadline := time.Now().Add(30 * time.Second)
+	for i, cl := range cls {
+		// Connection i drives the sessions connection i+1 opened.
+		mine := opened[(i+1)%conns]
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(cl *Client, sessions []uint64) {
+				defer wg.Done()
+				errCh <- func() error {
+					for round := 0; round < minRounds || evicted.Number() < 1; round++ {
+						if time.Now().After(deadline) {
+							return fmt.Errorf("idle session not evicted after %d rounds", round)
+						}
+						for _, sess := range sessions {
+							data := make([]uint64, 8)
+							for k := range data {
+								data[k] = sess<<32 | uint64(round)<<8 | uint64(k)
+							}
+							tag := uint16(round%1000*2 + 1)
+							for _, step := range []struct {
+								cmd, rsp uint8
+								tag      uint16
+								payload  []uint64
+							}{{wr, wrRS, tag, data}, {rd, rdRS, tag + 1, nil}} {
+								if acc, err := cl.Send(sess, 0, step.cmd, 0, 0x40, step.tag, step.payload); err != nil || !acc {
+									return fmt.Errorf("session %d round %d: send accepted=%v err=%v", sess, round, acc, err)
+								}
+								if _, avail, err := cl.ClockUntilRecv(sess, 8192); err != nil || !avail {
+									return fmt.Errorf("session %d round %d: avail=%v err=%v", sess, round, avail, err)
+								}
+								rsp, err := cl.Recv(sess, 0)
+								if err != nil {
+									return err
+								}
+								if !rsp.Have || rsp.Cmd != step.rsp || rsp.Tag != step.tag {
+									return fmt.Errorf("session %d round %d: recv cmd %d tag %d, want cmd %d tag %d",
+										sess, round, rsp.Cmd, rsp.Tag, step.rsp, step.tag)
+								}
+								if step.cmd == rd && !slices.Equal(rsp.Payload, data) {
+									return fmt.Errorf("session %d round %d: read %v, wrote %v", sess, round, rsp.Payload, data)
+								}
+							}
+						}
+					}
+					for _, sess := range sessions {
+						if err := cl.CloseSession(sess); err != nil {
+							return fmt.Errorf("busy session %d: %w", sess, err)
+						}
+					}
+					return nil
+				}()
+			}(cl, mine[w*perWorker:(w+1)*perWorker])
+		}
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = cls[2].Clock(idle)
+	wantCode(t, err, CodeNoSession)
+	if got := evicted.Number(); got != 1 {
+		t.Errorf("evictions = %v, want 1", got)
+	}
+	if n := srv.ActiveSessions(); n != 0 {
+		t.Errorf("active = %d after every session closed or evicted, want 0", n)
 	}
 }

@@ -7,7 +7,8 @@
 # four sweep workers against its golden, the atomic metrics registry, a
 # span-traced sweep asked for four workers, which must feed its one
 # recorder from one simulator at a time, and the session server's
-# shards), the engine-equivalence suites under -race, the zero-alloc
+# connection readers sharing the striped session table), the
+# engine-equivalence suites under -race, the zero-alloc
 # smoke pinning the topo clock's allocation-free forwarding and the
 # clock loop with no observer and with every observer attached, and
 # finally a 1-iteration benchmark smoke so every benchmark at least
@@ -53,17 +54,21 @@ equiv='TestClockModeEquivalence|TestEventClock|TestSpans'
 check_run "$equiv" .
 go test -race -run "$equiv" .
 # Session-server gate: the 500-session loopback smoke (concurrent
-# clients churning a full fleet over one connection) and the wire
+# clients churning a full fleet over one connection), the wire
 # equivalence suite (bit-identical stats and response streams between
 # wire-driven and in-process sessions, in all four wire modes — json,
-# binary, and the batched variant of each).
-wire='TestSmoke500Sessions|TestWireEquivalence'
+# binary, and the batched variant of each), four connections driving
+# each other's sessions through the striped session table while the
+# sweeper evicts an idle one, and a stalled reader dropped without
+# stalling another connection or leaking a goroutine.
+wire='TestSmoke500Sessions|TestWireEquivalence|TestStripesAcrossConnections|TestStalledReaderDropped'
 check_run "$wire" ./internal/server
 go test -run "$wire" -count=1 ./internal/server
 # Batched-load race smoke: a small hmcd-load fleet driving binary
-# batched frames through the full client/conn/shard pipeline under the
-# race detector — the pipelined client reader, the per-connection mode
-# switch, and batch execution on the shards all run concurrently here.
+# batched frames through the full client/reader/writer pipeline under
+# the race detector — the pipelined client reader, the per-connection
+# mode switch, and batch execution on four connection readers sharing
+# the session table all run concurrently here.
 go run -race ./cmd/hmcd-load -sessions 200 -rounds 2 -warmup 1 -conns 4 -workers 8 -proto binary -batch > /dev/null
 # Allocation-regression gate: every pin that asserts a hot path stays
 # allocation-free (the pins skip themselves under -race, so this is a
@@ -74,8 +79,10 @@ go run -race ./cmd/hmcd-load -sessions 200 -rounds 2 -warmup 1 -conns 4 -workers
 # in internal/span pins the recording path itself;
 # TestSteadyStateAllocs pins the warm server round trip (clock and
 # batched send/recv, both protocols) at single-digit allocs/op;
-# TestNewFootprintBytes pins the bytes one simulator build allocates.
-allocs='ZeroAlloc|TestSteadyStateAllocs|TestNewFootprintBytes'
+# TestReadFrameAllocs pins the binary frame reader at zero allocs per
+# frame; TestNewFootprintBytes pins the bytes one simulator build
+# allocates.
+allocs='ZeroAlloc|TestSteadyStateAllocs|TestReadFrameAllocs|TestNewFootprintBytes'
 check_run "$allocs" . ./internal/metrics ./internal/span ./internal/server
 go test -run "$allocs" -count=1 . ./internal/metrics ./internal/span ./internal/server
 go test -run '^$' -bench . -benchtime 1x ./...
