@@ -17,13 +17,16 @@ import (
 // popped), and only those vaults are visited. Setting ForceWalk restores
 // the walk-everything behaviour over every built vault (an unbuilt one
 // has empty queues); both modes produce bit-identical results.
+//
+// The cycle counter in Stats moves last: that is the moment every queue
+// takes its occupancy sample (queue.Queue), so a sample sees the queues
+// as the phases left them, before the host's next Send or Recv.
 func (d *Device) Clock() {
 	d.cycle++
-	d.stats.Cycles++
 	d.responsePhase()
 	d.executePhase()
 	d.requestPhase()
-	d.samplePhase()
+	d.stats.Cycles++
 }
 
 // The dirty masks are iterated ascending (TrailingZeros64), preserving
@@ -368,62 +371,6 @@ func (d *Device) requestPhase() {
 			}
 			setBit(d.vaultRqstMask, vi)
 			q.Pop()
-		}
-	}
-}
-
-// samplePhase records occupancy statistics once per cycle. Empty queues
-// are skipped: an empty sample adds zero occupancy, and queue.Stats
-// reconstructs the skipped sample counts from the cycle counter
-// (SetSampleBase), so the reported statistics are bit-identical to
-// sampling everything.
-func (d *Device) samplePhase() {
-	if d.ForceWalk {
-		for i := range d.links {
-			d.links[i].rqst.Sample()
-			d.links[i].rsp.Sample()
-		}
-		for li := range d.links {
-			d.xbar.rqst[li].Sample()
-			d.xbar.rsp[li].Sample()
-		}
-		for _, v := range d.vaults {
-			if v != nil {
-				v.rqst.Sample()
-				v.rsp.Sample()
-			}
-		}
-		return
-	}
-	for i := range d.links {
-		l := &d.links[i]
-		if !l.rqst.Empty() {
-			l.rqst.Sample()
-		}
-		if !l.rsp.Empty() {
-			l.rsp.Sample()
-		}
-	}
-	for li := range d.links {
-		if q := &d.xbar.rqst[li]; !q.Empty() {
-			q.Sample()
-		}
-		if q := &d.xbar.rsp[li]; !q.Empty() {
-			q.Sample()
-		}
-	}
-	for wi, w := range d.vaultRqstMask {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << b
-			d.vaults[wi<<6+b].rqst.Sample()
-		}
-	}
-	for wi, w := range d.vaultRspMask {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << b
-			d.vaults[wi<<6+b].rsp.Sample()
 		}
 	}
 }

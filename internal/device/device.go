@@ -125,7 +125,9 @@ type Flight struct {
 
 // Stats aggregates device-lifetime counters.
 type Stats struct {
-	// Cycles is the number of Clock() calls.
+	// Cycles is the number of completed cycles, clocked or skipped. It
+	// is also the sample counter of every queue's occupancy statistics,
+	// so Clock advances it only once the cycle's phases are done.
 	Cycles uint64
 	// Rqsts counts executed requests by command class.
 	Rqsts [8]uint64
@@ -202,10 +204,9 @@ type Device struct {
 	stats Stats
 
 	// ForceWalk disables idle skipping, making every clock phase walk
-	// every built vault and sample every queue exactly as the original
-	// implementation did. Results are bit-identical either way (the
-	// equivalence tests prove it); the switch exists for those tests and
-	// for debugging.
+	// every built vault exactly as the original implementation did.
+	// Results are bit-identical either way (the equivalence tests prove
+	// it); the switch exists for those tests and for debugging.
 	ForceWalk bool
 
 	// flightPool recycles Flight envelopes and rqstPool recycles the
@@ -272,24 +273,16 @@ func New(id int, cfg config.Config) (*Device, error) {
 	// array on the first Load; link retry rings with a fault plan
 	// (SetFaultPlan). A session that touches one vault does not pay for
 	// the other 31.
+	// Every queue integrates its occupancy over the cycle counter, which
+	// Clock bumps once a cycle's phases are done (queue.Queue).
 	d.links = make([]Link, cfg.Links)
 	for i := range d.links {
-		d.links[i].init(i, cfg.LinkDepth)
+		d.links[i].init(i, cfg.LinkDepth, &d.stats.Cycles)
 	}
-	d.xbar.init(cfg)
+	d.xbar.init(cfg, &d.stats.Cycles)
 	d.vaults = make([]*Vault, cfg.Vaults)
 	d.vaultRqstMask = make([]uint64, (cfg.Vaults+63)/64)
 	d.vaultRspMask = make([]uint64, (cfg.Vaults+63)/64)
-	// Tie every queue's sample count to the cycle counter so the sample
-	// phase may skip empty queues without perturbing the statistics.
-	for i := range d.links {
-		d.links[i].rqst.SetSampleBase(&d.stats.Cycles)
-		d.links[i].rsp.SetSampleBase(&d.stats.Cycles)
-	}
-	for i := range d.xbar.rqst {
-		d.xbar.rqst[i].SetSampleBase(&d.stats.Cycles)
-		d.xbar.rsp[i].SetSampleBase(&d.stats.Cycles)
-	}
 	return d, nil
 }
 

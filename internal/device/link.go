@@ -88,10 +88,10 @@ type Link struct {
 	Retries uint64
 }
 
-func (l *Link) init(id, depth int) {
+func (l *Link) init(id, depth int, cycles *uint64) {
 	l.ID = id
-	l.rqst.Init(depth)
-	l.rsp.Init(depth)
+	l.rqst.Init(depth, cycles)
+	l.rsp.Init(depth, cycles)
 }
 
 // reset rewinds one direction's retry-protocol state to power-on. The

@@ -12,7 +12,7 @@ import (
 //
 //   - queues: drained (in-flight packets recycle into the device pools)
 //     and their occupancy statistics cleared; the ring buffers and the
-//     sample-base wiring survive.
+//     sample-counter wiring survive.
 //   - link retry state: both directions' SEQ/FRP rings (built only
 //     with a fault plan), traversal counters, park and down windows.
 //   - vaults: bank availability/open-row state and per-bank op counts,
@@ -23,7 +23,7 @@ import (
 //   - backing store: block-cleared in place (mem.Store.Zero), keeping
 //     materialized pages warm for the next run.
 //   - stats and the cycle counter: zeroed (in place, so the queues'
-//     sample-base pointer stays valid).
+//     sample-counter pointer stays valid).
 //   - fault injectors: reseeded to the start of their original streams,
 //     so a reused device observes the identical fault sequence.
 //

@@ -41,16 +41,14 @@ type Vault struct {
 	nbanks int
 }
 
-// newVault builds vault id. Its queues' sample counts are tied to the
+// newVault builds vault id. Its queues integrate occupancy over the
 // device's cycle counter like every other queue's, so a vault built
 // mid-run reports the statistics of one that always existed and was
 // empty until now.
 func newVault(id int, cfg *config.Config, cycles *uint64) *Vault {
 	v := &Vault{ID: id, Quad: id / cfg.VaultsPerQuad(), nbanks: cfg.BanksPerVault}
-	v.rqst.Init(cfg.QueueDepth)
-	v.rsp.Init(cfg.QueueDepth)
-	v.rqst.SetSampleBase(cycles)
-	v.rsp.SetSampleBase(cycles)
+	v.rqst.Init(cfg.QueueDepth, cycles)
+	v.rsp.Init(cfg.QueueDepth, cycles)
 	return v
 }
 

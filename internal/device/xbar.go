@@ -20,12 +20,12 @@ type Crossbar struct {
 	rsp  []queue.Queue[*Flight]
 }
 
-func (x *Crossbar) init(cfg config.Config) {
+func (x *Crossbar) init(cfg config.Config, cycles *uint64) {
 	x.rqst = make([]queue.Queue[*Flight], cfg.Links)
 	x.rsp = make([]queue.Queue[*Flight], cfg.Links)
 	for i := 0; i < cfg.Links; i++ {
-		x.rqst[i].Init(cfg.XbarDepth)
-		x.rsp[i].Init(cfg.XbarDepth)
+		x.rqst[i].Init(cfg.XbarDepth, cycles)
+		x.rsp[i].Init(cfg.XbarDepth, cycles)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -50,10 +51,11 @@ func (h HistSummary) Avg() float64 {
 // plots (queue occupancy, bandwidth, power draw over time), producible
 // from a single run.
 //
-// MaybeSample is the clock hook: a modulo check and nothing else on
-// non-sample cycles, so attaching a sampler leaves the per-cycle cost of
-// the clock loop unchanged between samples. Sample cycles serialize the
-// registry (locking and allocating); amortize with the period.
+// A clock driver asks Next for the next sampling cycle, clocks up to it
+// in one span and then calls MaybeSample, so the sampler costs the clock
+// one call per span and not one per cycle; idle spans still skip
+// ahead. Sample cycles serialize the registry (locking and allocating);
+// amortize with the period.
 //
 // A Sampler is safe for concurrent use (samples are written atomically
 // under a mutex), so several instrumented runs may share one output
@@ -96,8 +98,18 @@ func NewSampler(reg *Registry, w io.Writer, every uint64, opts ...SamplerOption)
 	return s
 }
 
+// Next returns the first sampling cycle after cycle, or the largest
+// uint64 when periodic sampling is off. A clock driver ends each span
+// on it.
+func (s *Sampler) Next(cycle uint64) uint64 {
+	if s.every == 0 || cycle > math.MaxUint64-s.every {
+		return math.MaxUint64
+	}
+	return cycle - cycle%s.every + s.every
+}
+
 // MaybeSample snapshots the registry when cycle lands on the sampling
-// period. This is the hook simulators call once per clock.
+// period. Simulators call it at the end of every clocked span.
 func (s *Sampler) MaybeSample(cycle uint64) {
 	if s.every == 0 || cycle%s.every != 0 {
 		return

@@ -54,10 +54,12 @@ func DefaultParams() Params {
 type Model struct {
 	p Params
 
-	// Totals by component, in picojoules.
-	DRAM, Xbar, SerDes, ALU, Static float64
+	// Totals by component, in picojoules; Static is a method.
+	DRAM, Xbar, SerDes, ALU float64
 	// Ops counts charged operations.
 	Ops uint64
+	// cycles counts the device cycles charged static energy.
+	cycles uint64
 }
 
 // New returns a model with the given parameters.
@@ -82,13 +84,18 @@ func (m *Model) ChargeRequest(class hmccmd.Class, rqstFlits, rspFlits, blocks in
 }
 
 // ChargeCycles charges static energy for n device cycles.
-func (m *Model) ChargeCycles(n uint64) {
-	m.Static += float64(n) * m.p.StaticPJPerCycle
+func (m *Model) ChargeCycles(n uint64) { m.cycles += n }
+
+// Static returns the static energy charged so far in picojoules: the
+// charged cycles times the per-cycle floor, one correctly rounded
+// product however the cycles were batched.
+func (m *Model) Static() float64 {
+	return float64(m.cycles) * m.p.StaticPJPerCycle
 }
 
 // TotalPJ returns the accumulated energy in picojoules.
 func (m *Model) TotalPJ() float64 {
-	return m.DRAM + m.Xbar + m.SerDes + m.ALU + m.Static
+	return m.DRAM + m.Xbar + m.SerDes + m.ALU + m.Static()
 }
 
 // AvgPowerWatts converts the accumulated energy over a cycle count at a
@@ -115,7 +122,7 @@ func (m *Model) RegisterMetrics(reg *metrics.Registry, labels ...metrics.Label) 
 	comp("hmc_power_component_pj", func() float64 { return m.Xbar }, "xbar")
 	comp("hmc_power_component_pj", func() float64 { return m.SerDes }, "serdes")
 	comp("hmc_power_component_pj", func() float64 { return m.ALU }, "alu")
-	comp("hmc_power_component_pj", func() float64 { return m.Static }, "static")
+	comp("hmc_power_component_pj", m.Static, "static")
 	reg.GaugeFunc(metrics.NamePowerTotal, m.TotalPJ, labels...)
 	reg.CounterFunc("hmc_power_ops_total", func() uint64 { return m.Ops }, labels...)
 }
@@ -123,5 +130,5 @@ func (m *Model) RegisterMetrics(reg *metrics.Registry, labels ...metrics.Label) 
 // String renders the component breakdown.
 func (m *Model) String() string {
 	return fmt.Sprintf("dram=%.1fpJ xbar=%.1fpJ serdes=%.1fpJ alu=%.1fpJ static=%.1fpJ total=%.1fpJ ops=%d",
-		m.DRAM, m.Xbar, m.SerDes, m.ALU, m.Static, m.TotalPJ(), m.Ops)
+		m.DRAM, m.Xbar, m.SerDes, m.ALU, m.Static(), m.TotalPJ(), m.Ops)
 }

@@ -42,8 +42,8 @@ func TestChargeRequestComponents(t *testing.T) {
 func TestStaticAndTotals(t *testing.T) {
 	m := New(Params{StaticPJPerCycle: 2})
 	m.ChargeCycles(50)
-	if m.Static != 100 || m.TotalPJ() != 100 {
-		t.Errorf("static %v total %v", m.Static, m.TotalPJ())
+	if m.Static() != 100 || m.TotalPJ() != 100 {
+		t.Errorf("static %v total %v", m.Static(), m.TotalPJ())
 	}
 }
 

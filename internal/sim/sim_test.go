@@ -194,7 +194,7 @@ func TestPowerIntegration(t *testing.T) {
 	if pm.Ops != 1 {
 		t.Errorf("charged %d ops", pm.Ops)
 	}
-	if pm.DRAM == 0 || pm.Static == 0 || pm.TotalPJ() == 0 {
+	if pm.DRAM == 0 || pm.Static() == 0 || pm.TotalPJ() == 0 {
 		t.Errorf("power breakdown %v", pm)
 	}
 	if pm.AvgPowerWatts(s.Cycle(), 1.25) <= 0 {
