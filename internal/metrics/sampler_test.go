@@ -3,6 +3,7 @@ package metrics
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -13,6 +14,23 @@ func sampleRegistry() (*Registry, *Counter, *Histogram) {
 	h := r.Histogram("hmc_request_latency_cycles", L("dev", "0"))
 	r.Gauge(NameLinkRqstOcc, L("dev", "0"), L("link", "0")).Set(3)
 	return r, c, h
+}
+
+// TestSamplerNext pins the span boundary clock drivers end on: the
+// first sampling cycle strictly after the given one, and never when
+// periodic sampling is off or the next period would overflow.
+func TestSamplerNext(t *testing.T) {
+	sm := NewSampler(NewRegistry(), &bytes.Buffer{}, 7)
+	for _, c := range []struct{ cycle, want uint64 }{
+		{0, 7}, {6, 7}, {7, 14}, {8, 14}, {math.MaxUint64 - 3, math.MaxUint64},
+	} {
+		if got := sm.Next(c.cycle); got != c.want {
+			t.Errorf("Next(%d) = %d, want %d", c.cycle, got, c.want)
+		}
+	}
+	if got := NewSampler(NewRegistry(), &bytes.Buffer{}, 0).Next(5); got != math.MaxUint64 {
+		t.Errorf("Next with sampling off = %d, want the largest uint64", got)
+	}
 }
 
 func TestSamplerRoundTrip(t *testing.T) {

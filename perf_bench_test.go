@@ -8,6 +8,7 @@
 package hmcsim
 
 import (
+	"io"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -281,15 +282,14 @@ func chainBatch(b *testing.B, s *Simulator, cfg Config, reqs []*Rqst) {
 // chainSim builds the 4-cube chain simulator and request set the chain
 // benchmarks share: one RD64 per (cube, vault) pair. event selects the
 // cycle scheduler: true is the shipped event-driven calendar, false the
-// per-cycle reference engine.
-func chainSim(b *testing.B, event bool) (*Simulator, Config, []*Rqst) {
+// per-cycle reference engine. extra options attach observers.
+func chainSim(b *testing.B, event bool, extra ...Option) (*Simulator, Config, []*Rqst) {
 	b.Helper()
 	cfg := FourLink4GB()
-	var opts []Option
+	opts := append([]Option{WithDevices(4, topo.KindChain)}, extra...)
 	if !event {
 		opts = append(opts, WithEventClock(false))
 	}
-	opts = append(opts, WithDevices(4, topo.KindChain))
 	s, err := New(cfg, opts...)
 	if err != nil {
 		b.Fatal(err)
@@ -354,16 +354,27 @@ const idleFFSpan = 4096
 // backoff, drain tails). The event variant must collapse the whole span
 // into one calendar jump per cube; percycle walks every cycle of every
 // cube. The ≥10x acceptance criterion compares these two numbers.
+// observed is event with a power model, a metrics registry and a
+// sampler whose periodic sampling is off attached: observers are
+// charged per span, so it must stay within 2x of event.
 func BenchmarkIdleFastForward(b *testing.B) {
 	for _, bc := range []struct {
-		name  string
-		event bool
+		name     string
+		event    bool
+		observed bool
 	}{
-		{"event", true},
-		{"percycle", false},
+		{"event", true, false},
+		{"percycle", false, false},
+		{"observed", true, true},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			s, cfg, reqs := chainSim(b, bc.event)
+			var opts []Option
+			if bc.observed {
+				reg := NewMetricsRegistry()
+				opts = []Option{WithPowerModel(NewPowerModel(DefaultPowerParams())),
+					WithMetrics(reg), WithSampler(NewMetricsSampler(reg, io.Discard, 0))}
+			}
+			s, cfg, reqs := chainSim(b, bc.event, opts...)
 			// Warm one batch so every pool and queue has traffic behind
 			// it: the idle span being measured is post-burst idleness,
 			// not a never-used simulator.

@@ -50,7 +50,7 @@ go test ./...
 # renamed name it uses fails CI instead of the next benchmark run.
 (cd bench && go vet ./... && go test .)
 go test -race ./internal/device ./internal/fault ./internal/mem ./internal/metrics ./internal/paper ./internal/server ./internal/sim ./internal/span ./internal/topo ./internal/workload
-equiv='TestClockModeEquivalence|TestEventClock|TestSpans'
+equiv='TestClockModeEquivalence|TestEventClock|TestSpans|TestObservedClockMatchesPerCycle'
 check_run "$equiv" .
 go test -race -run "$equiv" .
 # Session-server gate: the 500-session loopback smoke (concurrent
