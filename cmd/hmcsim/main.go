@@ -55,6 +55,14 @@ func main() {
 	faults := cliflag.RegisterFaults()
 	spanFlags := cliflag.RegisterSpans()
 	flag.Parse()
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"devices", *devices}, {"vertices", *vertices}, {"replay-ops", *replayOps}} {
+		if f.v < 1 {
+			fatal(fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v))
+		}
+	}
 
 	if *printCommands {
 		printCommandTable()

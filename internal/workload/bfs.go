@@ -257,6 +257,9 @@ func RunBFS(cfg config.Config, mode BFSMode, threads, vertices, degree int, seed
 // the first CMC-mode traversal and stays resident; baseline traversals
 // on a session that ran CMC mode earlier still never touch it.
 func (ss *Session) BFS(mode BFSMode, threads, vertices, degree int, seed int64) (BFSResult, error) {
+	if vertices < 1 {
+		return BFSResult{}, fmt.Errorf("workload: bfs needs at least one vertex, got %d", vertices)
+	}
 	var cmcNames []string
 	if mode == BFSCMC {
 		cmcNames = []string{"hmc_visit"}

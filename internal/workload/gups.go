@@ -174,6 +174,12 @@ func RunGUPS(cfg config.Config, mode GUPSMode, threads int, tableBlocks, updates
 
 // GUPS is the Session form of RunGUPS.
 func (ss *Session) GUPS(mode GUPSMode, threads int, tableBlocks, updates uint64) (GUPSResult, error) {
+	if tableBlocks == 0 {
+		return GUPSResult{}, fmt.Errorf("workload: gups needs a table of at least one block")
+	}
+	if threads > 0 && updates < uint64(threads) {
+		return GUPSResult{}, fmt.Errorf("workload: gups needs at least one update per thread, got %d updates for %d threads", updates, threads)
+	}
 	s, err := ss.begin(threads)
 	if err != nil {
 		return GUPSResult{}, err
