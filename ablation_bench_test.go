@@ -1,15 +1,17 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
 // per-link serialization budget (the model's one free parameter), the
-// paper's queue depths, the optional bank-timing extension, and the
-// expressive-locks extension. Each prints its sweep once so
-// bench_output.txt carries the data.
+// paper's queue depths, the optional bank-timing extension, the
+// expressive-locks extension and the host pipeline depth. Each prints
+// its sweep once so bench_output.txt carries the data.
 package hmcsim
 
 import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cmc/script"
 	"repro/internal/hmccmd"
+	"repro/internal/workload"
 )
 
 // BenchmarkAblation_LinkSerialization sweeps LinkFlitsPerCycle and shows
@@ -116,7 +118,7 @@ func BenchmarkAblation_RowBuffer(b *testing.B) {
 			}
 			ops[i] = ReplayOp{Cmd: rd16Cmd(), Addr: row << rowBits, Bytes: 16}
 		}
-		r, err := RunReplay(cfg, 4, ops)
+		r, err := workload.RunReplay(cfg, 4, ops)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -141,12 +143,16 @@ func rd16Cmd() RqstCmd { return hmccmd.RD16 }
 func BenchmarkAblation_TicketVsSpin(b *testing.B) {
 	text := "\n=== Ablation: spin mutex (paper) vs ticket lock (extension), 4Link-4GB ===\n"
 	text += fmt.Sprintf("%-8s %-22s %-28s\n", "Threads", "Spin max/avg", "Ticket max/avg/inversions")
+	ss, err := NewSession(FourLink4GB())
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, n := range []int{8, 32, 64} {
 		spin, err := RunMutex(FourLink4GB(), n, lockAddr)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ticket, err := RunTicketMutex(FourLink4GB(), n, lockAddr)
+		ticket, err := ss.TicketMutex(n, lockAddr)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,7 +161,7 @@ func BenchmarkAblation_TicketVsSpin(b *testing.B) {
 	}
 	printDataset("ablation-ticket", text)
 	for i := 0; i < b.N; i++ {
-		if _, err := RunTicketMutex(FourLink4GB(), 32, lockAddr); err != nil {
+		if _, err := ss.TicketMutex(32, lockAddr); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -164,26 +170,34 @@ func BenchmarkAblation_TicketVsSpin(b *testing.B) {
 // BenchmarkAblation_PipelineDepth sweeps the host pipeline width against
 // achieved read bandwidth: the latency-hiding curve that motivates
 // bandwidth-optimized memory parts (paper SI), flattening where the link
-// serialization budget saturates.
+// serialization budget saturates. Each of 4 host threads keeps width
+// reads in flight, so the probe replays a 1,024-block stride trace
+// (65,536 bytes) over 4 × width blocking agents.
 func BenchmarkAblation_PipelineDepth(b *testing.B) {
+	const threads, blocks = 4, 4 * 256
+	probe := func(ss *Session, width int) float64 {
+		r, err := ss.Replay(threads*width, GenerateStrideTrace(0, blocks))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return float64(blocks*64) / float64(r.Cycles)
+	}
+	ss4, err := NewSession(FourLink4GB())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ss8, err := NewSession(EightLink8GB())
+	if err != nil {
+		b.Fatal(err)
+	}
 	text := "\n=== Ablation: host pipeline depth vs achieved read bandwidth (4 threads) ===\n"
 	text += fmt.Sprintf("%-8s %-14s %-14s\n", "Width", "4L bytes/cyc", "8L bytes/cyc")
 	for _, w := range []int{1, 2, 4, 8, 16, 32, 64} {
-		r4, err := RunBandwidthProbe(FourLink4GB(), 4, w, 256)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r8, err := RunBandwidthProbe(EightLink8GB(), 4, w, 256)
-		if err != nil {
-			b.Fatal(err)
-		}
-		text += fmt.Sprintf("%-8d %-14.1f %-14.1f\n", w, r4.BytesPerCycle, r8.BytesPerCycle)
+		text += fmt.Sprintf("%-8d %-14.1f %-14.1f\n", w, probe(ss4, w), probe(ss8, w))
 	}
 	printDataset("ablation-pipeline", text)
 	for i := 0; i < b.N; i++ {
-		if _, err := RunBandwidthProbe(FourLink4GB(), 4, 16, 128); err != nil {
-			b.Fatal(err)
-		}
+		probe(ss4, 16)
 	}
 }
 
@@ -212,7 +226,7 @@ held:
     push 0
     ret 0
 `
-	prog, err := ParseCMCScript(scriptSrc)
+	prog, err := script.Parse(scriptSrc)
 	if err != nil {
 		b.Fatal(err)
 	}

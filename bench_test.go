@@ -25,8 +25,11 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cachemodel"
 	"repro/internal/hmccmd"
+	"repro/internal/packet"
 	"repro/internal/paper"
+	"repro/internal/workload"
 )
 
 // lockAddr is the shared mutex block used by the paper's Algorithm 1.
@@ -37,12 +40,12 @@ const lockAddr = 0x40
 // data, exactly as in the paper).
 var (
 	sweepOnce    sync.Once
-	sweep4       MutexSweepResult
-	sweep8       MutexSweepResult
+	sweep4       workload.MutexSweepResult
+	sweep8       workload.MutexSweepResult
 	sweepWarmErr error
 )
 
-func mutexSweeps(b *testing.B) (MutexSweepResult, MutexSweepResult) {
+func mutexSweeps(b *testing.B) (workload.MutexSweepResult, workload.MutexSweepResult) {
 	b.Helper()
 	sweepOnce.Do(func() {
 		sweep4, sweep8, sweepWarmErr = paper.Sweeps(2, 100, 1, nil)
@@ -90,7 +93,7 @@ func BenchmarkTableI_CommandFlits(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := DecodeRqst(words); err != nil {
+		if _, err := packet.DecodeRqst(words); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -100,7 +103,7 @@ func BenchmarkTableI_CommandFlits(b *testing.B) {
 // HMC INC8 traffic) and times the two strategies end to end through the
 // simulated device.
 func BenchmarkTableII_AMOEfficiency(b *testing.B) {
-	rows, err := TableII(64)
+	rows, err := cachemodel.TableII(64)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -246,7 +249,7 @@ func BenchmarkSuppC_ConfigSweep(b *testing.B) {
 	cfg := FourLink4GB()
 	cfg.BankLatencyCycles = 1
 	for i := 0; i < b.N; i++ {
-		if _, err := RunReplay(cfg, 128, trace); err != nil {
+		if _, err := workload.RunReplay(cfg, 128, trace); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/queue"
 )
 
@@ -23,7 +24,7 @@ import (
 // eqCapture is everything observable from one mutex run.
 type eqCapture struct {
 	run    MutexRun
-	stats  DeviceStats
+	stats  device.Stats
 	vaultR []queue.Stats
 	vaultS []queue.Stats
 	linkR  []queue.Stats

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cmc/script"
+	"repro/internal/config"
 	"repro/internal/hmccmd"
 )
 
@@ -40,7 +42,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 // TestScriptOpThroughFacade loads a .cmc program through the facade and
 // runs it through a full simulation.
 func TestScriptOpThroughFacade(t *testing.T) {
-	prog, err := ParseCMCScript(`
+	prog, err := script.Parse(`
 op facade_fetchadd
 rqst CMC85
 rqst_len 2
@@ -139,7 +141,7 @@ func TestLevelParseFacade(t *testing.T) {
 }
 
 func TestMultiCubeFacade(t *testing.T) {
-	s, err := New(TwoGBDev(), WithDevices(2, TopoChain))
+	s, err := New(config.TwoGBDev(), WithDevices(2, TopoChain))
 	if err != nil {
 		t.Fatal(err)
 	}

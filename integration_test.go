@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/cmc/script"
+	"repro/internal/config"
 	"repro/internal/hmccmd"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -35,7 +37,7 @@ exec:
     push %d
     ret 0
 `, slot.Code(), slot.Code(), i+1000)
-		prog, err := ParseCMCScript(src)
+		prog, err := script.Parse(src)
 		if err != nil {
 			t.Fatalf("slot %v: %v", slot, err)
 		}
@@ -107,7 +109,7 @@ func TestIntegration_TraceFileRoundTrip(t *testing.T) {
 // TestIntegration_RemoteCubeMutex runs the full mutex protocol against a
 // lock block on a remote chained cube.
 func TestIntegration_RemoteCubeMutex(t *testing.T) {
-	s, err := New(TwoGBDev(), WithDevices(3, TopoChain))
+	s, err := New(config.TwoGBDev(), WithDevices(3, TopoChain))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,14 +207,14 @@ func TestIntegration_MixedAgentKinds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var agents []Agent
+	var agents []workload.Agent
 	for i := 0; i < 6; i++ {
-		agents = append(agents, workload.NewMutexAgent(uint64(i)+1, 0, 0x40))
+		agents = append(agents, &workload.MutexAgent{TID: uint64(i) + 1, Addr: 0x40})
 	}
 	for i := 0; i < 6; i++ {
-		agents = append(agents, workload.NewTicketAgent(0, 0x80))
+		agents = append(agents, &workload.TicketAgent{Addr: 0x80})
 	}
-	res, err := RunAgents(s, agents, 100000)
+	res, err := workload.Run(s, agents, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}

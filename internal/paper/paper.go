@@ -68,11 +68,11 @@ func Write(w io.Writer, lo, hi, workers int, progress func(workload.MutexRun), p
 // 4Link-4GB and 8Link-8GB presets, the data behind Table VI and
 // Figures 5-7.
 func Sweeps(lo, hi, workers int, progress func(workload.MutexRun), opts ...sim.Option) (four, eight workload.MutexSweepResult, err error) {
-	four, err = workload.MutexSweepWithProgress(config.FourLink4GB(), lo, hi, lockAddr, workers, progress, opts...)
+	four, err = workload.MutexSweep(config.FourLink4GB(), lo, hi, lockAddr, workers, progress, opts...)
 	if err != nil {
 		return four, eight, err
 	}
-	eight, err = workload.MutexSweepWithProgress(config.EightLink8GB(), lo, hi, lockAddr, workers, progress, opts...)
+	eight, err = workload.MutexSweep(config.EightLink8GB(), lo, hi, lockAddr, workers, progress, opts...)
 	return four, eight, err
 }
 

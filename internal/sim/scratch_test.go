@@ -138,12 +138,6 @@ func TestScratchPayloadIdiom(t *testing.T) {
 	if r.Payload[0] != 11 || r.Payload[1] != 22 {
 		t.Fatalf("payload content: %v", r.Payload)
 	}
-	if !sc.Owns(r) {
-		t.Fatal("Owns must recognize the scratch's own request")
-	}
-	if sc.Owns(&packet.Rqst{}) {
-		t.Fatal("Owns must reject a foreign request")
-	}
 }
 
 // TestScratchReuseThroughSend drives two writes and a read through one

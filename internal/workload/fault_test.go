@@ -142,7 +142,7 @@ func TestMutexResultsMatchUnderFaults(t *testing.T) {
 // TestMutexSweepAcceptsOptions: the sweep runners plumb simulator
 // options through to every point.
 func TestMutexSweepAcceptsOptions(t *testing.T) {
-	res, err := MutexSweep(config.TwoGBDev(), 1, 3, 0x4040,
+	res, err := MutexSweep(config.TwoGBDev(), 1, 3, 0x4040, 1, nil,
 		sim.WithFaults(fault.Plan{Rate: 0.01, Seed: 5}))
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestMutexSweepAcceptsOptions(t *testing.T) {
 	if len(res.Runs) != 3 {
 		t.Fatalf("runs = %d", len(res.Runs))
 	}
-	par, err := MutexSweepParallel(config.TwoGBDev(), 1, 3, 0x4040, 2,
+	par, err := MutexSweep(config.TwoGBDev(), 1, 3, 0x4040, 2, nil,
 		sim.WithFaults(fault.Plan{Rate: 0.01, Seed: 5}))
 	if err != nil {
 		t.Fatal(err)

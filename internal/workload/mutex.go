@@ -51,11 +51,6 @@ type MutexAgent struct {
 	scratch sim.ReqScratch
 }
 
-// NewMutexAgent returns an agent for one simulated thread.
-func NewMutexAgent(tid uint64, cub int, addr uint64) *MutexAgent {
-	return &MutexAgent{TID: tid, CUB: cub, Addr: addr}
-}
-
 // Next implements Agent.
 func (m *MutexAgent) Next(cycle uint64) *packet.Rqst {
 	var cmd hmccmd.Rqst
@@ -194,13 +189,6 @@ func (ss *Session) Mutex(threads int, lockAddr uint64) (MutexRun, error) {
 		return MutexRun{}, fmt.Errorf("%w: lock left held by TID %d", ErrAgentFault, blk.Hi)
 	}
 	return run, nil
-}
-
-// MutexSweep reproduces the paper's evaluation: thread counts from lo to
-// hi (inclusive) against one configuration, one at a time. Use
-// MutexSweepParallel to spread the sweep across host cores.
-func MutexSweep(cfg config.Config, lo, hi int, lockAddr uint64, opts ...sim.Option) (MutexSweepResult, error) {
-	return MutexSweepParallel(cfg, lo, hi, lockAddr, 1, opts...)
 }
 
 // TableVI summarizes a sweep the way the paper's Table VI does: the

@@ -148,7 +148,7 @@ func TestMutexTracesCMCOps(t *testing.T) {
 }
 
 func TestMutexSweep(t *testing.T) {
-	res, err := MutexSweep(config.FourLink4GB(), 2, 6, 0x40)
+	res, err := MutexSweep(config.FourLink4GB(), 2, 6, 0x40, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

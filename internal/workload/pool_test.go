@@ -82,11 +82,11 @@ func TestSessionPoolRejectsOptioned(t *testing.T) {
 // identical MutexRun rows.
 func TestPooledSweepBitIdentity(t *testing.T) {
 	cfg := config.TwoGBDev()
-	first, err := MutexSweep(cfg, 2, 8, 0x40)
+	first, err := MutexSweep(cfg, 2, 8, 0x40, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := MutexSweep(cfg, 2, 8, 0x40)
+	second, err := MutexSweep(cfg, 2, 8, 0x40, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestMutexSweepPooledAllocFloor(t *testing.T) {
 	}
 	cfg := config.FourLink4GB()
 	sweep := func() {
-		if _, err := MutexSweep(cfg, 2, 8, 0x40); err != nil {
+		if _, err := MutexSweep(cfg, 2, 8, 0x40, 1, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,11 +135,11 @@ func TestMutexSweepPooledAllocFloor(t *testing.T) {
 func TestMutexSweepParallelMatchesSerial(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for i, cfg := range []config.Config{config.FourLink4GB(), config.EightLink8GB()} {
-		par, err := MutexSweepParallel(cfg, 2, 17, 0x40, 4)
+		par, err := MutexSweep(cfg, 2, 17, 0x40, 4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ser, err := MutexSweep(cfg, 2, 17, 0x40)
+		ser, err := MutexSweep(cfg, 2, 17, 0x40, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestMutexSweepParallelMatchesSerial(t *testing.T) {
 
 	traced := func(workers int) (MutexSweepResult, []span.Event) {
 		tr := span.New(span.Config{Capacity: 1 << 16})
-		res, err := MutexSweepParallel(config.FourLink4GB(), 2, 9, 0x40, workers, sim.WithSpans(tr))
+		res, err := MutexSweep(config.FourLink4GB(), 2, 9, 0x40, workers, nil, sim.WithSpans(tr))
 		if err != nil {
 			t.Fatal(err)
 		}

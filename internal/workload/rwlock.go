@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"repro/internal/config"
 	"repro/internal/hmccmd"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -159,17 +158,8 @@ type RWResult struct {
 	ReaderAcqs, WriterAcqs, Retries uint64
 }
 
-// RunRWLock drives readers+writers threads for rounds critical sections
+// RWLock drives readers+writers threads for rounds critical sections
 // each and verifies the writer-increment invariant.
-func RunRWLock(cfg config.Config, readers, writers, rounds int, opts ...sim.Option) (RWResult, error) {
-	ss, err := NewSession(cfg, opts...)
-	if err != nil {
-		return RWResult{}, err
-	}
-	return ss.RWLock(readers, writers, rounds)
-}
-
-// RWLock is the Session form of RunRWLock.
 func (ss *Session) RWLock(readers, writers, rounds int) (RWResult, error) {
 	if readers < 0 || writers < 0 {
 		return RWResult{}, fmt.Errorf("workload: negative agent count: readers=%d writers=%d", readers, writers)

@@ -6,8 +6,17 @@ import (
 	"repro/internal/config"
 )
 
+// rwLock runs the reader-writer workload on a fresh 4Link-4GB session.
+func rwLock(readers, writers, rounds int) (RWResult, error) {
+	ss, err := NewSession(config.FourLink4GB())
+	if err != nil {
+		return RWResult{}, err
+	}
+	return ss.RWLock(readers, writers, rounds)
+}
+
 func TestRWLockWorkloadInvariant(t *testing.T) {
-	// RunRWLock itself verifies that every writer increment survives and
+	// Session.RWLock itself verifies that every writer increment survives and
 	// the lock ends free; drive several mixes through the pipeline.
 	for _, tc := range []struct{ readers, writers, rounds int }{
 		{8, 2, 5},
@@ -15,7 +24,7 @@ func TestRWLockWorkloadInvariant(t *testing.T) {
 		{1, 8, 4},
 		{12, 0, 3}, // readers only
 	} {
-		res, err := RunRWLock(config.FourLink4GB(), tc.readers, tc.writers, tc.rounds)
+		res, err := rwLock(tc.readers, tc.writers, tc.rounds)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -34,7 +43,7 @@ func TestRWLockWorkloadInvariant(t *testing.T) {
 func TestRWLockContentionCausesRetries(t *testing.T) {
 	// With a writer in the mix, someone must get refused at least once
 	// (readers block the writer or vice versa).
-	res, err := RunRWLock(config.FourLink4GB(), 12, 4, 4)
+	res, err := rwLock(12, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,11 +53,11 @@ func TestRWLockContentionCausesRetries(t *testing.T) {
 }
 
 func TestRWLockDeterminism(t *testing.T) {
-	a, err := RunRWLock(config.FourLink4GB(), 6, 2, 3)
+	a, err := rwLock(6, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunRWLock(config.FourLink4GB(), 6, 2, 3)
+	b, err := rwLock(6, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +69,7 @@ func TestRWLockDeterminism(t *testing.T) {
 func TestRWLockReadersProceedConcurrently(t *testing.T) {
 	// With no writers, readers never exclude each other: zero retries and
 	// the run finishes near the uncongested floor.
-	res, err := RunRWLock(config.FourLink4GB(), 16, 0, 2)
+	res, err := rwLock(16, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

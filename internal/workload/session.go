@@ -15,11 +15,12 @@ import (
 // allocs per sweep on it), so the pooled sweep runners keep one Session
 // per worker and recycle it across points.
 //
-// Every driver entry point has a Session form (Mutex, TicketMutex,
-// RWLock, GUPS, Stream, BFS, Replay, BandwidthProbe); the package-level
-// RunX functions construct a throwaway Session. Callers that need the
-// simulator after a run (device reports, JTAG pokes, a final sample)
-// build the Session themselves and keep Sim.
+// Every driver is a Session method (Mutex, TicketMutex, RWLock, GUPS,
+// Stream, BFS, Replay), and every one of them drives its agents through
+// the one engine, runWith. RunMutex, RunStream, RunGUPS, RunBFS and
+// RunReplay construct a throwaway Session for a one-off run. Callers
+// that need the simulator after a run (device reports, JTAG pokes, a
+// final sample) build the Session themselves and keep Sim.
 //
 // Reuse contract: a Session is bit-identical to fresh construction only
 // for option sets that satisfy sim.Reusable (no tracer, power model,

@@ -109,23 +109,21 @@ func RunIndexedPooled[W, T any](workers, n int, newW func() (W, error), job func
 	return results, nil
 }
 
-// MutexSweepParallel runs the mutex sweep with the given worker count
-// (<= 0 means one per schedulable core). Each worker reuses one
-// simulator session across its share of the thread counts (Reset in
-// place between points), so results — including every cycle count and
-// statistic — are identical to the serial sweep and to per-point fresh
-// construction; only wall time and allocation change. An option set
-// sim.Reusable refuses runs on one worker (MutexSweepWithProgress).
-func MutexSweepParallel(cfg config.Config, lo, hi int, lockAddr uint64, workers int, opts ...sim.Option) (MutexSweepResult, error) {
-	return MutexSweepWithProgress(cfg, lo, hi, lockAddr, workers, nil, opts...)
-}
-
-// MutexSweepWithProgress is MutexSweepParallel with a completion hook:
-// progress (when non-nil) is called once per finished sweep point, from
-// whichever worker goroutine finished it, so it must be safe for
-// concurrent use. The hmc-bench command feeds its live metrics endpoint
-// from this hook (aggregate counters only — a sweep visits thousands of
-// points, too many to register individually).
+// MutexSweep reproduces the paper's evaluation: Algorithm 1 at every
+// thread count from lo to hi (inclusive) against one configuration, on
+// a bounded pool of workers (<= 0 means one per schedulable core; 1
+// runs the points in order on the calling goroutine). Each worker
+// reuses one simulator session across its share of the points (Reset
+// in place between them), so results — every cycle count and statistic
+// — are identical to a serial sweep and to per-point fresh
+// construction, and come back ordered by thread count; only wall time
+// and allocation change.
+//
+// progress (when non-nil) is called once per finished point, from
+// whichever worker finished it, so it must be safe for concurrent use.
+// The hmc-bench command feeds its live metrics endpoint from this hook
+// (aggregate counters only — a sweep visits thousands of points, too
+// many to register individually).
 //
 // Session reuse engages only for option sets sim.Reusable accepts.
 // Construction-bound options (a tracer, span recorder, power model,
@@ -133,7 +131,7 @@ func MutexSweepParallel(cfg config.Config, lo, hi int, lockAddr uint64, workers 
 // and those points run one after another on one worker: every point's
 // simulator feeds the same observers, which record one simulator at a
 // time, so the output equals a serial sweep's.
-func MutexSweepWithProgress(cfg config.Config, lo, hi int, lockAddr uint64, workers int, progress func(MutexRun), opts ...sim.Option) (MutexSweepResult, error) {
+func MutexSweep(cfg config.Config, lo, hi int, lockAddr uint64, workers int, progress func(MutexRun), opts ...sim.Option) (MutexSweepResult, error) {
 	out := MutexSweepResult{Config: cfg}
 	if lo < 1 || hi < lo {
 		return out, fmt.Errorf("workload: mutex sweep needs 1 <= lo <= hi, got lo=%d hi=%d", lo, hi)

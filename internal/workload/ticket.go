@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 
-	"repro/internal/config"
 	"repro/internal/hmccmd"
 	"repro/internal/packet"
 	"repro/internal/sim"
@@ -46,11 +45,6 @@ type TicketAgent struct {
 	AcquiredAt uint64
 
 	scratch sim.ReqScratch
-}
-
-// NewTicketAgent returns an agent for one simulated thread.
-func NewTicketAgent(cub int, addr uint64) *TicketAgent {
-	return &TicketAgent{CUB: cub, Addr: addr}
 }
 
 // Next implements Agent.
@@ -147,17 +141,8 @@ func Inversions(order, completion []uint64) int {
 	return n
 }
 
-// RunTicketMutex executes the ticket-lock workload with the given thread
+// TicketMutex executes the ticket-lock workload with the given thread
 // count contending on one ticket block.
-func RunTicketMutex(cfg config.Config, threads int, addr uint64, opts ...sim.Option) (TicketRun, error) {
-	ss, err := NewSession(cfg, opts...)
-	if err != nil {
-		return TicketRun{}, err
-	}
-	return ss.TicketMutex(threads, addr)
-}
-
-// TicketMutex is the Session form of RunTicketMutex.
 func (ss *Session) TicketMutex(threads int, addr uint64) (TicketRun, error) {
 	s, err := ss.begin(threads, "hmc_ticket", "hmc_ticket_next")
 	if err != nil {

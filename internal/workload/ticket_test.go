@@ -6,11 +6,23 @@ import (
 	"repro/internal/config"
 )
 
-func TestTicketMutexCompletes(t *testing.T) {
-	run, err := RunTicketMutex(config.FourLink4GB(), 16, 0x40)
+// ticketMutex runs the ticket-lock workload with the given thread count
+// on a fresh 4Link-4GB session.
+func ticketMutex(t *testing.T, threads int) TicketRun {
+	t.Helper()
+	ss, err := NewSession(config.FourLink4GB())
 	if err != nil {
 		t.Fatal(err)
 	}
+	run, err := ss.TicketMutex(threads, 0x40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+func TestTicketMutexCompletes(t *testing.T) {
+	run := ticketMutex(t, 16)
 	if run.Threads != 16 {
 		t.Errorf("threads = %d", run.Threads)
 	}
@@ -26,10 +38,7 @@ func TestTicketMutexIsFair(t *testing.T) {
 	// FIFO handoff is the ticket lock's defining property: acquisition
 	// order must match ticket order exactly.
 	for _, n := range []int{8, 32, 64} {
-		run, err := RunTicketMutex(config.FourLink4GB(), n, 0x40)
-		if err != nil {
-			t.Fatal(err)
-		}
+		run := ticketMutex(t, n)
 		if run.Inversions != 0 {
 			t.Errorf("threads=%d: %d fairness inversions, want 0", n, run.Inversions)
 		}
@@ -37,14 +46,8 @@ func TestTicketMutexIsFair(t *testing.T) {
 }
 
 func TestTicketMutexDeterminism(t *testing.T) {
-	a, err := RunTicketMutex(config.FourLink4GB(), 20, 0x40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunTicketMutex(config.FourLink4GB(), 20, 0x40)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := ticketMutex(t, 20)
+	b := ticketMutex(t, 20)
 	if a != b {
 		t.Errorf("runs differ: %+v vs %+v", a, b)
 	}
@@ -58,10 +61,7 @@ func TestTicketVsSpinMutex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ticket, err := RunTicketMutex(config.FourLink4GB(), 32, 0x40)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ticket := ticketMutex(t, 32)
 	if ticket.Inversions != 0 {
 		t.Errorf("ticket inversions = %d", ticket.Inversions)
 	}

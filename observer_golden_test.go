@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/hmccmd"
 	"repro/internal/queue"
+	"repro/internal/span"
 )
 
 // observerGolden holds everything the device's observers wrote over the
@@ -70,21 +72,21 @@ type observerRun struct {
 }
 
 func observerRuns() []observerRun {
-	shallow := TwoGBDev()
+	shallow := config.TwoGBDev()
 	shallow.LinkDepth, shallow.XbarDepth, shallow.QueueDepth = 4, 2, 2
 
-	banked := TwoGBDev()
+	banked := config.TwoGBDev()
 	banked.BankLatencyCycles, banked.RowMissPenaltyCycles = 2, 3
 
-	crc := TwoGBDev()
+	crc := config.TwoGBDev()
 	crc.LinkFaultPeriod = 3
 
 	return []observerRun{
-		{name: "mixed", cfg: TwoGBDev(), spans: SpanConfig{ThresholdCycles: 4}, drive: driveMixed},
+		{name: "mixed", cfg: config.TwoGBDev(), spans: SpanConfig{ThresholdCycles: 4}, drive: driveMixed},
 		{name: "flood", cfg: shallow, drive: driveFlood},
 		{name: "banked", cfg: banked, drive: driveBanked},
 		{name: "chain-crc", cfg: crc, spans: SpanConfig{ThresholdCycles: 12}, opts: []Option{WithDevices(2, TopoChain)}, drive: driveChain},
-		{name: "chain-faults", cfg: TwoGBDev(), opts: []Option{WithDevices(2, TopoChain),
+		{name: "chain-faults", cfg: config.TwoGBDev(), opts: []Option{WithDevices(2, TopoChain),
 			WithFaults(FaultPlan{Rate: 0.05, Seed: 6, Kinds: FaultAll})}, drive: driveChain},
 		{name: "mutex", cfg: FourLink4GB(), spans: SpanConfig{SampleMod: 3, ThresholdCycles: 40}, drive: driveMutex},
 	}
@@ -406,7 +408,7 @@ func assertObserverCoverage(t *testing.T, got string) {
 	for _, errstat := range []int{0, 1, 2, 3, 6} {
 		want = append(want, fmt.Sprintf(" : RSP : .* value=%d\n", errstat))
 	}
-	for k := SpanKind(0); k.String() != "kind?"; k++ {
+	for k := span.Kind(0); k.String() != "kind?"; k++ {
 		want = append(want, fmt.Sprintf(" %s t=", k))
 	}
 	for _, w := range want {

@@ -215,7 +215,7 @@ func BenchmarkMutexSweepSerial(b *testing.B) {
 	b.ReportAllocs()
 	var points, cycles uint64
 	for i := 0; i < b.N; i++ {
-		res, err := MutexSweep(FourLink4GB(), benchSweepLo, benchSweepHi, 0x40)
+		res, err := MutexSweep(FourLink4GB(), benchSweepLo, benchSweepHi, 0x40, 1, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func BenchmarkMutexSweepParallel(b *testing.B) {
 	b.ReportAllocs()
 	var points, cycles uint64
 	for i := 0; i < b.N; i++ {
-		res, err := MutexSweepParallel(FourLink4GB(), benchSweepLo, benchSweepHi, 0x40, 0)
+		res, err := MutexSweep(FourLink4GB(), benchSweepLo, benchSweepHi, 0x40, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -7,7 +7,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/hmccmd"
+	"repro/internal/span"
 )
 
 // The span tracer is observational by construction: attaching it must
@@ -32,7 +34,7 @@ func TestSpansStatsIdentity(t *testing.T) {
 // fast-forward stamps spans on the same cycles as the per-cycle
 // reference engine: identical event streams, identical attribution.
 func TestSpansEventClockConsistency(t *testing.T) {
-	record := func(eventClock bool) []SpanEvent {
+	record := func(eventClock bool) []span.Event {
 		tr := NewSpanTracer(SpanConfig{})
 		opts := []Option{WithSpans(tr)}
 		if !eventClock {
@@ -196,7 +198,7 @@ type perfettoDump struct {
 // sum to the umbrella duration, the remote traffic must show topology
 // hop spans, and the injected fault must appear as an instant marker.
 func TestSpanPerfettoGolden2Cube(t *testing.T) {
-	cfg := TwoGBDev()
+	cfg := config.TwoGBDev()
 	cfg.LinkFaultPeriod = 3 // every 3rd link traversal takes a CRC fault
 	tr := NewSpanTracer(SpanConfig{})
 	s, err := New(cfg, WithDevices(2, TopoChain), WithSpans(tr))
@@ -229,7 +231,7 @@ func TestSpanPerfettoGolden2Cube(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteSpanPerfetto(&buf, tr.Events()); err != nil {
+	if err := span.WritePerfetto(&buf, tr.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var dump perfettoDump
