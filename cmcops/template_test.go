@@ -50,9 +50,12 @@ func TestTemplateLoadsAndExecutes(t *testing.T) {
 	}
 	store := mem.New(1 << 12)
 	_ = store.WriteUint64(0x20, 40)
-	ctx := &cmc.ExecContext{Addr: 0x20, RqstPayload: []uint64{2, 0}, Mem: store}
-	slot, err := table.Execute(op.Rqst.Code(), ctx)
-	if err != nil {
+	slot, ok := table.Slot(op.Rqst.Code())
+	if !ok {
+		t.Fatal("loaded template's slot is inactive")
+	}
+	ctx := &cmc.ExecContext{Addr: 0x20, RqstPayload: []uint64{2, 0}, RspPayload: make([]uint64, 2), Mem: store}
+	if err := slot.Op.Execute(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if slot.Op.Str() != "tmpl_fetchadd" {
@@ -75,7 +78,11 @@ func TestTemplateErrorPropagates(t *testing.T) {
 	if err := table.Load(op); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := table.Execute(op.Rqst.Code(), &cmc.ExecContext{Mem: mem.New(64)}); err == nil {
+	slot, ok := table.Slot(op.Rqst.Code())
+	if !ok {
+		t.Fatal("loaded template's slot is inactive")
+	}
+	if err := slot.Op.Execute(&cmc.ExecContext{Mem: mem.New(64)}); err == nil {
 		t.Error("error swallowed")
 	}
 }

@@ -260,27 +260,6 @@ func (t *Table) Active() []*Slot {
 	return out
 }
 
-// Execute dispatches one CMC request against the table (the CMC branch of
-// hmcsim_process_rqst, paper Figure 3). On success it returns the slot —
-// whose descriptor drives response construction — and the filled response
-// payload. An inactive command returns ErrInactive.
-func (t *Table) Execute(code uint8, ctx *ExecContext) (*Slot, error) {
-	s, ok := t.Slot(code)
-	if !ok {
-		return nil, fmt.Errorf("%w: code %d", ErrInactive, code)
-	}
-	// Reuse a caller-supplied zeroed response buffer of the right size
-	// (the vault hands in pooled packet payloads); allocate only when the
-	// caller didn't pre-size it.
-	if want := 2 * (int(s.Desc.RspLen) - 1); s.Desc.RspLen > 1 && len(ctx.RspPayload) != want {
-		ctx.RspPayload = make([]uint64, want)
-	}
-	if err := s.Op.Execute(ctx); err != nil {
-		return s, fmt.Errorf("cmc: %s execute: %w", s.Desc.OpName, err)
-	}
-	return s, nil
-}
-
 // --- Process-wide operation registry (the dlopen search-path analogue) ---
 
 var registry = struct {

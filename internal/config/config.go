@@ -19,8 +19,6 @@ import (
 const (
 	// MaxDevs is the maximum number of chained devices (3-bit CUB field).
 	MaxDevs = 8
-	// MaxLinks is the maximum number of links per device.
-	MaxLinks = 8
 	// MaxQueueDepth bounds any simulated queue depth.
 	MaxQueueDepth = 65536
 )

@@ -383,9 +383,6 @@ func (d *Device) SetFaultPlan(p fault.Plan) error {
 	return nil
 }
 
-// FaultPlan returns the installed fault plan (the zero value when none).
-func (d *Device) FaultPlan() fault.Plan { return d.faultPlan }
-
 // Store exposes the device's backing memory for host-side initialization
 // (the simulated equivalent of pre-loading DRAM contents).
 func (d *Device) Store() *mem.Store { return d.store }
@@ -396,9 +393,6 @@ func (d *Device) CMC() *cmc.Table { return d.cmcTab }
 
 // Regs exposes the device register file (the JTAG access path).
 func (d *Device) Regs() *RegFile { return d.regs }
-
-// AddrMap exposes the device's address decomposition.
-func (d *Device) AddrMap() *addr.Map { return d.amap }
 
 // Cycle returns the current device cycle.
 func (d *Device) Cycle() uint64 { return d.cycle }

@@ -306,13 +306,12 @@ func (d *Device) executeCMC(v *Vault, f *Flight, loc addr.Location, locErr error
 	if rsp != nil {
 		ctx.RspPayload = rsp.Payload
 	}
-	// Dispatch fast path: the slot lookup above already resolved the
-	// operation, and the free list pre-sized RspPayload to exactly what
-	// the descriptor demands, so Table.Execute's re-lookup and payload
-	// re-size check are dead weight on every CMC round trip — call the
-	// registered execute entry point directly. An operation that leaves
-	// a payload of the wrong length behind faults like one that returns
-	// an error.
+	// The slot lookup above already resolved the operation, and the free
+	// list pre-sized RspPayload to exactly what the descriptor demands,
+	// so call the registered execute entry point directly (the CMC
+	// branch of hmcsim_process_rqst, paper Figure 3). An operation that
+	// leaves a payload of the wrong length behind faults like one that
+	// returns an error.
 	if err := slot.Op.Execute(ctx); err != nil || (rsp != nil && len(ctx.RspPayload) != len(rsp.Payload)) {
 		packet.PutRsp(rsp)
 		d.regs.PostError(ErrBitCMCFault)

@@ -344,17 +344,6 @@ func (r Rqst) InfoRef() *Info {
 	return &infoTable[r]
 }
 
-// InfoForCode returns the property-table entry for a 7-bit command
-// code — a single flat-array load, used by the dispatch hot path in
-// place of a FromCode+Info double lookup. Codes outside the 7-bit
-// space return nil.
-func InfoForCode(code uint8) *Info {
-	if code >= NumCodes {
-		return nil
-	}
-	return &infoTable[codeTable[code]]
-}
-
 // Code returns the 7-bit command code for the request enum.
 func (r Rqst) Code() uint8 { return r.InfoRef().Code }
 

@@ -109,9 +109,6 @@ func (p *Port) LoadIR(ir Instruction) error {
 	return nil
 }
 
-// IR returns the current instruction.
-func (p *Port) IR() Instruction { return p.ir }
-
 // ShiftDR clocks one bit through the data register: tdi enters at the
 // most significant end and the least significant bit exits as tdo,
 // matching LSB-first serial register chains.

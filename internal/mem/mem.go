@@ -118,9 +118,6 @@ func NewSharded(capacity uint64, granuleBits, shardBits int) *Store {
 	}
 }
 
-// Capacity returns the configured capacity in bytes.
-func (s *Store) Capacity() uint64 { return s.capacity }
-
 // Shards returns the number of page-table shards.
 func (s *Store) Shards() int { return len(s.shards) }
 

@@ -218,19 +218,9 @@ type Metric struct {
 	gf func() float64
 }
 
-// Name returns the metric name (without labels).
-func (m *Metric) Name() string { return m.name }
-
-// Labels returns the metric's labels, sorted by key. The slice is shared;
-// callers must not mutate it.
-func (m *Metric) Labels() []Label { return m.labels }
-
 // Key returns the canonical identity string, "name{k=v,k2=v2}" ("name"
 // with no labels) — the key the sampler and exporters index by.
 func (m *Metric) Key() string { return m.key }
-
-// Kind returns the instrument kind.
-func (m *Metric) Kind() Kind { return m.kind }
 
 // Number returns the instrument's current scalar value. Histograms have
 // no single scalar; Number returns their sample count.

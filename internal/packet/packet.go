@@ -191,17 +191,11 @@ func (r *Rqst) EncodeTail() uint64 {
 	return t
 }
 
-// EncodedWords returns the wire-form length of the request in 64-bit
-// words: WordsPerFlit times the effective packet length.
-func (r *Rqst) EncodedWords() int {
-	return WordsPerFlit * int(r.effLNG())
-}
-
 // EncodeInto serializes the request into its word-level wire form —
 // [header, payload..., tail], with the tail CRC computed over the packet —
-// reusing buf's backing array when it has capacity for EncodedWords()
-// words. It returns the encoded slice, which aliases buf unless buf was
-// too small.
+// reusing buf's backing array when it has capacity for the packet's
+// WordsPerFlit × LNG words. It returns the encoded slice, which aliases
+// buf unless buf was too small.
 func (r *Rqst) EncodeInto(buf []uint64) ([]uint64, error) {
 	lng := r.effLNG()
 	if lng < 1 || lng > hmccmd.MaxPacketFlits {
@@ -229,15 +223,6 @@ func (r *Rqst) EncodeInto(buf []uint64) ([]uint64, error) {
 // Encode serializes the request into a freshly allocated wire form.
 func (r *Rqst) Encode() ([]uint64, error) {
 	return r.EncodeInto(nil)
-}
-
-// Clone returns a deep copy of the request with its own payload backing.
-func (r *Rqst) Clone() *Rqst {
-	c := *r
-	if len(r.Payload) > 0 {
-		c.Payload = append([]uint64(nil), r.Payload...)
-	}
-	return &c
 }
 
 // CopyFrom deep-copies src into r, reusing r's existing payload backing
@@ -337,16 +322,10 @@ func (p *Rsp) EncodeTail() uint64 {
 	return t
 }
 
-// EncodedWords returns the wire-form length of the response in 64-bit
-// words.
-func (p *Rsp) EncodedWords() int {
-	return WordsPerFlit * int(p.LNG)
-}
-
 // EncodeInto serializes the response into its word-level wire form,
-// reusing buf's backing array when it has capacity for EncodedWords()
-// words. It returns the encoded slice, which aliases buf unless buf was
-// too small.
+// reusing buf's backing array when it has capacity for the packet's
+// WordsPerFlit × LNG words. It returns the encoded slice, which aliases
+// buf unless buf was too small.
 func (p *Rsp) EncodeInto(buf []uint64) ([]uint64, error) {
 	if p.LNG < 1 || p.LNG > hmccmd.MaxPacketFlits {
 		return nil, fmt.Errorf("%w: LNG=%d", ErrBadLength, p.LNG)

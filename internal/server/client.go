@@ -438,9 +438,6 @@ func (b *Batch) Begin(sess uint64) {
 	b.err = nil
 }
 
-// Len reports the number of accumulated ops.
-func (b *Batch) Len() int { return len(b.req.Ops) }
-
 func (b *Batch) add(op Op) *Request {
 	if len(b.req.Ops) >= MaxBatchOps {
 		if b.err == nil {

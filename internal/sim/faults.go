@@ -23,9 +23,6 @@ func WithFaults(p fault.Plan) Option {
 	return func(o *options) { o.faultPlan = &p }
 }
 
-// Faults returns the installed fault plan (the zero value when none).
-func (s *Simulator) Faults() fault.Plan { return s.faultPlan }
-
 // maxSendBackoff caps SendWithRetry's exponential backoff: once waits
 // reach this many cycles per attempt they stop growing, so a long stall
 // is polled often enough to catch the queue draining.

@@ -69,9 +69,6 @@ func (s StageID) String() string {
 	return "stage?"
 }
 
-// NumStages is the number of latency stages.
-const NumStages = int(numStages)
-
 // stageOf maps a stage-transition event kind to the stage the elapsed
 // cycles belong to. A HostSend on a forwarded request ends the
 // inter-cube hop; otherwise it opens the span (zero-width).

@@ -108,11 +108,6 @@ func (p *SessionPool) Drain() {
 // of rebuilding one fleet per sweep.
 var sweepSessions = NewSessionPool(2 * runtime.NumCPU())
 
-// DrainSessionPool releases the shared sweep pool's idle simulators —
-// for long-lived processes that finished sweeping and want the queue
-// backing returned.
-func DrainSessionPool() { sweepSessions.Drain() }
-
 // poolableOptions reports whether an option set can draw from the
 // shared pool: only the empty set is, since options are opaque
 // closures that cannot be matched against a pooled Session's.
