@@ -1,18 +1,19 @@
 #!/usr/bin/env sh
-# CI gate: build, vet, gofmt, full test suite (this module and bench/), then
-# the race detector over the packages whose state crosses goroutines
-# (the parallel sweep running simulators side by side through the
-# shared session and page pools, each simulator recycling responses
-# through its own devices' free lists, the evaluation report rendered by
-# four sweep workers against its golden, the atomic metrics registry, a
-# span-traced sweep asked for four workers, which must feed its one
-# recorder from one simulator at a time, and the session server's
-# connection readers sharing the striped session table), the
-# engine-equivalence suites under -race, the zero-alloc
-# smoke pinning the topo clock's allocation-free forwarding and the
-# clock loop with no observer and with every observer attached, and
-# finally a 1-iteration benchmark smoke so every benchmark at least
-# compiles and executes (~5s; it measures nothing).
+# CI gate: build, vet, gofmt, full test suite (this module and bench/), a
+# run of every example and of hmcsim on each of its six workloads (the
+# facade's only in-repo callers), then the race detector over the packages
+# whose state crosses goroutines (the parallel sweep running simulators
+# side by side through the shared session and page pools, each simulator
+# recycling responses through its own devices' free lists, the evaluation
+# report rendered by four sweep workers against its golden, the atomic
+# metrics registry, a span-traced sweep asked for four workers, which must
+# feed its one recorder from one simulator at a time, and the session
+# server's connection readers sharing the striped session table), the
+# engine-equivalence suites under -race, the zero-alloc smoke pinning the
+# topo clock's allocation-free forwarding and the clock loop with no
+# observer and with every observer attached, and finally a 1-iteration
+# benchmark smoke so every benchmark at least compiles and executes (~5s;
+# it measures nothing).
 # Speed is not gated here: scripts/bench.sh measures it from repeated,
 # alternating runs.
 set -eux
@@ -49,6 +50,13 @@ go test ./...
 # ./... above never builds it; vet and test it here so a removed or
 # renamed name it uses fails CI instead of the next benchmark run.
 (cd bench && go vet ./... && go test .)
+# The examples and hmcsim are the facade's only callers in the
+# repository; the build above compiles them, this runs them, so a
+# driver that errors or panics fails CI.
+for e in examples/*/; do go run "./$e" >/dev/null; done
+for w in mutex stream gups bfs replay rwlock; do
+    go run ./cmd/hmcsim -workload "$w" -stats >/dev/null
+done
 go test -race ./internal/device ./internal/fault ./internal/mem ./internal/metrics ./internal/paper ./internal/server ./internal/sim ./internal/span ./internal/topo ./internal/workload
 equiv='TestClockModeEquivalence|TestEventClock|TestSpans|TestObservedClockMatchesPerCycle'
 check_run "$equiv" .
