@@ -137,6 +137,9 @@ func RunStream(cfg config.Config, threads int, blocks uint64, clockGHz float64, 
 
 // Stream is the Session form of RunStream.
 func (ss *Session) Stream(threads int, blocks uint64, clockGHz float64) (StreamResult, error) {
+	if blocks == 0 {
+		return StreamResult{}, fmt.Errorf("workload: stream needs at least one block")
+	}
 	s, err := ss.begin(threads)
 	if err != nil {
 		return StreamResult{}, err
