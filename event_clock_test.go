@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/topo"
 )
 
 // The event-driven cycle scheduler must be invisible in every result: a
@@ -174,6 +176,114 @@ func TestEventClockChainFaultEquivalence(t *testing.T) {
 				t.Errorf("per-cycle and event-driven chain runs diverge:\n--- percycle\n%s\n--- event\n%s", percycle, event)
 			}
 		})
+	}
+}
+
+// runBatchedTopology drives a 4-cube topology of the given kind through
+// 400 seeded steps, each a read burst to random cubes, vaults and links
+// or a Clock, ClockN(k) or ClockUntilRecv(k) with k < 40, draining every
+// host link after each step. Half the bursts aim at one cube, so spans
+// where a single remote cube holds all the work while requests and
+// responses are in flight come up often. Every stall, every
+// ClockUntilRecv result, every response's cycle, link and tag, and each
+// device's report land in the capture string.
+func runBatchedTopology(t *testing.T, kind topo.Kind, plan FaultPlan, seed uint64, event bool) string {
+	t.Helper()
+	cfg := FourLink4GB()
+	opts := []Option{WithDevices(4, kind)}
+	if !event {
+		opts = append(opts, WithEventClock(false))
+	}
+	if plan.Rate > 0 {
+		opts = append(opts, WithFaults(plan))
+	}
+	s, err := New(cfg, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := seed*0x9E3779B97F4A7C15 | 1
+	next := func() uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng
+	}
+	var log strings.Builder
+	tag := uint16(0)
+	for step := 0; step < 400; step++ {
+		switch op := next() % 8; {
+		case op < 3:
+			one := next()%2 == 0
+			cub := int(next() % 4)
+			for i, n := 0, 1+int(next()%6); i < n; i++ {
+				if !one {
+					cub = int(next() % 4)
+				}
+				v := next() % uint64(cfg.Vaults)
+				adrs := (next()%8*uint64(cfg.Vaults) + v) * uint64(cfg.MaxBlockSize)
+				link := int(next() % uint64(cfg.Links))
+				r, err := BuildRead(cub, adrs, tag, link, 16<<(next()%3))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tag = (tag + 1) % 512
+				if err := s.Send(link, r); err != nil {
+					fmt.Fprintf(&log, "stall c=%d l=%d cub=%d\n", s.Cycle(), link, cub)
+				}
+			}
+		case op < 5:
+			s.Clock()
+		case op < 7:
+			s.ClockN(next() % 40)
+		default:
+			k := next() % 40
+			fmt.Fprintf(&log, "until k=%d adv=%d c=%d\n", k, s.ClockUntilRecv(k), s.Cycle())
+		}
+		for l := 0; l < cfg.Links; l++ {
+			for {
+				rsp, ok := s.Recv(l)
+				if !ok {
+					break
+				}
+				fmt.Fprintf(&log, "rsp c=%d l=%d tag=%d\n", s.Cycle(), l, rsp.TAG)
+				ReleaseRsp(rsp)
+			}
+		}
+	}
+	fmt.Fprintf(&log, "cycle=%d\n", s.Cycle())
+	for _, d := range s.Devices() {
+		fmt.Fprintf(&log, "dev%d %s", d.ID, d.BuildReport().String())
+	}
+	return log.String()
+}
+
+// TestEventClockBatchedTopologies pins the batched drivers on every
+// multi-cube wiring with traffic in flight: per-cycle and event-driven
+// runs of the same seeded mix of bursts, Clock, ClockN and
+// ClockUntilRecv calls are bit-identical on a chain, a star and a ring,
+// with and without a fault plan. runChainEngine batches only idle gaps;
+// here ClockN and ClockUntilRecv start while forwarded requests and
+// responses are in transit and remote cubes are busy.
+func TestEventClockBatchedTopologies(t *testing.T) {
+	plans := []struct {
+		name string
+		plan FaultPlan
+	}{
+		{"no-faults", FaultPlan{}},
+		{"all-1pct", FaultPlan{Rate: 0.01, Seed: 7}},
+	}
+	for _, kind := range []topo.Kind{TopoChain, TopoStar, TopoRing} {
+		for _, p := range plans {
+			for seed := uint64(1); seed <= 8; seed++ {
+				t.Run(fmt.Sprintf("%s/%s/seed%d", kind, p.name, seed), func(t *testing.T) {
+					percycle := runBatchedTopology(t, kind, p.plan, seed, false)
+					event := runBatchedTopology(t, kind, p.plan, seed, true)
+					if percycle != event {
+						t.Errorf("per-cycle and event-driven runs diverge: %s", firstDifference(percycle, event))
+					}
+				})
+			}
+		}
 	}
 }
 
