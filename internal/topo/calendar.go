@@ -2,41 +2,21 @@ package topo
 
 import "repro/internal/device"
 
-// The topology-level half of the event-driven cycle scheduler: a small
-// calendar over per-cube next-event cycles (device.NextEventCycle) that
-// the clock drivers consult to decide, per cycle, which cubes must
-// actually step — and, in the batched drivers, how many whole cycles
-// every cube can fast-forward in one jump.
+// The topology-level half of the event-driven cycle scheduler: how far
+// the batched drivers (ClockN, ClockUntilRecv) can fast-forward every
+// cube in one jump. Clock decides, cycle by cycle, which cubes step;
+// the functions here find spans in which none would, so the whole
+// topology skips them at once.
 //
-// With at most config.MaxDevs (8) cubes, the calendar is a linear scan
-// over a fixed slice rather than a min-heap or sorted ring: recomputing
-// all eight bounds costs a few dozen loads (NextEventCycle short-
-// circuits on the first dirty bitset word), far below the constant
-// factor of maintaining an ordered structure under per-cycle
-// invalidation. The bounds are recomputed at every decision point
-// instead of cached across calls, so direct device pokes between public
-// clock calls (tests, JTAG) can never leave a stale bound behind.
-type calendar struct {
-	// step[i] is cube i's decision for the cycle being clocked: true to
-	// run the full device Clock, false to fast-forward with
-	// SkipCycles(1). Filled by planCycle, read by Clock's step loop.
-	step []bool
-}
-
-func (c *calendar) init(n int) {
-	c.step = make([]bool, n)
-}
-
-// planCycle fills the calendar's step plan for the cycle the topology
-// just advanced to (t.cycle; the devices still sit one cycle behind).
-// A cube steps when its next event is due, or — defensively; the
-// collect loop drains them every stepped cycle — when a remote cube
-// still holds surfaced responses.
-func (t *Topology) planCycle() {
-	for i, d := range t.devs {
-		t.cal.step[i] = d.NextEventCycle() <= t.cycle || i > 0 && d.HostRspQueued()
-	}
-}
+// With at most config.MaxDevs (8) cubes, the bounds come from a linear
+// scan of the per-cube next-event cycles (device.NextEventCycle) rather
+// than a min-heap or sorted ring: recomputing all eight costs a few
+// dozen loads (NextEventCycle short-circuits on the first dirty bitset
+// word), far below the constant factor of maintaining an ordered
+// structure under per-cycle invalidation. The bounds are recomputed at
+// every decision point instead of cached across calls, so direct device
+// pokes between public clock calls (tests, JTAG) can never leave a
+// stale bound behind.
 
 // jumpSpan returns how many whole cycles every cube can fast-forward in
 // one jump without any Clock doing observable work, capped at n. Zero
@@ -105,75 +85,4 @@ func (t *Topology) skipAll(span uint64) {
 		d.SkipCycles(span)
 	}
 	t.cycle += span
-}
-
-// clockSingleActive batches consecutive cycles on which exactly one
-// cube is active and no cross-cube packet is in flight or deliverable:
-// the active cube runs its device Clock back-to-back (no per-cycle
-// topology scans) while the others are fast-forwarded in one
-// SkipCycles call afterwards. Legal because
-// inter-cube exchange happens only at cycle boundaries and none is due
-// within the batch; a remote active cube additionally stops the batch
-// the moment a response surfaces, collecting it that same cycle, so the
-// return hop starts exactly when per-cycle stepping would start it.
-// Returns the cycles consumed (0: conditions not met, caller clocks
-// normally).
-func (t *Topology) clockSingleActive(n uint64) uint64 {
-	limit := t.cycle + n
-	active := -1
-	for i, d := range t.devs {
-		if i > 0 && d.HostRspQueued() {
-			return 0
-		}
-		b := d.NextEventCycle()
-		if b <= t.cycle+1 {
-			if active >= 0 {
-				return 0 // two active cubes: step the topology normally
-			}
-			active = i
-			continue
-		}
-		if b == device.NeverCycle {
-			continue
-		}
-		if b-1 < limit {
-			limit = b - 1 // idle cube wakes at b: batch may reach b-1
-		}
-	}
-	if active < 0 {
-		return 0
-	}
-	for i := range t.pendingRqst {
-		at := t.pendingRqst[i].deliverAt
-		if at <= t.cycle {
-			return 0
-		}
-		if at < limit {
-			limit = at
-		}
-	}
-	if limit <= t.cycle {
-		return 0
-	}
-	k := limit - t.cycle
-	d := t.devs[active]
-	var done uint64
-	for done < k {
-		t.cycle++
-		done++
-		d.Clock()
-		if active != 0 && d.HostRspQueued() {
-			t.collectFrom(active)
-			break
-		}
-		if d.NextEventCycle() > t.cycle+1 {
-			break // active cube went idle/parked: let the caller jump
-		}
-	}
-	for i, o := range t.devs {
-		if i != active {
-			o.SkipCycles(done)
-		}
-	}
-	return done
 }

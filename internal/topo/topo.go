@@ -96,10 +96,8 @@ type Topology struct {
 	// least one inter-cube hop.
 	ForwardedRqsts, ForwardedRsps uint64
 
-	// cal is the event scheduler's per-cycle step plan (calendar.go);
-	// eventOff disables event-driven scheduling entirely, restoring
-	// unconditional per-cycle stepping of every cube (SetEventDriven).
-	cal      calendar
+	// eventOff disables event-driven scheduling, restoring unconditional
+	// per-cycle stepping of every cube (SetEventDriven).
 	eventOff bool
 
 	// rqstFree recycles the forwarded-request clones Send buffers in the
@@ -133,17 +131,17 @@ func New(kind Kind, n int, cfg config.Config) (*Topology, error) {
 	}
 	t.pendingRsp = make([][]delayedRsp, cfg.Links)
 	t.rspHead = make([]int, cfg.Links)
-	t.cal.init(n)
 	return t, nil
 }
 
 // SetEventDriven toggles event-driven cycle scheduling (on by default):
-// each Clock consults the calendar to fast-forward provably-idle cubes,
-// and the batched drivers (ClockN, ClockUntilRecv) jump whole idle
-// spans. Both modes are bit-identical — the calendar only skips work
-// device.NextEventCycle proves to be a no-op — so turning it off exists
-// as the topology-level analogue of device.ForceWalk: an escape hatch
-// for debugging and for the equivalence suite's reference runs.
+// each Clock fast-forwards the cubes with no event due, and the batched
+// drivers (ClockN, ClockUntilRecv) jump whole idle spans. Both modes are
+// bit-identical — the scheduler only skips work device.NextEventCycle
+// proves to be a no-op — so turning it off, which steps every cube every
+// cycle, exists as the topology-level analogue of device.ForceWalk: an
+// escape hatch for debugging and for the equivalence suite's reference
+// runs.
 func (t *Topology) SetEventDriven(on bool) { t.eventOff = !on }
 
 // SetSpans makes the topology record its inter-cube hop events into a
@@ -192,7 +190,9 @@ func (t *Topology) Hops(a, b int) int {
 }
 
 // Send submits a request on a host link of device 0. Requests addressing
-// remote cubes are forwarded with one cycle of delay per hop.
+// remote cubes are forwarded with one cycle of delay per hop; a link the
+// cubes do not have is refused with device.ErrBadLink, as device 0
+// refuses it, instead of leaving the request in transit for good.
 func (t *Topology) Send(link int, r *packet.Rqst) error {
 	target := int(r.CUB)
 	if target >= len(t.devs) {
@@ -200,6 +200,9 @@ func (t *Topology) Send(link int, r *packet.Rqst) error {
 	}
 	if target == 0 {
 		return t.devs[0].Send(link, r)
+	}
+	if link < 0 || link >= len(t.pendingRsp) {
+		return fmt.Errorf("%w: %d", device.ErrBadLink, link)
 	}
 	hops := t.Hops(0, target)
 	// Adopt by copy: the packet sits in the hop-delay buffer for several
@@ -316,10 +319,11 @@ func (t *Topology) collectFrom(cub int) {
 }
 
 // Clock advances every device one cycle and moves forwarded packets
-// across the inter-cube hops. In event-driven mode (the default) the
-// calendar decides per cube whether to run the full device Clock or a
-// SkipCycles(1) counter bump, and only stepped cubes are scanned for
-// surfaced responses — a skipped cube's host queues are provably frozen.
+// across the inter-cube hops. A cube runs its full device Clock when
+// its next event is due (always, with event-driven scheduling off) and
+// otherwise takes a SkipCycles(1) counter bump. A remote cube that
+// still holds surfaced responses steps too; that check is defensive,
+// since the collection below drains them every cycle.
 func (t *Topology) Clock() {
 	if len(t.devs) == 1 {
 		// A single cube never forwards (Send routes CUB 0 directly), so
@@ -333,25 +337,21 @@ func (t *Topology) Clock() {
 
 	// Step the devices. During a device cycle no inter-cube state is
 	// touched: the exchange above and the collection below bracket it.
-	if t.eventOff {
-		for _, d := range t.devs {
-			d.Clock()
-		}
-		for cub := 1; cub < len(t.devs); cub++ {
-			t.collectFrom(cub)
-		}
-		return
-	}
-	t.planCycle()
+	var stepped uint // bit i: cube i ran its device Clock
 	for i, d := range t.devs {
-		if t.cal.step[i] {
+		if t.eventOff || d.NextEventCycle() <= t.cycle || i > 0 && d.HostRspQueued() {
 			d.Clock()
+			stepped |= 1 << i
 		} else {
 			d.SkipCycles(1)
 		}
 	}
+	// Collect only once every cube has stepped, so observers see all of
+	// the cycle's pipeline events before the collected responses' Recv
+	// events. A skipped cube's host queues were empty and a skip fills
+	// none, so it has nothing to collect.
 	for cub := 1; cub < len(t.devs); cub++ {
-		if t.cal.step[cub] {
+		if stepped&(1<<cub) != 0 {
 			t.collectFrom(cub)
 		}
 	}
@@ -361,56 +361,17 @@ func (t *Topology) Clock() {
 // and the event scheduler's biggest lever: whole provably-idle spans
 // (every cube quiescent or parked behind fault windows, no forwarded
 // packet deliverable) collapse into one SkipCycles jump per cube, and
-// spans where exactly one cube is active batch that cube's device clock
-// back-to-back without per-cycle topology scans.
-// Results are bit-identical to n sequential Clock calls in every
-// configuration; SetEventDriven(false) restores literal per-cycle
-// stepping.
+// every other cycle is one Clock. Results are bit-identical to n
+// sequential Clock calls in every configuration; SetEventDriven(false)
+// restores literal per-cycle stepping.
 func (t *Topology) ClockN(n uint64) {
-	if len(t.devs) == 1 && len(t.pendingRqst) == 0 {
-		d := t.devs[0]
-		if t.eventOff {
-			t.cycle += n
-			for i := uint64(0); i < n; i++ {
-				d.Clock()
-			}
-			return
-		}
-		for n > 0 {
-			b := d.NextEventCycle()
-			var span uint64
-			if b == device.NeverCycle {
-				span = n
-			} else if m := b - 1 - t.cycle; m > 0 {
-				span = min(m, n)
-			}
-			if span > 0 {
-				d.SkipCycles(span)
-				t.cycle += span
+	for n > 0 {
+		if !t.eventOff {
+			if span := t.jumpSpan(n); span > 0 {
+				t.skipAll(span)
 				n -= span
 				continue
 			}
-			t.cycle++
-			d.Clock()
-			n--
-		}
-		return
-	}
-	if t.eventOff {
-		for i := uint64(0); i < n; i++ {
-			t.Clock()
-		}
-		return
-	}
-	for n > 0 {
-		if span := t.jumpSpan(n); span > 0 {
-			t.skipAll(span)
-			n -= span
-			continue
-		}
-		if done := t.clockSingleActive(n); done > 0 {
-			n -= done
-			continue
 		}
 		t.Clock()
 		n--
@@ -480,12 +441,11 @@ func (t *Topology) Cycle() uint64 { return t.cycle }
 // Reset rewinds the topology and every device to the as-constructed
 // state without reallocating: in-transit forwarded packets recycle into
 // their free lists (a forwarded response into the list of the cube that
-// built it), the hop-delay queues rewind onto their backing
-// arrays, the forwarding counters and the topology clock zero, and each
-// device resets in place (device.Reset). The calendar (refilled from
-// scratch every cycle) and the clone free list are reusable capacity and
-// survive. After Reset the topology is bit-identical, in every statistic
-// and packet, to a freshly built one.
+// built it), the hop-delay queues rewind onto their backing arrays, the
+// forwarding counters and the topology clock zero, and each device
+// resets in place (device.Reset). The clone free list is reusable
+// capacity and survives. After Reset the topology is bit-identical, in
+// every statistic and packet, to a freshly built one.
 func (t *Topology) Reset() {
 	for _, p := range t.pendingRqst {
 		t.putRqst(p.rqst)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/device"
 	"repro/internal/hmccmd"
 	"repro/internal/packet"
 )
@@ -106,6 +107,26 @@ func TestBadCUB(t *testing.T) {
 	}
 	if _, err := tp.Device(7); !errors.Is(err, ErrBadCUB) {
 		t.Errorf("Device(7): %v", err)
+	}
+}
+
+// TestRemoteBadLink pins that a remote send on a link the cubes do not
+// have is refused as device 0 refuses it, rather than forwarded: such a
+// request could never be delivered, and its overdue hop would keep every
+// later ClockN and ClockUntilRecv from jumping.
+func TestRemoteBadLink(t *testing.T) {
+	tp := newChain(t, 3)
+	for _, c := range []struct{ link, cub int }{{9, 2}, {-1, 1}} {
+		err := tp.Send(c.link, &packet.Rqst{Cmd: hmccmd.RD16, CUB: uint8(c.cub)})
+		if !errors.Is(err, device.ErrBadLink) {
+			t.Errorf("Send(link %d, CUB %d): %v, want ErrBadLink", c.link, c.cub, err)
+		}
+	}
+	if tp.ForwardedRqsts != 0 || len(tp.pendingRqst) != 0 {
+		t.Fatalf("refused sends forwarded: ForwardedRqsts=%d, %d in transit", tp.ForwardedRqsts, len(tp.pendingRqst))
+	}
+	if span := tp.jumpSpan(1000); span != 1000 {
+		t.Errorf("idle chain jumps %d of 1000 cycles", span)
 	}
 }
 

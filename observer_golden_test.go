@@ -41,12 +41,54 @@ func TestObserverGolden(t *testing.T) {
 	}
 	got := out.String()
 	assertObserverCoverage(t, got)
+	assertGolden(t, observerGolden, got)
+}
 
-	want, err := os.ReadFile(observerGolden)
+// chainTraceGolden holds the text trace of TestChainTraceGolden's run.
+const chainTraceGolden = "testdata/chain_trace.golden"
+
+// TestChainTraceGolden pins the order of a 4-cube chain's trace records
+// within a cycle: the cubes' pipeline records in cube order, then the
+// LATENCY records of the remote responses the topology collects for
+// their return hop, again in cube order. TestObserverGolden's two-cube
+// chains cannot tell that order from collecting each cube as soon as it
+// steps.
+func TestChainTraceGolden(t *testing.T) {
+	var text bytes.Buffer
+	tracer := NewTextTracer(&text, TraceAll)
+	s, err := New(FourLink4GB(), WithDevices(4, TopoChain), WithTracer(tracer))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 12; i++ {
+		r, err := BuildRead(i%4, uint64(i)*64, uint16(i), i%4, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Send(i%4, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := pump(s, 60, true); got != 12 {
+		t.Fatalf("received %d of 12 responses", got)
+	}
+	if err := tracer.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	assertGolden(t, chainTraceGolden, text.String())
+}
+
+// assertGolden fails unless got equals the golden file's content byte
+// for byte. It writes a differing rendering to a temporary file and
+// prints the cp command that installs it (the tests have no update
+// flag).
+func assertGolden(t *testing.T, golden, got string) {
+	t.Helper()
+	want, err := os.ReadFile(golden)
 	if err == nil && string(want) == got {
 		return
 	}
-	f, ferr := os.CreateTemp("", "observers-*.golden")
+	f, ferr := os.CreateTemp("", "golden-*")
 	if ferr == nil {
 		_, ferr = f.WriteString(got)
 		f.Close()
@@ -55,10 +97,10 @@ func TestObserverGolden(t *testing.T) {
 		t.Fatalf("writing the new rendering: %v", ferr)
 	}
 	if err != nil {
-		t.Fatalf("%v; if this is the first run, install the rendering with\n\tcp %s %s", err, f.Name(), observerGolden)
+		t.Fatalf("%v; if this is the first run, install the rendering with\n\tcp %s %s", err, f.Name(), golden)
 	}
-	t.Fatalf("observer output differs from %s at %s\nthe new rendering is in %s; if the change is intended, install it with\n\tcp %s %s",
-		observerGolden, firstDifference(string(want), got), f.Name(), f.Name(), observerGolden)
+	t.Fatalf("output differs from %s at %s\nthe new rendering is in %s; if the change is intended, install it with\n\tcp %s %s",
+		golden, firstDifference(string(want), got), f.Name(), f.Name(), golden)
 }
 
 // observerRun is one simulation of the golden: its configuration and
