@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	hmcsim "repro"
@@ -62,6 +63,12 @@ func main() {
 		if f.v < 1 {
 			fatal(fmt.Errorf("-%s must be at least 1, got %d", f.name, f.v))
 		}
+	}
+	if err := checkMode("gups-mode", *gupsMode); err != nil {
+		fatal(err)
+	}
+	if err := checkMode("bfs-mode", *bfsMode); err != nil {
+		fatal(err)
 	}
 
 	if *printCommands {
@@ -190,6 +197,21 @@ func (s *stringList) Set(v string) error { *s = append(*s, v); return nil }
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "hmcsim:", err)
 	os.Exit(1)
+}
+
+// modeValues lists the values each mode flag accepts.
+var modeValues = map[string][]string{
+	"gups-mode": {"amo", "baseline"},
+	"bfs-mode":  {"cmc", "baseline"},
+}
+
+// checkMode reports an error naming the values mode flag name accepts,
+// unless v is one of them.
+func checkMode(name, v string) error {
+	if slices.Contains(modeValues[name], v) {
+		return nil
+	}
+	return fmt.Errorf("-%s must be %s, got %q", name, strings.Join(modeValues[name], " or "), v)
 }
 
 func topoKind(name string) (topo.Kind, error) {
