@@ -106,33 +106,57 @@ func BenchmarkServerBatchedSendRecv(b *testing.B) {
 	}
 }
 
-// BenchmarkServerSessionChurn measures init+close against a warm
-// simulator pool — the allocation-free session recycling path the
-// many-thousand-session harness leans on.
+// BenchmarkServerSessionChurn measures one tenant's whole session
+// against a warm server: init, one WR64 round and one RD64 round (send,
+// clock_until_recv, recv), then close. pooled recycles simulators
+// through the server's pool (Config{}); unpooled builds every tenant a
+// fresh one (Config{PoolCap: -1}). close Resets and Trims a pooled
+// simulator, so its next tenant still rebuilds the vault, banks and
+// free lists it touches: churn allocates either way, and the pool saves
+// the simulator build.
 func BenchmarkServerSessionChurn(b *testing.B) {
-	srv := New(Config{})
-	defer srv.Close()
-	here, there := net.Pipe()
-	srv.ServeConn(there)
-	cl := NewClient(here)
-	defer cl.Close()
-	// Warm the pool with one build/release cycle.
-	sess, err := cl.Init("4link-4gb")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := cl.CloseSession(sess); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sess, err := cl.Init("4link-4gb")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := cl.CloseSession(sess); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{{"pooled", Config{}}, {"unpooled", Config{PoolCap: -1}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			srv := New(bc.cfg)
+			defer srv.Close()
+			here, there := net.Pipe()
+			srv.ServeConn(there)
+			cl := NewClient(here)
+			defer cl.Close()
+			rounds := []struct {
+				cmd     uint8
+				payload []uint64
+			}{{hmccmd.WR64.Code(), make([]uint64, 8)}, {hmccmd.RD64.Code(), nil}}
+			tenant := func() {
+				sess, err := cl.Init("4link-4gb")
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i, r := range rounds {
+					acc, err := cl.Send(sess, 0, r.cmd, 0, 0x40, uint16(i+1), r.payload)
+					if err != nil || !acc {
+						b.Fatalf("send: accepted=%v err=%v", acc, err)
+					}
+					if _, avail, err := cl.ClockUntilRecv(sess, 8192); err != nil || !avail {
+						b.Fatalf("clock_until_recv: avail=%v err=%v", avail, err)
+					}
+					if rsp, err := cl.Recv(sess, 0); err != nil || !rsp.Have {
+						b.Fatalf("recv: have=%v err=%v", rsp.Have, err)
+					}
+				}
+				if err := cl.CloseSession(sess); err != nil {
+					b.Fatal(err)
+				}
+			}
+			tenant() // warm the pool with one build and release
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tenant()
+			}
+		})
 	}
 }

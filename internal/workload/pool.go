@@ -11,12 +11,12 @@ import (
 // SessionPool recycles idle Sessions across runs, keyed by device
 // configuration. Where a single Session amortizes simulator
 // construction across the points of ONE sweep, the pool amortizes it
-// across sweeps (and across server-hosted protocol sessions): Put
-// parks a finished Session instead of abandoning it, and the next Get
-// for the same configuration returns it Reset-in-place — so repeated
-// sweeps and session churn are construction-free after warmup. The
-// profile behind this: of MutexSweepSerial's 80 residual allocs/op,
-// 97% sat in device.New, i.e. the one per-sweep session construction.
+// across sweeps: Put parks a finished Session instead of abandoning it,
+// and the next Get for the same configuration returns it Reset-in-place
+// — so repeated sweeps are construction-free after warmup. With the
+// shared pool MutexSweepSerial allocates under 1 KB per sweep; building
+// a Session per sweep instead costs about 30 KB (EXPERIMENTS.md). The
+// session server keeps its own pool of simulators (server.simPool).
 //
 // Only option-free Sessions are poolable: options are closures that
 // cannot be compared, so a pooled Session could not be matched to a
