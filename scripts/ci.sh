@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # CI gate: build, vet, gofmt, full test suite (this module and bench/), a
 # run of every example and of hmcsim on each of its six workloads (the
-# facade's only in-repo callers), then the race detector over the packages
+# facade's only in-repo callers) and on a 4-cube chain, star and ring,
+# hmc-trace over a trace and a metrics series the other CLIs write, then
+# the race detector over the packages
 # whose state crosses goroutines (the parallel sweep running simulators
 # side by side through the shared session and page pools, each simulator
 # recycling responses through its own devices' free lists, the evaluation
@@ -57,6 +59,17 @@ for e in examples/*/; do go run "./$e" >/dev/null; done
 for w in mutex stream gups bfs replay rwlock; do
     go run ./cmd/hmcsim -workload "$w" -stats >/dev/null
 done
+# The multi-cube clock loop on each wiring, and hmc-trace, which has no
+# tests of its own, over the JSONL trace hmcsim writes and the metrics
+# time series hmc-bench samples.
+for t in chain star ring; do
+    go run ./cmd/hmcsim -workload mutex -devices 4 -topo "$t" -stats >/dev/null
+done
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+go run ./cmd/hmcsim -workload mutex -threads 16 -trace "$tmp/t.jsonl" >/dev/null
+go run ./cmd/hmc-bench -sample "$tmp/s.jsonl" >/dev/null
+go run ./cmd/hmc-trace -sample "$tmp/s.jsonl" "$tmp/t.jsonl" >/dev/null
 go test -race ./internal/device ./internal/fault ./internal/mem ./internal/metrics ./internal/paper ./internal/server ./internal/sim ./internal/span ./internal/topo ./internal/workload
 equiv='TestClockModeEquivalence|TestEventClock|TestSpans|TestObservedClockMatchesPerCycle'
 check_run "$equiv" .
