@@ -291,7 +291,7 @@ func TestEventClockBatchedTopologies(t *testing.T) {
 // drained through untilRecv with small budgets, then an idle gap through
 // clockN. It returns the host-visible log, the sample stream and the
 // power model.
-func observedClock(t *testing.T, devices int, plan FaultPlan, untilRecv func(*Simulator, uint64) uint64, clockN func(*Simulator, uint64)) (string, []byte, *PowerModel) {
+func observedClock(t *testing.T, devices int, kind topo.Kind, plan FaultPlan, untilRecv func(*Simulator, uint64) uint64, clockN func(*Simulator, uint64)) (string, []byte, *PowerModel) {
 	t.Helper()
 	cfg := FourLink4GB()
 	p := DefaultPowerParams()
@@ -300,10 +300,7 @@ func observedClock(t *testing.T, devices int, plan FaultPlan, untilRecv func(*Si
 	reg := NewMetricsRegistry()
 	var samples bytes.Buffer
 	sm := NewMetricsSampler(reg, &samples, 7)
-	opts := []Option{WithPowerModel(pm), WithMetrics(reg), WithSampler(sm)}
-	if devices > 1 {
-		opts = append(opts, WithDevices(devices, TopoChain))
-	}
+	opts := []Option{WithPowerModel(pm), WithMetrics(reg), WithSampler(sm), WithDevices(devices, kind)}
 	if plan.Rate > 0 {
 		opts = append(opts, WithFaults(plan))
 	}
@@ -370,7 +367,8 @@ func observedClock(t *testing.T, devices int, plan FaultPlan, untilRecv func(*Si
 // a power model, a metrics registry and a sampler attached, a run driven
 // through ClockN and ClockUntilRecv, which charge the observers once per
 // clocked span, equals the same run driven one Clock at a time, on one
-// cube and on a two-cube chain under a fault plan. The sample streams
+// cube and on every multi-cube wiring (a two-cube chain and a four-cube
+// ring under a fault plan, a four-cube star without). The sample streams
 // must be byte-equal and every power component exactly equal. The static
 // coefficient is not an integer, so static energy kept as a running
 // float sum would differ between the two drivers in its last bits.
@@ -394,14 +392,17 @@ func TestObservedClockMatchesPerCycle(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		devices int
+		kind    topo.Kind
 		plan    FaultPlan
 	}{
-		{"single", 1, FaultPlan{}},
-		{"chain-faults", 2, FaultPlan{Rate: 0.05, Seed: 4, Kinds: FaultAll}},
+		{"single", 1, TopoSingle, FaultPlan{}},
+		{"chain-faults", 2, TopoChain, FaultPlan{Rate: 0.05, Seed: 4, Kinds: FaultAll}},
+		{"star", 4, TopoStar, FaultPlan{}},
+		{"ring-faults", 4, TopoRing, FaultPlan{Rate: 0.05, Seed: 4, Kinds: FaultAll}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			wantLog, wantSamples, wantPM := observedClock(t, tc.devices, tc.plan, stepUntilRecv, stepN)
-			gotLog, gotSamples, gotPM := observedClock(t, tc.devices, tc.plan, (*Simulator).ClockUntilRecv, (*Simulator).ClockN)
+			wantLog, wantSamples, wantPM := observedClock(t, tc.devices, tc.kind, tc.plan, stepUntilRecv, stepN)
+			gotLog, gotSamples, gotPM := observedClock(t, tc.devices, tc.kind, tc.plan, (*Simulator).ClockUntilRecv, (*Simulator).ClockN)
 			if gotLog != wantLog {
 				t.Errorf("host logs differ: %s", firstDifference(wantLog, gotLog))
 			}
