@@ -89,6 +89,9 @@ func main() {
 	if *proto != hmcsim.SessionProtoJSON && *proto != hmcsim.SessionProtoBinary {
 		fatal(fmt.Errorf("unknown -proto %q (json or binary)", *proto))
 	}
+	if err := checkCounts(*sessions, *rounds, *conns, *workers, *warmup); err != nil {
+		fatal(err)
+	}
 
 	transport := "inproc"
 	var clients []*hmcsim.SessionClient
@@ -313,6 +316,25 @@ func main() {
 	} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
 		fatal(err)
 	}
+}
+
+// checkCounts reports the first count flag below its floor. A fleet,
+// round, connection or worker count under 1 would panic (no client to
+// pick, a negative slice length) or record a run of no operations, and
+// a negative warm-up count means nothing.
+func checkCounts(sessions, rounds, conns, workers, warmup int) error {
+	for _, f := range []struct {
+		name     string
+		v, floor int
+	}{
+		{"sessions", sessions, 1}, {"rounds", rounds, 1}, {"conns", conns, 1},
+		{"workers", workers, 1}, {"warmup", warmup, 0},
+	} {
+		if f.v < f.floor {
+			return fmt.Errorf("-%s must be at least %d, got %d", f.name, f.floor, f.v)
+		}
+	}
+	return nil
 }
 
 // percentiles sorts lats in place and returns p50, p99 and max.
