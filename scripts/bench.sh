@@ -54,7 +54,9 @@ micro_server='BenchmarkServerOpRoundTrip|BenchmarkServerSendRecvRoundTrip|Benchm
 date="$(date +%F)"
 out="BENCH_${date}.json"
 n=1
-while [ -e "$out" ]; do
+# A run directory without its record is an earlier run that was not
+# committed; skip its name too, so no two runs share a directory.
+while [ -e "$out" ] || [ -e ".bench_runs/${out%.json}" ]; do
     n=$((n + 1))
     out="BENCH_${date}.${n}.json"
 done
