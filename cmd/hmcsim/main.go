@@ -26,7 +26,7 @@ import (
 	"repro/internal/cliflag"
 	"repro/internal/config"
 	"repro/internal/hmccmd"
-	"repro/internal/topo"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -214,8 +214,8 @@ func checkMode(name, v string) error {
 	return fmt.Errorf("-%s must be %s, got %q", name, strings.Join(modeValues[name], " or "), v)
 }
 
-func topoKind(name string) (topo.Kind, error) {
-	return topo.ParseKind(name)
+func topoKind(name string) (sim.Kind, error) {
+	return sim.ParseKind(name)
 }
 
 func printCommandTable() {

@@ -4,12 +4,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/topo"
+	"repro/internal/sim"
 )
 
 func TestTopoKind(t *testing.T) {
 	k, err := topoKind("chain")
-	if err != nil || k != topo.KindChain {
+	if err != nil || k != sim.KindChain {
 		t.Errorf("topoKind(chain) = %v, %v", k, err)
 	}
 	if _, err := topoKind("mesh"); err == nil {

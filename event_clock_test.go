@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/topo"
+	"repro/internal/sim"
 )
 
 // The event-driven cycle scheduler must be invisible in every result: a
@@ -187,7 +187,7 @@ func TestEventClockChainFaultEquivalence(t *testing.T) {
 // responses are in flight come up often. Every stall, every
 // ClockUntilRecv result, every response's cycle, link and tag, and each
 // device's report land in the capture string.
-func runBatchedTopology(t *testing.T, kind topo.Kind, plan FaultPlan, seed uint64, event bool) string {
+func runBatchedTopology(t *testing.T, kind sim.Kind, plan FaultPlan, seed uint64, event bool) string {
 	t.Helper()
 	cfg := FourLink4GB()
 	opts := []Option{WithDevices(4, kind)}
@@ -272,7 +272,7 @@ func TestEventClockBatchedTopologies(t *testing.T) {
 		{"no-faults", FaultPlan{}},
 		{"all-1pct", FaultPlan{Rate: 0.01, Seed: 7}},
 	}
-	for _, kind := range []topo.Kind{TopoChain, TopoStar, TopoRing} {
+	for _, kind := range []sim.Kind{TopoChain, TopoStar, TopoRing} {
 		for _, p := range plans {
 			for seed := uint64(1); seed <= 8; seed++ {
 				t.Run(fmt.Sprintf("%s/%s/seed%d", kind, p.name, seed), func(t *testing.T) {
@@ -291,7 +291,7 @@ func TestEventClockBatchedTopologies(t *testing.T) {
 // drained through untilRecv with small budgets, then an idle gap through
 // clockN. It returns the host-visible log, the sample stream and the
 // power model.
-func observedClock(t *testing.T, devices int, kind topo.Kind, plan FaultPlan, untilRecv func(*Simulator, uint64) uint64, clockN func(*Simulator, uint64)) (string, []byte, *PowerModel) {
+func observedClock(t *testing.T, devices int, kind sim.Kind, plan FaultPlan, untilRecv func(*Simulator, uint64) uint64, clockN func(*Simulator, uint64)) (string, []byte, *PowerModel) {
 	t.Helper()
 	cfg := FourLink4GB()
 	p := DefaultPowerParams()
@@ -392,7 +392,7 @@ func TestObservedClockMatchesPerCycle(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		devices int
-		kind    topo.Kind
+		kind    sim.Kind
 		plan    FaultPlan
 	}{
 		{"single", 1, TopoSingle, FaultPlan{}},

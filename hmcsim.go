@@ -8,7 +8,9 @@
 // exports the paper's host API (§IV-A: init, send, recv, clock, load
 // CMC, JTAG and trace) and the drivers, observers and session server
 // that the commands, the examples and the README use; everything else
-// stays internal. A minimal driver:
+// stays internal. A Simulator is the whole simulation context: it owns
+// the devices (WithDevices chains up to eight, §II), routes packets
+// between them and keeps the one simulation clock. A minimal driver:
 //
 //	s, err := hmcsim.New(hmcsim.FourLink4GB())
 //	_ = s.LoadCMC("hmc_lock")   // bind a CMC op to command code 125
@@ -49,7 +51,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/span"
-	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -130,10 +131,10 @@ var (
 
 // Topology kinds for WithDevices.
 const (
-	TopoSingle = topo.KindSingle
-	TopoChain  = topo.KindChain
-	TopoStar   = topo.KindStar
-	TopoRing   = topo.KindRing
+	TopoSingle = sim.KindSingle
+	TopoChain  = sim.KindChain
+	TopoStar   = sim.KindStar
+	TopoRing   = sim.KindRing
 )
 
 // Request builders (the hmcsim_build_memrequest equivalents).

@@ -1,12 +1,12 @@
-package topo
+package sim
 
 import "repro/internal/device"
 
 // The topology-level half of the event-driven cycle scheduler: how far
 // the batched drivers (ClockN, ClockUntilRecv) can fast-forward every
-// cube in one jump. Clock decides, cycle by cycle, which cubes step;
+// cube in one jump. step decides, cycle by cycle, which cubes run;
 // the functions here find spans in which none would, so the whole
-// topology skips them at once.
+// simulation skips them at once.
 //
 // With at most config.MaxDevs (8) cubes, the bounds come from a linear
 // scan of the per-cube next-event cycles (device.NextEventCycle) rather
@@ -19,14 +19,14 @@ import "repro/internal/device"
 // stale bound behind.
 
 // jumpSpan returns how many whole cycles every cube can fast-forward in
-// one jump without any Clock doing observable work, capped at n. Zero
-// means the next cycle must be clocked normally: some cube has an event
-// due, a forwarded request is deliverable (or must be delivered exactly
-// when its hop delay elapses — a jump never crosses a deliverAt), or a
+// one jump without any step doing observable work, capped at n. Zero
+// means the next cycle must be stepped: some cube has an event due, a
+// forwarded request is deliverable (or must be delivered exactly when
+// its hop delay elapses — a jump never crosses a deliverAt), or a
 // remote cube holds responses the collect loop owes the return path.
-func (t *Topology) jumpSpan(n uint64) uint64 {
-	target := t.cycle + n
-	for i, d := range t.devs {
+func (s *Simulator) jumpSpan(n uint64) uint64 {
+	target := s.cycle + n
+	for i, d := range s.devs {
 		if i > 0 && d.HostRspQueued() {
 			return 0
 		}
@@ -39,21 +39,21 @@ func (t *Topology) jumpSpan(n uint64) uint64 {
 			target = b - 1
 		}
 	}
-	for i := range t.pendingRqst {
-		at := t.pendingRqst[i].deliverAt
-		if at <= t.cycle {
+	for i := range s.pendingRqst {
+		at := s.pendingRqst[i].deliverAt
+		if at <= s.cycle {
 			return 0
 		}
-		// Delivery happens in the Clock whose pre-increment cycle equals
+		// Delivery happens in the step whose pre-increment cycle equals
 		// deliverAt, so the jump may land exactly on it but not beyond.
 		if at < target {
 			target = at
 		}
 	}
-	if target <= t.cycle {
+	if target <= s.cycle {
 		return 0
 	}
-	return target - t.cycle
+	return target - s.cycle
 }
 
 // recvSpan is jumpSpan additionally capped so a jump never crosses the
@@ -61,17 +61,17 @@ func (t *Topology) jumpSpan(n uint64) uint64 {
 // run-until-event driver (ClockUntilRecv) needs so it stops exactly at
 // the cycle a response becomes visible to Recv. Only each link's head
 // entry matters: Recv delivers strictly in FIFO order per link.
-func (t *Topology) recvSpan(n uint64) uint64 {
-	span := t.jumpSpan(n)
-	for link, q := range t.pendingRsp {
-		h := t.rspHead[link]
+func (s *Simulator) recvSpan(n uint64) uint64 {
+	span := s.jumpSpan(n)
+	for link, q := range s.pendingRsp {
+		h := s.rspHead[link]
 		if h < len(q) {
 			at := q[h].deliverAt
-			if at <= t.cycle {
+			if at <= s.cycle {
 				return 0
 			}
-			if at-t.cycle < span {
-				span = at - t.cycle
+			if at-s.cycle < span {
+				span = at - s.cycle
 			}
 		}
 	}
@@ -79,10 +79,10 @@ func (t *Topology) recvSpan(n uint64) uint64 {
 }
 
 // skipAll fast-forwards every cube span cycles and advances the
-// topology clock with them.
-func (t *Topology) skipAll(span uint64) {
-	for _, d := range t.devs {
+// simulation clock with them.
+func (s *Simulator) skipAll(span uint64) {
+	for _, d := range s.devs {
 		d.SkipCycles(span)
 	}
-	t.cycle += span
+	s.cycle += span
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/hmccmd"
 	"repro/internal/metrics"
 	"repro/internal/power"
-	"repro/internal/topo"
 )
 
 // TestMetricsWiring drives a read through an instrumented simulator and
@@ -131,7 +130,7 @@ func TestSamplerWiring(t *testing.T) {
 // topology.
 func TestMetricsMultiDevice(t *testing.T) {
 	reg := metrics.NewRegistry()
-	s, err := New(config.FourLink4GB(), WithMetrics(reg), WithDevices(2, topo.KindChain))
+	s, err := New(config.FourLink4GB(), WithMetrics(reg), WithDevices(2, KindChain))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package topo
+package sim
 
 import (
 	"reflect"
@@ -14,17 +14,17 @@ import (
 // free list, so it is the next response cube 1 builds and never one that
 // cube 0 builds.
 func TestForwardedRspOwnership(t *testing.T) {
-	tp := newChain(t, 2)
-	p1, _ := sendRecv(t, tp, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0x40, TAG: 1, CUB: 1})
+	s := newChain(t, 2)
+	p1, _ := sendRecv(t, s, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0x40, TAG: 1, CUB: 1})
 	if p1.CUB != 1 {
 		t.Fatalf("response CUB %d, want 1", p1.CUB)
 	}
 	packet.PutRsp(p1)
-	p0, _ := sendRecv(t, tp, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0x40, TAG: 2, CUB: 0})
+	p0, _ := sendRecv(t, s, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0x40, TAG: 2, CUB: 0})
 	if p0 == p1 {
 		t.Fatal("cube 0 built its response from cube 1's released response")
 	}
-	q1, _ := sendRecv(t, tp, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0x40, TAG: 3, CUB: 1})
+	q1, _ := sendRecv(t, s, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0x40, TAG: 3, CUB: 1})
 	if q1 != p1 {
 		t.Fatal("cube 1's released response did not return to cube 1's free list")
 	}
@@ -48,10 +48,10 @@ func ownershipBatch() []*packet.Rqst {
 	return reqs
 }
 
-func sendBatch(t *testing.T, tp *Topology, reqs []*packet.Rqst) {
+func sendBatch(t *testing.T, s *Simulator, reqs []*packet.Rqst) {
 	t.Helper()
 	for _, r := range reqs {
-		if err := tp.Send(int(r.SLID), r); err != nil {
+		if err := s.Send(int(r.SLID), r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,14 +59,14 @@ func sendBatch(t *testing.T, tp *Topology, reqs []*packet.Rqst) {
 
 // recvBatch clocks until every response of the batch has arrived and
 // returns them in arrival order, unreleased.
-func recvBatch(t *testing.T, tp *Topology, n int) []*packet.Rsp {
+func recvBatch(t *testing.T, s *Simulator, n int) []*packet.Rsp {
 	t.Helper()
 	var got []*packet.Rsp
 	for c := 0; c < 1000 && len(got) < n; c++ {
-		tp.Clock()
+		s.Clock()
 		for link := 0; link < 4; link++ {
 			for {
-				rsp, ok := tp.Recv(link)
+				rsp, ok := s.Recv(link)
 				if !ok {
 					break
 				}
@@ -91,9 +91,9 @@ type batchRecord struct {
 	finalCycle uint64
 }
 
-func record(t *testing.T, tp *Topology, rsps []*packet.Rsp) batchRecord {
+func record(t *testing.T, s *Simulator, rsps []*packet.Rsp) batchRecord {
 	t.Helper()
-	rec := batchRecord{fwdRqsts: tp.ForwardedRqsts, fwdRsps: tp.ForwardedRsps, finalCycle: tp.Cycle()}
+	rec := batchRecord{fwdRqsts: s.forwardedRqsts, fwdRsps: s.forwardedRsps, finalCycle: s.Cycle()}
 	for _, rsp := range rsps {
 		w, err := rsp.Encode()
 		if err != nil {
@@ -101,7 +101,7 @@ func record(t *testing.T, tp *Topology, rsps []*packet.Rsp) batchRecord {
 		}
 		rec.words = append(rec.words, w)
 	}
-	for _, d := range tp.Devices() {
+	for _, d := range s.Devices() {
 		rec.stats = append(rec.stats, d.Stats())
 	}
 	return rec
@@ -111,16 +111,16 @@ func record(t *testing.T, tp *Topology, rsps []*packet.Rsp) batchRecord {
 // responses: with responses parked both in the hop-delay queue
 // (pendingRsp) and in device queues, Reset returns every one to the free
 // list of the cube that built it, so the next run builds all its
-// responses from recycled packets, and that run matches a fresh topology
+// responses from recycled packets, and that run matches a fresh simulator
 // bit for bit.
 func TestResetRecyclesParkedRsps(t *testing.T) {
 	reqs := ownershipBatch()
-	tp := newChain(t, 2)
+	s := newChain(t, 2)
 
 	// Warm-up: learn each cube's response packets, then release them.
 	owned := [2]map[*packet.Rsp]bool{{}, {}}
-	sendBatch(t, tp, reqs)
-	for _, rsp := range recvBatch(t, tp, len(reqs)) {
+	sendBatch(t, s, reqs)
+	for _, rsp := range recvBatch(t, s, len(reqs)) {
 		owned[rsp.CUB][rsp] = true
 	}
 	for cub := range owned {
@@ -131,26 +131,26 @@ func TestResetRecyclesParkedRsps(t *testing.T) {
 
 	// Park responses mid-flight: no host Recv, so cube 0's responses wait
 	// in its link queues while cube 1's travel the hop-delay queue.
-	sendBatch(t, tp, reqs)
+	sendBatch(t, s, reqs)
 	parked := func() bool {
 		pending := false
-		for link, q := range tp.pendingRsp {
-			if tp.rspHead[link] < len(q) {
+		for link, q := range s.pendingRsp {
+			if s.rspHead[link] < len(q) {
 				pending = true
 			}
 		}
-		return pending && tp.Devices()[0].HostRspQueued()
+		return pending && s.Devices()[0].HostRspQueued()
 	}
 	for c := 0; c < 100 && !parked(); c++ {
-		tp.Clock()
+		s.Clock()
 	}
 	if !parked() {
 		t.Fatal("no cycle parked responses in both pendingRsp and device queues")
 	}
-	tp.Reset()
+	s.Reset()
 
-	sendBatch(t, tp, reqs)
-	got := recvBatch(t, tp, len(reqs))
+	sendBatch(t, s, reqs)
+	got := recvBatch(t, s, len(reqs))
 	for _, rsp := range got {
 		if !owned[rsp.CUB][rsp] {
 			t.Fatalf("tag %d: cube %d built a new response; Reset leaked a parked one", rsp.TAG, rsp.CUB)
@@ -160,7 +160,7 @@ func TestResetRecyclesParkedRsps(t *testing.T) {
 	fresh := newChain(t, 2)
 	sendBatch(t, fresh, reqs)
 	want := record(t, fresh, recvBatch(t, fresh, len(reqs)))
-	if rec := record(t, tp, got); !reflect.DeepEqual(rec, want) {
-		t.Errorf("run after Reset diverges from a fresh topology:\n got %+v\nwant %+v", rec, want)
+	if rec := record(t, s, got); !reflect.DeepEqual(rec, want) {
+		t.Errorf("run after Reset diverges from a fresh simulator:\n got %+v\nwant %+v", rec, want)
 	}
 }

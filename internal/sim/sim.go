@@ -1,6 +1,7 @@
 // Package sim implements the simulation context — the hmc_sim_t
-// equivalent tying devices, topology, tracing, the CMC registry and the
-// optional power extension behind one host-facing API:
+// equivalent that owns the chained devices, the routing between them
+// and the one simulation clock, and ties tracing, the CMC registry and
+// the optional power extension to them behind one host-facing API:
 //
 //	s, _ := sim.New(config.FourLink4GB())
 //	_ = s.LoadCMC("hmc_lock")                      // hmc_load_cmc()
@@ -28,7 +29,6 @@ import (
 	"repro/internal/packet"
 	"repro/internal/power"
 	"repro/internal/span"
-	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -38,7 +38,7 @@ var ErrBadSize = errors.New("sim: no command for requested size")
 type options struct {
 	tracer     trace.Tracer
 	devices    int
-	kind       topo.Kind
+	kind       Kind
 	powerModel *power.Model
 	metricsReg *metrics.Registry
 	sampler    *metrics.Sampler
@@ -56,7 +56,7 @@ func WithTracer(t trace.Tracer) Option {
 }
 
 // WithDevices simulates n chained devices wired as kind.
-func WithDevices(n int, kind topo.Kind) Option {
+func WithDevices(n int, kind Kind) Option {
 	return func(o *options) { o.devices = n; o.kind = kind }
 }
 
@@ -82,15 +82,15 @@ func WithMetrics(reg *metrics.Registry) Option {
 
 // WithSampler attaches a cycle-indexed time-series sampler, which
 // snapshots the metrics registry whenever the cycle lands on its period:
-// the clock drivers end a span on every sampling cycle and call
-// MaybeSample once per span. Combine with WithMetrics on the same
+// the batched clock drivers never jump past a sampling cycle and call
+// MaybeSample after every step or jump. Combine with WithMetrics on the same
 // registry; the caller flushes the sampler when the run ends.
 func WithSampler(sm *metrics.Sampler) Option {
 	return func(o *options) { o.sampler = sm }
 }
 
 // WithSpans attaches a request-lifecycle span tracer (span.New): every
-// device and the topology record cycle-stamped pipeline-stage events
+// device and the inter-cube routing record cycle-stamped pipeline-stage events
 // for the requests the tracer samples, into its fixed-capacity flight
 // recorder, which the caller keeps and reads after the run. Purely
 // observational — simulation results are bit-identical with spans on
@@ -110,14 +110,33 @@ func WithEventClock(on bool) Option {
 	return func(o *options) { o.eventOff = !on }
 }
 
-// Simulator is one simulation context.
+// Simulator is one simulation context: the devices, wired as one
+// topology with device 0 host-attached, and the one simulation clock.
 type Simulator struct {
-	cfg     config.Config
-	topo    *topo.Topology
+	cfg      config.Config
+	kind     Kind
+	devs     []*device.Device
+	cycle    uint64
+	eventOff bool // WithEventClock(false): step every cube every cycle
+
 	pm      *power.Model
 	reg     *metrics.Registry
 	sampler *metrics.Sampler
-	cycle   uint64
+	spans   *span.Tracer // also records the inter-cube hop events
+
+	// Forwarding state (topo.go). pendingRqst and pendingRsp hold the
+	// packets in transit between device 0 and the remote cubes. Each
+	// host link's pendingRsp FIFO is consumed through its rspHead index,
+	// so a drained queue rewinds onto its backing array instead of
+	// leaking capacity behind the slice head. rqstFree recycles the
+	// request clones Send buffers, so steady-state forwarding allocates
+	// nothing. forwardedRqsts and forwardedRsps count the packets that
+	// crossed at least one inter-cube hop.
+	pendingRqst                   []delayedRqst
+	pendingRsp                    [][]delayedRsp
+	rspHead                       []int
+	rqstFree                      []*packet.Rqst
+	forwardedRqsts, forwardedRsps uint64
 
 	// Wire-level scratch: SendWire decodes into wireRqst (adopted by the
 	// device before SendWire returns); RecvWire encodes into wire, which
@@ -128,27 +147,38 @@ type Simulator struct {
 
 // New builds a simulation context for identically configured devices.
 func New(cfg config.Config, opts ...Option) (*Simulator, error) {
-	o := options{devices: 1, kind: topo.KindSingle}
+	o := options{devices: 1, kind: KindSingle}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	tp, err := topo.New(o.kind, o.devices, cfg)
-	if err != nil {
-		return nil, err
+	if o.devices < 1 || o.devices > config.MaxDevs {
+		return nil, fmt.Errorf("%w: %d", ErrBadCount, o.devices)
 	}
-	s := &Simulator{cfg: cfg, topo: tp, pm: o.powerModel, reg: o.metricsReg, sampler: o.sampler}
-	if o.eventOff {
-		tp.SetEventDriven(false)
+	if o.kind == KindSingle && o.devices != 1 {
+		return nil, fmt.Errorf("%w: single topology with %d devices", ErrBadCount, o.devices)
 	}
+	s := &Simulator{
+		cfg: cfg, kind: o.kind, eventOff: o.eventOff,
+		pm: o.powerModel, reg: o.metricsReg, sampler: o.sampler, spans: o.spans,
+	}
+	for i := 0; i < o.devices; i++ {
+		d, err := device.New(i, cfg)
+		if err != nil {
+			return nil, err
+		}
+		s.devs = append(s.devs, d)
+	}
+	s.pendingRsp = make([][]delayedRsp, cfg.Links)
+	s.rspHead = make([]int, cfg.Links)
 	if o.faultPlan != nil {
-		for _, d := range tp.Devices() {
+		for _, d := range s.devs {
 			if err := d.SetFaultPlan(*o.faultPlan); err != nil {
 				return nil, err
 			}
 		}
 	}
 	// Each observer is one sink of every device's pipeline events.
-	for _, d := range tp.Devices() {
+	for _, d := range s.devs {
 		if o.tracer != nil {
 			d.Observe(device.TraceSink(d, o.tracer))
 		}
@@ -162,11 +192,8 @@ func New(cfg config.Config, opts ...Option) (*Simulator, error) {
 			d.RegisterMetrics(s.reg)
 		}
 	}
-	if o.spans != nil {
-		tp.SetSpans(o.spans) // the inter-cube hop events
-		if s.reg != nil {
-			o.spans.RegisterMetrics(s.reg)
-		}
+	if o.spans != nil && s.reg != nil {
+		o.spans.RegisterMetrics(s.reg)
 	}
 	if s.pm != nil && s.reg != nil {
 		s.pm.RegisterMetrics(s.reg)
@@ -182,11 +209,11 @@ func (s *Simulator) Cycle() uint64 { return s.cycle }
 
 // Clock advances the whole simulation one cycle (hmcsim_clock).
 func (s *Simulator) Clock() {
-	s.topo.Clock()
-	s.advance(1)
+	s.step()
+	s.charge(1)
 }
 
-// spanLen caps a clocked span of up to n cycles so it ends on the
+// spanLen caps a jump of up to n cycles so it ends no later than the
 // sampler's next sampling cycle.
 func (s *Simulator) spanLen(n uint64) uint64 {
 	if s.sampler != nil {
@@ -195,60 +222,74 @@ func (s *Simulator) spanLen(n uint64) uint64 {
 	return n
 }
 
-// advance books k cycles the topology has just clocked: the simulation
-// clock, static power for every device, and a sample when the span ends
-// on the sampler's period.
-func (s *Simulator) advance(k uint64) {
-	s.cycle += k
+// charge books the k cycles just stepped or jumped: static power for
+// every device, and a sample when the cycle lands on the sampler's
+// period.
+func (s *Simulator) charge(k uint64) {
 	if s.pm != nil {
-		s.pm.ChargeCycles(k * uint64(len(s.topo.Devices())))
+		s.pm.ChargeCycles(k * uint64(len(s.devs)))
 	}
 	if s.sampler != nil {
 		s.sampler.MaybeSample(s.cycle)
 	}
 }
 
-// ClockN advances the simulation n cycles — the batched clock driver.
-// Hosts that clock without per-cycle work (draining a known-latency
-// pipeline, idling a device, benchmark loops) amortize the per-cycle
-// facade dispatch: the batch runs inside the topology (whose
-// single-cube fast path skips the forwarding scans), idle spans collapse
-// into single jumps, and the power model and sampler are charged once
-// per span. An attached sampler splits the batch at its sampling
-// cycles. Results are identical to calling Clock n times.
+// ClockN advances the simulation n cycles — the batched clock driver,
+// identical in every result to calling Clock n times. Provably idle
+// spans (every cube quiescent or parked behind fault windows, no
+// forwarded packet deliverable) collapse into one SkipCycles jump per
+// cube, never past the sampler's next sampling cycle; every other cycle
+// is one step. WithEventClock(false) steps every cycle.
 func (s *Simulator) ClockN(n uint64) {
 	for n > 0 {
-		k := s.spanLen(n)
-		s.topo.ClockN(k)
-		s.advance(k)
+		var k uint64
+		if !s.eventOff {
+			k = s.jumpSpan(s.spanLen(n))
+		}
+		if k > 0 {
+			s.skipAll(k)
+		} else {
+			s.step()
+			k = 1
+		}
+		s.charge(k)
 		n -= k
 	}
 }
 
-// RspAvailable reports whether a Recv on some host link would succeed
-// right now — the polling primitive behind run-until-event drivers.
-func (s *Simulator) RspAvailable() bool { return s.topo.RspAvailable() }
-
 // ClockUntilRecv advances the simulation until a response is available
 // on some host link or budget cycles have elapsed, returning the cycles
-// advanced (at least one when budget permits). It is the run-until-event
-// clock driver: the span runs inside the topology's event scheduler,
-// which jumps provably-idle and fault-parked stretches in one step but
-// never past the cycle a response surfaces — so a caller polling Recv
-// afterwards observes responses on exactly the cycle a
-// clock-and-poll-every-cycle loop would. Like ClockN, it ends a span on
-// every sampling cycle of an attached sampler and charges the power
-// model once per span.
+// advanced (at least one when budget permits, mirroring a per-cycle
+// driver that clocks before polling). It is the run-until-event clock
+// driver: like ClockN it jumps provably-idle and fault-parked stretches
+// in one step, but never past the cycle a response surfaces or matures,
+// so a caller polling Recv afterwards observes responses on exactly the
+// cycle a clock-and-poll-every-cycle loop would.
 func (s *Simulator) ClockUntilRecv(budget uint64) uint64 {
+	if budget > 0 && s.RspAvailable() {
+		// Degenerate call (a response is already waiting): advance the
+		// one cycle a clock-and-poll driver would.
+		s.Clock()
+		return 1
+	}
 	var adv uint64
 	for adv < budget {
-		k := s.spanLen(budget - adv)
-		got := s.topo.ClockUntilRecv(k)
-		s.advance(got)
-		adv += got
-		// The topology stops short only on a response; a span that ran
-		// its full length may have ended on one.
-		if got < k || adv == budget || s.topo.RspAvailable() {
+		var k uint64
+		if !s.eventOff {
+			k = s.recvSpan(s.spanLen(budget - adv))
+		}
+		if k > 0 {
+			// A jump only lands on (never crosses) a maturity cycle;
+			// device-0 queues are frozen across it, so only the
+			// pendingRsp heads can have become available.
+			s.skipAll(k)
+		} else {
+			s.step()
+			k = 1
+		}
+		s.charge(k)
+		adv += k
+		if s.RspAvailable() {
 			break
 		}
 	}
@@ -256,13 +297,16 @@ func (s *Simulator) ClockUntilRecv(budget uint64) uint64 {
 }
 
 // Reset rewinds the simulation to its as-constructed state without
-// reallocating any of it: the topology, every device's queues, retry
-// rings, banks, registers, statistics, fault-injector streams and the
-// backing store all return to cycle zero in place (topo.Reset,
-// device.Reset). CMC registrations survive — the shipped operations are
-// stateless, so a reused simulator with its table already loaded is
-// bit-identical, in every statistic and packet, to a fresh one that
-// just called LoadCMC (the reset bit-identity suite pins this).
+// reallocating any of it: in-transit forwarded packets recycle into
+// their free lists (a forwarded response into that of the cube that
+// built it), the hop-delay queues rewind onto their backing arrays, the
+// clock and forwarding counters zero, and every device's queues, retry
+// rings, banks, registers, statistics, fault-injector streams and
+// backing store return to cycle zero in place (device.Reset). CMC
+// registrations survive — the shipped operations are stateless, so a
+// reused simulator with its table already loaded is bit-identical, in
+// every statistic and packet, to a fresh one that just called LoadCMC
+// (the reset bit-identity suite pins this).
 //
 // Reset is the sweep fast path: constructing a simulator costs dozens
 // of allocations and megabytes of queue backing; Resetting one costs
@@ -270,8 +314,24 @@ func (s *Simulator) ClockUntilRecv(budget uint64) uint64 {
 // state bound at construction (tracer buffers, power models, metrics
 // registries, samplers) is NOT rewound and would accumulate across runs.
 func (s *Simulator) Reset() {
+	for _, p := range s.pendingRqst {
+		s.putRqst(p.rqst)
+	}
+	s.pendingRqst = s.pendingRqst[:0]
+	for link := range s.pendingRsp {
+		q := s.pendingRsp[link]
+		for i := s.rspHead[link]; i < len(q); i++ {
+			packet.PutRsp(q[i].rsp)
+			q[i].rsp = nil
+		}
+		s.pendingRsp[link] = q[:0]
+		s.rspHead[link] = 0
+	}
+	s.forwardedRqsts, s.forwardedRsps = 0, 0
 	s.cycle = 0
-	s.topo.Reset()
+	for _, d := range s.devs {
+		d.Reset()
+	}
 }
 
 // Trim releases the reusable capacity Reset keeps warm — every device's
@@ -284,7 +344,7 @@ func (s *Simulator) Reset() {
 // stays bit-identical to a fresh simulator; mid-run it would discard
 // live state.
 func (s *Simulator) Trim() {
-	for _, d := range s.topo.Devices() {
+	for _, d := range s.devs {
 		d.Trim()
 	}
 }
@@ -311,18 +371,6 @@ func Reusable(opts ...Option) bool {
 // new code need not call it.
 func (s *Simulator) Close() {}
 
-// Send submits a request on a host link (hmcsim_send); the request's CUB
-// field selects the target cube. A full link queue returns
-// device.ErrStall.
-func (s *Simulator) Send(link int, r *packet.Rqst) error {
-	return s.topo.Send(link, r)
-}
-
-// Recv pops the next response from a host link (hmcsim_recv).
-func (s *Simulator) Recv(link int) (*packet.Rsp, bool) {
-	return s.topo.Recv(link)
-}
-
 // SendWire submits an encoded request packet — the C library's
 // hmcsim_send shape, where the host hands over raw uint64 words. The
 // packet is CRC-checked and decoded into an internal scratch the device
@@ -332,7 +380,7 @@ func (s *Simulator) SendWire(link int, words []uint64) error {
 	if err := packet.DecodeRqstInto(&s.wireRqst, words); err != nil {
 		return err
 	}
-	return s.topo.Send(link, &s.wireRqst)
+	return s.Send(link, &s.wireRqst)
 }
 
 // RecvWire pops the next response as encoded packet words — the C
@@ -340,7 +388,7 @@ func (s *Simulator) SendWire(link int, words []uint64) error {
 // valid until the next RecvWire call on this simulator; the backing
 // response object is recycled before RecvWire returns.
 func (s *Simulator) RecvWire(link int) ([]uint64, bool) {
-	rsp, ok := s.topo.Recv(link)
+	rsp, ok := s.Recv(link)
 	if !ok {
 		return nil, false
 	}
@@ -359,7 +407,7 @@ func (s *Simulator) RecvWire(link int) ([]uint64, bool) {
 // analogue of dlopen'ing a shared object — and binds a fresh instance of
 // it into every device's CMC table.
 func (s *Simulator) LoadCMC(name string) error {
-	for _, d := range s.topo.Devices() {
+	for _, d := range s.devs {
 		op, err := cmc.Open(name)
 		if err != nil {
 			return err
@@ -375,7 +423,7 @@ func (s *Simulator) LoadCMC(name string) error {
 // Operations holding state are shared across cubes; use LoadCMC for
 // per-device instances.
 func (s *Simulator) LoadCMCOp(op cmc.Operation) error {
-	for _, d := range s.topo.Devices() {
+	for _, d := range s.devs {
 		if err := d.CMC().Load(op); err != nil {
 			return fmt.Errorf("sim: loading %q into cube %d: %w", op.Str(), d.ID, err)
 		}
@@ -383,17 +431,9 @@ func (s *Simulator) LoadCMCOp(op cmc.Operation) error {
 	return nil
 }
 
-// Device returns one device by CUB.
-func (s *Simulator) Device(cub int) (*device.Device, error) {
-	return s.topo.Device(cub)
-}
-
-// Devices returns all simulated devices.
-func (s *Simulator) Devices() []*device.Device { return s.topo.Devices() }
-
 // JTAG opens a JTAG port on one device.
 func (s *Simulator) JTAG(cub int) (*jtag.Port, error) {
-	d, err := s.topo.Device(cub)
+	d, err := s.Device(cub)
 	if err != nil {
 		return nil, err
 	}

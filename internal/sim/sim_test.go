@@ -11,7 +11,6 @@ import (
 	"repro/internal/hmccmd"
 	"repro/internal/packet"
 	"repro/internal/power"
-	"repro/internal/topo"
 	"repro/internal/trace"
 )
 
@@ -157,7 +156,7 @@ func TestLoadCMCOpDoubleLoad(t *testing.T) {
 }
 
 func TestMultiDeviceContext(t *testing.T) {
-	s, err := New(config.TwoGBDev(), WithDevices(3, topo.KindChain))
+	s, err := New(config.TwoGBDev(), WithDevices(3, KindChain))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package topo
+package sim
 
 import (
 	"testing"
@@ -16,13 +16,13 @@ import (
 // layer, invisible to the host beyond added latency.
 func TestChainFaultsOnInterCubeLink(t *testing.T) {
 	cfg := config.FourLink4GB()
-	tp, err := New(KindChain, 2, cfg)
+	s, err := New(cfg, WithDevices(2, KindChain))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Faults only on cube 1: cube 0's links stay clean, so any retry
 	// traffic recorded there would mean the fault leaked across the hop.
-	far := tp.Devices()[1]
+	far := s.Devices()[1]
 	if err := far.SetFaultPlan(fault.Plan{Rate: 0.10, Seed: 77}); err != nil {
 		t.Fatal(err)
 	}
@@ -35,15 +35,15 @@ func TestChainFaultsOnInterCubeLink(t *testing.T) {
 			r := &packet.Rqst{Cmd: hmccmd.WR16, CUB: 1, ADRS: uint64(sent) * 64,
 				TAG: uint16(sent), SLID: uint8(sent % cfg.Links),
 				Payload: []uint64{uint64(sent) + 500, 0}}
-			if err := tp.Send(sent%cfg.Links, r); err != nil {
+			if err := s.Send(sent%cfg.Links, r); err != nil {
 				break
 			}
 			sent++
 		}
-		tp.Clock()
+		s.Clock()
 		for link := 0; link < cfg.Links; link++ {
 			for {
-				rsp, ok := tp.Recv(link)
+				rsp, ok := s.Recv(link)
 				if !ok {
 					break
 				}
@@ -70,12 +70,12 @@ func TestChainFaultsOnInterCubeLink(t *testing.T) {
 	if farSt.CRCErrors+farSt.Drops+farSt.DownWindows == 0 {
 		t.Errorf("no faults recorded on cube 1: %+v", farSt)
 	}
-	nearSt := tp.Devices()[0].Stats()
+	nearSt := s.Devices()[0].Stats()
 	if nearSt.LinkRetries != 0 || nearSt.CRCErrors != 0 {
 		t.Errorf("faults leaked to the clean cube: %+v", nearSt)
 	}
-	if tp.ForwardedRqsts != uint64(n) {
-		t.Errorf("forwarded %d requests, want %d", tp.ForwardedRqsts, n)
+	if s.forwardedRqsts != uint64(n) {
+		t.Errorf("forwarded %d requests, want %d", s.forwardedRqsts, n)
 	}
 }
 
@@ -83,23 +83,23 @@ func TestChainFaultsOnInterCubeLink(t *testing.T) {
 // identical fault counters across runs.
 func TestChainFaultDeterminism(t *testing.T) {
 	run := func() (uint64, uint64) {
-		tp, err := New(KindChain, 2, config.TwoGBDev())
+		s, err := New(config.TwoGBDev(), WithDevices(2, KindChain))
 		if err != nil {
 			t.Fatal(err)
 		}
-		far := tp.Devices()[1]
+		far := s.Devices()[1]
 		if err := far.SetFaultPlan(fault.Plan{Rate: 0.10, Seed: 9}); err != nil {
 			t.Fatal(err)
 		}
 		acks := 0
 		for i := 0; i < 30; i++ {
 			r := &packet.Rqst{Cmd: hmccmd.RD16, CUB: 1, ADRS: uint64(i) * 64, TAG: uint16(i)}
-			if err := tp.Send(0, r); err != nil {
+			if err := s.Send(0, r); err != nil {
 				t.Fatal(err)
 			}
 			for acks <= i {
-				tp.Clock()
-				if _, ok := tp.Recv(0); ok {
+				s.Clock()
+				if _, ok := s.Recv(0); ok {
 					acks++
 				}
 			}

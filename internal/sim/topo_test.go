@@ -1,4 +1,4 @@
-package topo
+package sim
 
 import (
 	"errors"
@@ -10,25 +10,25 @@ import (
 	"repro/internal/packet"
 )
 
-func newChain(t *testing.T, n int) *Topology {
+func newChain(t *testing.T, n int) *Simulator {
 	t.Helper()
-	tp, err := New(KindChain, n, config.TwoGBDev())
+	s, err := New(config.TwoGBDev(), WithDevices(n, KindChain))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tp
+	return s
 }
 
 // sendRecv drives a request to completion, returning the response and
 // round-trip cycles.
-func sendRecv(t *testing.T, tp *Topology, r *packet.Rqst) (*packet.Rsp, int) {
+func sendRecv(t *testing.T, s *Simulator, r *packet.Rqst) (*packet.Rsp, int) {
 	t.Helper()
-	if err := tp.Send(0, r); err != nil {
+	if err := s.Send(0, r); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 200; i++ {
-		tp.Clock()
-		if rsp, ok := tp.Recv(0); ok {
+		s.Clock()
+		if rsp, ok := s.Recv(0); ok {
 			return rsp, i
 		}
 	}
@@ -38,28 +38,28 @@ func sendRecv(t *testing.T, tp *Topology, r *packet.Rqst) (*packet.Rsp, int) {
 
 func TestHops(t *testing.T) {
 	chain := newChain(t, 4)
-	if chain.Hops(0, 3) != 3 || chain.Hops(2, 1) != 1 || chain.Hops(1, 1) != 0 {
+	if chain.hops(0, 3) != 3 || chain.hops(2, 1) != 1 || chain.hops(1, 1) != 0 {
 		t.Error("chain hop counts wrong")
 	}
-	star, err := New(KindStar, 4, config.TwoGBDev())
+	star, err := New(config.TwoGBDev(), WithDevices(4, KindStar))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if star.Hops(0, 3) != 1 || star.Hops(1, 2) != 2 {
+	if star.hops(0, 3) != 1 || star.hops(1, 2) != 2 {
 		t.Error("star hop counts wrong")
 	}
-	ring, err := New(KindRing, 6, config.TwoGBDev())
+	ring, err := New(config.TwoGBDev(), WithDevices(6, KindRing))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ring.Hops(0, 5) != 1 || ring.Hops(0, 3) != 3 || ring.Hops(1, 5) != 2 {
+	if ring.hops(0, 5) != 1 || ring.hops(0, 3) != 3 || ring.hops(1, 5) != 2 {
 		t.Error("ring hop counts wrong")
 	}
 }
 
 func TestLocalDeviceRoundTrip(t *testing.T) {
-	tp := newChain(t, 2)
-	rsp, cycles := sendRecv(t, tp, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 1, CUB: 0})
+	s := newChain(t, 2)
+	rsp, cycles := sendRecv(t, s, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 1, CUB: 0})
 	if rsp.CUB != 0 {
 		t.Fatalf("response CUB %d", rsp.CUB)
 	}
@@ -69,43 +69,43 @@ func TestLocalDeviceRoundTrip(t *testing.T) {
 }
 
 func TestRemoteDeviceRoutingAndLatency(t *testing.T) {
-	tp := newChain(t, 4)
+	s := newChain(t, 4)
 	// Write on cube 2, then read it back: data must land on cube 2 only.
 	wr := &packet.Rqst{Cmd: hmccmd.WR16, ADRS: 0x100, TAG: 2, CUB: 2, Payload: []uint64{0xAB, 0}}
-	rsp, _ := sendRecv(t, tp, wr)
+	rsp, _ := sendRecv(t, s, wr)
 	if rsp.CUB != 2 {
 		t.Fatalf("write response CUB %d", rsp.CUB)
 	}
-	v, _ := tp.Devices()[2].Store().ReadUint64(0x100)
+	v, _ := s.Devices()[2].Store().ReadUint64(0x100)
 	if v != 0xAB {
 		t.Fatalf("cube 2 memory %#x", v)
 	}
-	if v0, _ := tp.Devices()[0].Store().ReadUint64(0x100); v0 != 0 {
+	if v0, _ := s.Devices()[0].Store().ReadUint64(0x100); v0 != 0 {
 		t.Fatal("write leaked onto cube 0")
 	}
 
 	// Remote round trips cost 2 extra cycles per hop.
-	_, local := sendRecv(t, tp, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 3, CUB: 0})
-	_, oneHop := sendRecv(t, tp, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 4, CUB: 1})
-	_, threeHop := sendRecv(t, tp, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 5, CUB: 3})
+	_, local := sendRecv(t, s, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 3, CUB: 0})
+	_, oneHop := sendRecv(t, s, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 4, CUB: 1})
+	_, threeHop := sendRecv(t, s, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 5, CUB: 3})
 	if oneHop != local+2 {
 		t.Errorf("one-hop RTT %d, want %d", oneHop, local+2)
 	}
 	if threeHop != local+6 {
 		t.Errorf("three-hop RTT %d, want %d", threeHop, local+6)
 	}
-	if tp.ForwardedRqsts == 0 || tp.ForwardedRsps == 0 {
+	if s.forwardedRqsts == 0 || s.forwardedRsps == 0 {
 		t.Error("forwarding counters not incremented")
 	}
 }
 
 func TestBadCUB(t *testing.T) {
-	tp := newChain(t, 2)
-	err := tp.Send(0, &packet.Rqst{Cmd: hmccmd.RD16, CUB: 5})
+	s := newChain(t, 2)
+	err := s.Send(0, &packet.Rqst{Cmd: hmccmd.RD16, CUB: 5})
 	if !errors.Is(err, ErrBadCUB) {
 		t.Errorf("Send(CUB=5): %v", err)
 	}
-	if _, err := tp.Device(7); !errors.Is(err, ErrBadCUB) {
+	if _, err := s.Device(7); !errors.Is(err, ErrBadCUB) {
 		t.Errorf("Device(7): %v", err)
 	}
 }
@@ -115,32 +115,32 @@ func TestBadCUB(t *testing.T) {
 // request could never be delivered, and its overdue hop would keep every
 // later ClockN and ClockUntilRecv from jumping.
 func TestRemoteBadLink(t *testing.T) {
-	tp := newChain(t, 3)
+	s := newChain(t, 3)
 	for _, c := range []struct{ link, cub int }{{9, 2}, {-1, 1}} {
-		err := tp.Send(c.link, &packet.Rqst{Cmd: hmccmd.RD16, CUB: uint8(c.cub)})
+		err := s.Send(c.link, &packet.Rqst{Cmd: hmccmd.RD16, CUB: uint8(c.cub)})
 		if !errors.Is(err, device.ErrBadLink) {
 			t.Errorf("Send(link %d, CUB %d): %v, want ErrBadLink", c.link, c.cub, err)
 		}
 	}
-	if tp.ForwardedRqsts != 0 || len(tp.pendingRqst) != 0 {
-		t.Fatalf("refused sends forwarded: ForwardedRqsts=%d, %d in transit", tp.ForwardedRqsts, len(tp.pendingRqst))
+	if s.forwardedRqsts != 0 || len(s.pendingRqst) != 0 {
+		t.Fatalf("refused sends forwarded: forwardedRqsts=%d, %d in transit", s.forwardedRqsts, len(s.pendingRqst))
 	}
-	if span := tp.jumpSpan(1000); span != 1000 {
+	if span := s.jumpSpan(1000); span != 1000 {
 		t.Errorf("idle chain jumps %d of 1000 cycles", span)
 	}
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(KindChain, 0, config.TwoGBDev()); !errors.Is(err, ErrBadCount) {
+	if _, err := New(config.TwoGBDev(), WithDevices(0, KindChain)); !errors.Is(err, ErrBadCount) {
 		t.Errorf("zero devices: %v", err)
 	}
-	if _, err := New(KindChain, 9, config.TwoGBDev()); !errors.Is(err, ErrBadCount) {
+	if _, err := New(config.TwoGBDev(), WithDevices(9, KindChain)); !errors.Is(err, ErrBadCount) {
 		t.Errorf("nine devices: %v", err)
 	}
-	if _, err := New(KindSingle, 2, config.TwoGBDev()); !errors.Is(err, ErrBadCount) {
+	if _, err := New(config.TwoGBDev(), WithDevices(2, KindSingle)); !errors.Is(err, ErrBadCount) {
 		t.Errorf("single with 2: %v", err)
 	}
-	if _, err := New(KindChain, 2, config.Config{}); err == nil {
+	if _, err := New(config.Config{}, WithDevices(2, KindChain)); err == nil {
 		t.Error("bad config accepted")
 	}
 }
@@ -160,19 +160,19 @@ func TestKindParsing(t *testing.T) {
 func TestInterleavedRemoteTraffic(t *testing.T) {
 	// Concurrent requests to all cubes all complete, each on its own
 	// data.
-	tp := newChain(t, 4)
+	s := newChain(t, 4)
 	for cub := 0; cub < 4; cub++ {
 		wr := &packet.Rqst{Cmd: hmccmd.WR16, ADRS: 0x40, TAG: uint16(cub), CUB: uint8(cub),
 			Payload: []uint64{uint64(cub) + 100, 0}}
-		if err := tp.Send(0, wr); err != nil {
+		if err := s.Send(0, wr); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got := 0
 	for i := 0; i < 50 && got < 4; i++ {
-		tp.Clock()
+		s.Clock()
 		for {
-			if _, ok := tp.Recv(0); !ok {
+			if _, ok := s.Recv(0); !ok {
 				break
 			}
 			got++
@@ -182,7 +182,7 @@ func TestInterleavedRemoteTraffic(t *testing.T) {
 		t.Fatalf("%d responses", got)
 	}
 	for cub := 0; cub < 4; cub++ {
-		v, _ := tp.Devices()[cub].Store().ReadUint64(0x40)
+		v, _ := s.Devices()[cub].Store().ReadUint64(0x40)
 		if v != uint64(cub)+100 {
 			t.Errorf("cube %d memory %d", cub, v)
 		}
@@ -192,13 +192,13 @@ func TestInterleavedRemoteTraffic(t *testing.T) {
 func TestRingTrafficBothDirections(t *testing.T) {
 	// In a 6-cube ring, cube 5 is one hop from cube 0 (wrapping), cube 3
 	// is three hops; round trips reflect that.
-	tp, err := New(KindRing, 6, config.TwoGBDev())
+	s, err := New(config.TwoGBDev(), WithDevices(6, KindRing))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, local := sendRecv(t, tp, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 1, CUB: 0})
-	_, wrap := sendRecv(t, tp, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 2, CUB: 5})
-	_, far := sendRecv(t, tp, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 3, CUB: 3})
+	_, local := sendRecv(t, s, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 1, CUB: 0})
+	_, wrap := sendRecv(t, s, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 2, CUB: 5})
+	_, far := sendRecv(t, s, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 3, CUB: 3})
 	if wrap != local+2 {
 		t.Errorf("wrap-around RTT %d, want %d", wrap, local+2)
 	}
@@ -210,12 +210,12 @@ func TestRingTrafficBothDirections(t *testing.T) {
 func TestStarRemoteToRemote(t *testing.T) {
 	// Star topology: leaf cubes are two hops apart through the hub, so a
 	// request to cube 2 pays 1 hop (host is attached to hub cube 0).
-	tp, err := New(KindStar, 3, config.TwoGBDev())
+	s, err := New(config.TwoGBDev(), WithDevices(3, KindStar))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, local := sendRecv(t, tp, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 1, CUB: 0})
-	_, leaf := sendRecv(t, tp, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 2, CUB: 2})
+	_, local := sendRecv(t, s, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 1, CUB: 0})
+	_, leaf := sendRecv(t, s, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0, TAG: 2, CUB: 2})
 	if leaf != local+2 {
 		t.Errorf("leaf RTT %d, want %d", leaf, local+2)
 	}

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/hmccmd"
-	"repro/internal/topo"
 )
 
 // skipIfRace skips allocation-pinning tests under the race detector,
@@ -286,7 +285,7 @@ func chainBatch(b *testing.B, s *Simulator, cfg Config, reqs []*Rqst) {
 func chainSim(b *testing.B, event bool, extra ...Option) (*Simulator, Config, []*Rqst) {
 	b.Helper()
 	cfg := FourLink4GB()
-	opts := append([]Option{WithDevices(4, topo.KindChain)}, extra...)
+	opts := append([]Option{WithDevices(4, TopoChain)}, extra...)
 	if !event {
 		opts = append(opts, WithEventClock(false))
 	}
@@ -399,7 +398,7 @@ func TestTopoChainZeroAlloc(t *testing.T) {
 	skipIfRace(t)
 	t.Run("serial", func(t *testing.T) {
 		cfg := FourLink4GB()
-		s, err := New(cfg, WithDevices(4, topo.KindChain))
+		s, err := New(cfg, WithDevices(4, TopoChain))
 		if err != nil {
 			t.Fatal(err)
 		}

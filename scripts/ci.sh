@@ -12,7 +12,7 @@
 # feed its one recorder from one simulator at a time, and the session
 # server's connection readers sharing the striped session table), the
 # engine-equivalence suites under -race, the zero-alloc smoke pinning the
-# topo clock's allocation-free forwarding and the clock loop with no
+# multi-cube clock's allocation-free forwarding and the clock loop with no
 # observer and with every observer attached, and finally a 1-iteration
 # benchmark smoke so every benchmark at least compiles and executes (~5s;
 # it measures nothing).
@@ -59,9 +59,11 @@ for e in examples/*/; do go run "./$e" >/dev/null; done
 for w in mutex stream gups bfs replay rwlock; do
     go run ./cmd/hmcsim -workload "$w" -stats >/dev/null
 done
-# The multi-cube clock loop on each wiring, and hmc-trace, which has no
-# tests of its own, over the JSONL trace hmcsim writes and the metrics
-# time series hmc-bench samples.
+# The multi-cube step loop on each wiring (every hmcsim workload
+# addresses CUB 0, so the remote cubes only idle here; tests drive the
+# forwarding), and hmc-trace, which has no tests of its own, over the
+# JSONL trace hmcsim writes and the metrics time series hmc-bench
+# samples.
 for t in chain star ring; do
     go run ./cmd/hmcsim -workload mutex -devices 4 -topo "$t" -stats >/dev/null
 done
@@ -70,7 +72,7 @@ trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/hmcsim -workload mutex -threads 16 -trace "$tmp/t.jsonl" >/dev/null
 go run ./cmd/hmc-bench -sample "$tmp/s.jsonl" >/dev/null
 go run ./cmd/hmc-trace -sample "$tmp/s.jsonl" "$tmp/t.jsonl" >/dev/null
-go test -race ./internal/device ./internal/fault ./internal/mem ./internal/metrics ./internal/paper ./internal/server ./internal/sim ./internal/span ./internal/topo ./internal/workload
+go test -race ./internal/device ./internal/fault ./internal/mem ./internal/metrics ./internal/paper ./internal/server ./internal/sim ./internal/span ./internal/workload
 equiv='TestClockModeEquivalence|TestEventClock|TestSpans|TestObservedClockMatchesPerCycle'
 check_run "$equiv" .
 go test -race -run "$equiv" .
