@@ -82,13 +82,16 @@ func main() {
 	}
 
 	// Serve returns nil when its listener closes — the graceful path is
-	// a signal, whose handler drains the server and exits the process;
-	// anything else is a startup/runtime failure.
+	// a signal, whose handler drains the server and exits the process
+	// with 128+signal; anything else is a startup/runtime failure. Main
+	// then waits for that exit: returning would end the process with
+	// status 0 in the middle of the drain.
 	for i := 0; i < transports; i++ {
 		if err := <-errs; err != nil {
 			fatal(err)
 		}
 	}
+	select {}
 }
 
 func fatal(err error) {

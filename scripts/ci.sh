@@ -11,11 +11,12 @@
 # metrics registry, a span-traced sweep asked for four workers, which must
 # feed its one recorder from one simulator at a time, and the session
 # server's connection readers sharing the striped session table), the
-# engine-equivalence suites under -race, the zero-alloc smoke pinning the
-# multi-cube clock's allocation-free forwarding and the clock loop with no
-# observer and with every observer attached, and finally a 1-iteration
-# benchmark smoke so every benchmark at least compiles and executes (~5s;
-# it measures nothing).
+# engine-equivalence suites under -race, the hmcd binary serving an
+# hmcd-load fleet on a Unix socket until SIGTERM drains it, the zero-alloc
+# smoke pinning the multi-cube clock's allocation-free forwarding and the
+# clock loop with no observer and with every observer attached, and
+# finally a 1-iteration benchmark smoke so every benchmark at least
+# compiles and executes (~5s; it measures nothing).
 # Speed is not gated here: scripts/bench.sh measures it from repeated,
 # alternating runs.
 set -eux
@@ -68,7 +69,8 @@ for t in chain star ring; do
     go run ./cmd/hmcsim -workload mutex -devices 4 -topo "$t" -stats >/dev/null
 done
 tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
+hmcd_pid=""
+trap 'if [ -n "$hmcd_pid" ]; then kill "$hmcd_pid" 2>/dev/null || true; fi; rm -rf "$tmp"' EXIT
 go run ./cmd/hmcsim -workload mutex -threads 16 -trace "$tmp/t.jsonl" >/dev/null
 go run ./cmd/hmc-bench -sample "$tmp/s.jsonl" >/dev/null
 go run ./cmd/hmc-trace -sample "$tmp/s.jsonl" "$tmp/t.jsonl" >/dev/null
@@ -93,6 +95,31 @@ go test -run "$wire" -count=1 ./internal/server
 # mode switch, and batch execution on four connection readers sharing
 # the session table all run concurrently here.
 go run -race ./cmd/hmcd-load -sessions 200 -rounds 2 -warmup 1 -conns 4 -workers 8 -proto binary -batch > /dev/null
+# The hmcd daemon end to end: its Unix-socket transport serves a small
+# hmcd-load fleet, then SIGTERM drains it, which must exit 128+15 and
+# remove the socket. Both are built rather than run through go run, so
+# the signal reaches the daemon and not a go process in front of it;
+# the EXIT trap kills a daemon that a failing step leaves behind.
+go build -o "$tmp/hmcd" ./cmd/hmcd
+go build -o "$tmp/hmcd-load" ./cmd/hmcd-load
+"$tmp/hmcd" -tcp "" -sock "$tmp/h.sock" &
+hmcd_pid=$!
+i=0
+until [ -S "$tmp/h.sock" ]; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+        echo "ci: hmcd opened no socket in 10s" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+"$tmp/hmcd-load" -net unix -addr "$tmp/h.sock" -sessions 100 -rounds 1 -warmup 1 -conns 2 -workers 4 >/dev/null
+kill -TERM "$hmcd_pid"
+status=0
+wait "$hmcd_pid" || status=$?
+hmcd_pid=""
+test "$status" -eq 143
+test ! -e "$tmp/h.sock"
 # Allocation-regression gate: every pin that asserts a hot path stays
 # allocation-free (the pins skip themselves under -race, so this is a
 # separate non-race invocation). TestClockLoopSpansOffZeroAlloc in the
