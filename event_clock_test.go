@@ -363,10 +363,10 @@ func observedClock(t *testing.T, devices int, kind sim.Kind, plan FaultPlan, unt
 	return log.String(), samples.Bytes(), pm
 }
 
-// TestObservedClockMatchesPerCycle pins the span-charged observers: with
+// TestObservedClockMatchesPerCycle pins the jump-charged observers: with
 // a power model, a metrics registry and a sampler attached, a run driven
 // through ClockN and ClockUntilRecv, which charge the observers once per
-// clocked span, equals the same run driven one Clock at a time, on one
+// step or jump, equals the same run driven one Clock at a time, on one
 // cube and on every multi-cube wiring (a two-cube chain and a four-cube
 // ring under a fault plan, a four-cube star without). The sample streams
 // must be byte-equal and every power component exactly equal. The static

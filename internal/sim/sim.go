@@ -82,15 +82,15 @@ func WithMetrics(reg *metrics.Registry) Option {
 
 // WithSampler attaches a cycle-indexed time-series sampler, which
 // snapshots the metrics registry whenever the cycle lands on its period:
-// the batched clock drivers never jump past a sampling cycle and call
-// MaybeSample after every step or jump. Combine with WithMetrics on the same
-// registry; the caller flushes the sampler when the run ends.
+// the clock drivers never jump past a sampling cycle and call
+// MaybeSample after every step or jump. Combine with WithMetrics on the
+// same registry; the caller flushes the sampler when the run ends.
 func WithSampler(sm *metrics.Sampler) Option {
 	return func(o *options) { o.sampler = sm }
 }
 
 // WithSpans attaches a request-lifecycle span tracer (span.New): every
-// device and the inter-cube routing record cycle-stamped pipeline-stage events
+// device and the topology record cycle-stamped pipeline-stage events
 // for the requests the tracer samples, into its fixed-capacity flight
 // recorder, which the caller keeps and reads after the run. Purely
 // observational — simulation results are bit-identical with spans on

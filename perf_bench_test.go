@@ -355,7 +355,7 @@ const idleFFSpan = 4096
 // cube. The ≥10x acceptance criterion compares these two numbers.
 // observed is event with a power model, a metrics registry and a
 // sampler whose periodic sampling is off attached: observers are
-// charged per span, so it must stay within 2x of event.
+// charged per jump, so it must stay within 2x of event.
 func BenchmarkIdleFastForward(b *testing.B) {
 	for _, bc := range []struct {
 		name     string
