@@ -12,11 +12,12 @@ import (
 // its three-cycle round trip while still enforcing queue capacity and
 // FIFO ordering under load.
 //
-// The phases skip idle components: bitsets track which vaults hold
-// queued requests or responses (maintained where packets are pushed and
-// popped), and only those vaults are visited. Setting ForceWalk restores
-// the walk-everything behaviour over every built vault (an unbuilt one
-// has empty queues); both modes produce bit-identical results.
+// The phases skip idle components: activity masks track which link,
+// crossbar and vault queues hold packets (maintained where packets are
+// pushed and popped), and only those queues are visited. Setting
+// ForceWalk restores the walk-everything behaviour over every built port
+// and vault (an unbuilt one has empty queues); both modes produce
+// bit-identical results.
 //
 // The cycle counter in Stats moves last: that is the moment every queue
 // takes its occupancy sample (queue.Queue), so a sample sees the queues
@@ -29,13 +30,25 @@ func (d *Device) Clock() {
 	d.stats.Cycles++
 }
 
-// The dirty masks are iterated ascending (TrailingZeros64), preserving
-// the deterministic vault visit order of the full walk. The bit loops
-// are written inline in each phase: closure-based iteration allocates,
-// and these run every cycle.
+// The masks are iterated ascending (TrailingZeros64), preserving the
+// deterministic link and vault visit order of the full walk. The bit
+// loops are written inline in each phase: closure-based iteration
+// allocates, and these run every cycle.
 
-func setBit(mask []uint64, i int)   { mask[i>>6] |= 1 << (i & 63) }
-func clearBit(mask []uint64, i int) { mask[i>>6] &^= 1 << (i & 63) }
+// walk returns the set a phase visits: the active mask, or under
+// ForceWalk every built entry of built (ports or vaults).
+func walk[T any](force bool, active uint64, built []*T) uint64 {
+	if !force {
+		return active
+	}
+	var m uint64
+	for i, x := range built {
+		if x != nil {
+			m |= 1 << i
+		}
+	}
+	return m
+}
 
 // responsePhase drains responses toward the host: vault response queues
 // into the crossbar's per-link response queues, then the crossbar queues
@@ -43,56 +56,54 @@ func clearBit(mask []uint64, i int) { mask[i>>6] &^= 1 << (i & 63) }
 // xbar->link lets a response traverse the whole chain in one cycle when
 // uncongested.
 func (d *Device) responsePhase() {
-	if d.ForceWalk {
-		for i, v := range d.vaults {
-			if v != nil {
-				d.drainVaultRsp(i)
-			}
-		}
-	} else {
-		for wi, w := range d.vaultRspMask {
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				w &^= 1 << b
-				d.drainVaultRsp(wi<<6 + b)
-			}
-		}
+	for w := walk(d.ForceWalk, d.vaultRsp, d.vaults); w != 0; w &= w - 1 {
+		d.drainVaultRsp(bits.TrailingZeros64(w))
 	}
-	for li := range d.links {
-		l := &d.links[li]
-		q := &d.xbar.rsp[li]
-		budget := d.Cfg.LinkFlitsPerCycle
-		for {
-			f, ok := q.Peek()
-			if !ok {
-				break
-			}
-			// Per-link SerDes bandwidth: stop when this cycle's FLIT
-			// budget cannot carry the next packet.
-			if flits := int(f.Rsp.LNG); flits > budget {
-				d.stats.LinkSerStalls++
-				break
-			}
-			// Link retry protocol: a packet whose CRC arrives bad is
-			// retransmitted after the retry sequence completes.
-			if stop := d.linkAdvance(l, &l.rspDir, &l.rqstDir, f, nil); stop {
-				break
-			}
-			if err := l.rsp.Push(f); err != nil {
-				break // host not draining: wait
-			}
-			if d.obs != nil {
-				d.observe(Event{Stage: StageRspEgress, Flight: f, Link: li, Vault: -1})
-			}
-			if ring := l.rspDir.ring; ring != nil {
-				ring.stamped = nil
-				ring.lastFrp = f.Rsp.FRP
-			}
-			budget -= int(f.Rsp.LNG)
-			d.stats.RspFlits += uint64(f.Rsp.LNG)
-			q.Pop()
-			d.stats.Rsps++
+	for w := walk(d.ForceWalk, d.xbarRsp, d.ports); w != 0; w &= w - 1 {
+		d.egress(d.ports[bits.TrailingZeros64(w)])
+	}
+}
+
+// egress moves port p's crossbar responses onto its host link, within
+// the cycle's FLIT budget, until the crossbar queue empties (clearing
+// its activity bit) or the link blocks.
+func (d *Device) egress(p *port) {
+	q := &p.xrsp
+	budget := d.Cfg.LinkFlitsPerCycle
+	for {
+		f, ok := q.Peek()
+		if !ok {
+			break
 		}
+		// Per-link SerDes bandwidth: stop when this cycle's FLIT budget
+		// cannot carry the next packet.
+		if flits := int(f.Rsp.LNG); flits > budget {
+			d.stats.LinkSerStalls++
+			break
+		}
+		// Link retry protocol: a packet whose CRC arrives bad is
+		// retransmitted after the retry sequence completes.
+		if stop := d.linkAdvance(&p.Link, &p.rspDir, &p.rqstDir, f, nil); stop {
+			break
+		}
+		if err := p.rsp.Push(f); err != nil {
+			break // host not draining: wait
+		}
+		d.linkRsp |= 1 << p.ID
+		if d.obs != nil {
+			d.observe(Event{Stage: StageRspEgress, Flight: f, Link: p.ID, Vault: -1})
+		}
+		if ring := p.rspDir.ring; ring != nil {
+			ring.stamped = nil
+			ring.lastFrp = f.Rsp.FRP
+		}
+		budget -= int(f.Rsp.LNG)
+		d.stats.RspFlits += uint64(f.Rsp.LNG)
+		q.Pop()
+		d.stats.Rsps++
+	}
+	if q.Empty() {
+		d.xbarRsp &^= 1 << p.ID
 	}
 }
 
@@ -103,12 +114,15 @@ func (d *Device) drainVaultRsp(i int) {
 	for {
 		f, ok := v.rsp.Peek()
 		if !ok {
-			clearBit(d.vaultRspMask, i)
+			d.vaultRsp &^= 1 << i
 			return
 		}
-		if err := d.xbar.rsp[f.Link].Push(f); err != nil {
+		// A response leaves on its request's ingress link, whose port
+		// Send built.
+		if err := d.ports[f.Link].xrsp.Push(f); err != nil {
 			return // crossbar port full: head-of-line wait
 		}
+		d.xbarRsp |= 1 << f.Link
 		if d.obs != nil {
 			d.observe(Event{Stage: StageRspXbar, Flight: f, Link: f.Link, Vault: v.ID})
 		}
@@ -279,24 +293,12 @@ func (d *Device) corrupt(dir *linkDir, kind fault.Kind, f *Flight, rqst *packet.
 }
 
 // executePhase services the request queue of every active vault in
-// ascending vault order; each vault reconciles its own dirty bits as it
-// finishes (execVault). Iterating a copy of each mask word keeps the
-// visit set fixed to the vaults active when the phase began.
+// ascending vault order; each vault reconciles its own activity bits as
+// it finishes (execVault). Iterating a copy of the mask keeps the visit
+// set fixed to the vaults active when the phase began.
 func (d *Device) executePhase() {
-	if d.ForceWalk {
-		for i, v := range d.vaults {
-			if v != nil {
-				d.execVault(i)
-			}
-		}
-		return
-	}
-	for wi, w := range d.vaultRqstMask {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << b
-			d.execVault(wi<<6 + b)
-		}
+	for w := walk(d.ForceWalk, d.vaultRqst, d.vaults); w != 0; w &= w - 1 {
+		d.execVault(bits.TrailingZeros64(w))
 	}
 }
 
@@ -305,72 +307,91 @@ func (d *Device) executePhase() {
 // queues into the target vault request queues (routing on the address's
 // vault field). Link order gives deterministic arbitration.
 func (d *Device) requestPhase() {
-	for li := range d.links {
-		l := &d.links[li]
-		q := &d.xbar.rqst[li]
-		budget := d.Cfg.LinkFlitsPerCycle
-		for {
-			f, ok := l.rqst.Peek()
-			if !ok {
-				break
-			}
-			flits := int(f.Rqst.LNG)
-			if flits == 0 {
-				flits = int(f.Rqst.Cmd.InfoRef().RqstFlits)
-			}
-			if flits > budget {
-				d.stats.LinkSerStalls++
-				break
-			}
-			if stop := d.linkAdvance(l, &l.rqstDir, &l.rspDir, f, f.Rqst); stop {
-				break
-			}
-			if err := q.Push(f); err != nil {
-				break
-			}
-			if d.obs != nil {
-				d.observe(Event{Stage: StageLinkIngress, Flight: f, Link: li, Vault: -1})
-			}
-			if ring := l.rqstDir.ring; ring != nil {
-				ring.stamped = nil
-				ring.lastFrp = f.Rqst.FRP
-			}
-			budget -= flits
-			d.stats.RqstFlits += uint64(flits)
-			l.rqst.Pop()
-		}
+	for w := walk(d.ForceWalk, d.linkRqst, d.ports); w != 0; w &= w - 1 {
+		d.ingress(d.ports[bits.TrailingZeros64(w)])
 	}
-	for li := range d.links {
-		q := &d.xbar.rqst[li]
-		for {
-			f, ok := q.Peek()
-			if !ok {
-				break
-			}
-			// Route on the vault field. The address map's mask keeps the
-			// index in range for any 64-bit ADRS today; the clamp makes
-			// mis-sized future maps route deterministically to vault 0,
-			// where execution rejects the out-of-range address with
-			// ErrstatBadAddr instead of panicking here.
-			vi := d.amap.VaultOf(f.Rqst.ADRS)
-			if vi < 0 || vi >= len(d.vaults) {
-				vi = 0
-			}
-			if err := d.vault(vi).rqst.Push(f); err != nil {
-				// Full vault queue: strict FIFO per crossbar port means
-				// head-of-line blocking — the source of the 4Link/8Link
-				// divergence under hot-spot load (paper §V-C).
-				d.stats.XbarBackpressure++
-				if d.obs != nil {
-					d.observe(Event{Stage: StageXbarBlocked, Flight: f, Link: li, Vault: vi})
-				}
-				break
-			}
-			if d.obs != nil {
-				d.observe(Event{Stage: StageVaultEnq, Flight: f, Link: -1, Vault: vi})
-			}
-			setBit(d.vaultRqstMask, vi)
-			q.Pop()
+	for w := walk(d.ForceWalk, d.xbarRqst, d.ports); w != 0; w &= w - 1 {
+		d.route(d.ports[bits.TrailingZeros64(w)])
+	}
+}
+
+// ingress moves port p's host link requests into its crossbar request
+// queue, within the cycle's FLIT budget, until the link queue empties
+// (clearing its activity bit) or the crossbar queue blocks.
+func (d *Device) ingress(p *port) {
+	budget := d.Cfg.LinkFlitsPerCycle
+	for {
+		f, ok := p.rqst.Peek()
+		if !ok {
+			break
 		}
+		flits := int(f.Rqst.LNG)
+		if flits == 0 {
+			flits = int(f.Rqst.Cmd.InfoRef().RqstFlits)
+		}
+		if flits > budget {
+			d.stats.LinkSerStalls++
+			break
+		}
+		if stop := d.linkAdvance(&p.Link, &p.rqstDir, &p.rspDir, f, &f.Rqst); stop {
+			break
+		}
+		if err := p.xrqst.Push(f); err != nil {
+			break
+		}
+		d.xbarRqst |= 1 << p.ID
+		if d.obs != nil {
+			d.observe(Event{Stage: StageLinkIngress, Flight: f, Link: p.ID, Vault: -1})
+		}
+		if ring := p.rqstDir.ring; ring != nil {
+			ring.stamped = nil
+			ring.lastFrp = f.Rqst.FRP
+		}
+		budget -= flits
+		d.stats.RqstFlits += uint64(flits)
+		p.rqst.Pop()
+	}
+	if p.rqst.Empty() {
+		d.linkRqst &^= 1 << p.ID
+	}
+}
+
+// route moves port p's crossbar requests into their target vaults'
+// request queues until the crossbar queue empties (clearing its
+// activity bit) or its head meets a full vault queue.
+func (d *Device) route(p *port) {
+	q := &p.xrqst
+	for {
+		f, ok := q.Peek()
+		if !ok {
+			break
+		}
+		// Route on the vault field. The address map's mask keeps the
+		// index in range for any 64-bit ADRS today; the clamp makes
+		// mis-sized future maps route deterministically to vault 0,
+		// where execution rejects the out-of-range address with
+		// ErrstatBadAddr instead of panicking here.
+		vi := d.amap.VaultOf(f.Rqst.ADRS)
+		if vi < 0 || vi >= len(d.vaults) {
+			vi = 0
+		}
+		if err := d.vault(vi).rqst.Push(f); err != nil {
+			// Full vault queue: strict FIFO per crossbar port means
+			// head-of-line blocking — the source of the 4Link/8Link
+			// divergence under hot-spot load (paper §V-C).
+			d.stats.XbarBackpressure++
+			if d.obs != nil {
+				d.observe(Event{Stage: StageXbarBlocked, Flight: f, Link: p.ID, Vault: vi})
+			}
+			break
+		}
+		if d.obs != nil {
+			d.observe(Event{Stage: StageVaultEnq, Flight: f, Link: -1, Vault: vi})
+		}
+		d.vaultRqst |= 1 << vi
+		q.Pop()
+	}
+	if q.Empty() {
+		d.xbarRqst &^= 1 << p.ID
 	}
 }

@@ -14,7 +14,7 @@ import (
 // returns the ack count.
 func driveWrites(t *testing.T, d *Device, n, maxCycles int) int {
 	t.Helper()
-	links := len(d.links)
+	links := len(d.ports)
 	sent := 0
 	acks := 0
 	for c := 0; c < maxCycles && acks < n; c++ {

@@ -40,8 +40,11 @@ func hasSlotArray(d *Device) bool {
 // retryRings counts the link directions holding a retry ring.
 func retryRings(d *Device) int {
 	n := 0
-	for i := range d.links {
-		for _, dir := range []*linkDir{&d.links[i].rqstDir, &d.links[i].rspDir} {
+	for _, p := range d.ports {
+		if p == nil {
+			continue
+		}
+		for _, dir := range []*linkDir{&p.rqstDir, &p.rspDir} {
 			if dir.ring != nil {
 				n++
 			}
@@ -53,9 +56,10 @@ func retryRings(d *Device) int {
 // TestVaultsOnFirstUse pins the state New leaves for first use: no vault,
 // no CMC slot array and no retry ring. A request builds its own vault
 // only; Vault on an unbuilt index reports what a vault that existed all
-// along reports; a fault plan builds a ring per link direction and a
-// disabled one drops them; and Reset+Trim drops the vaults and an empty
-// slot array, after which the device runs as a fresh one does.
+// along reports; a fault plan builds a ring per direction of each built
+// port, a port built under it gets its own, and a disabled plan drops
+// them; and Reset+Trim drops the vaults and an empty slot array, after
+// which the device runs as a fresh one does.
 func TestVaultsOnFirstUse(t *testing.T) {
 	cfg := config.FourLink4GB()
 	d := newDev(t, cfg)
@@ -104,8 +108,14 @@ func TestVaultsOnFirstUse(t *testing.T) {
 	if err := d.SetFaultPlan(fault.Plan{Rate: 0.1, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if n := retryRings(d); n != 2*cfg.Links {
-		t.Fatalf("enabled fault plan built %d retry rings, want %d", n, 2*cfg.Links)
+	if n := retryRings(d); n != 2 {
+		t.Fatalf("enabled fault plan built %d retry rings, want port 0's 2", n)
+	}
+	if _, err := d.Link(3); err != nil {
+		t.Fatal(err)
+	}
+	if n := retryRings(d); n != 4 {
+		t.Fatalf("a port built under the plan left %d retry rings, want 4", n)
 	}
 	if err := d.SetFaultPlan(fault.Plan{}); err != nil {
 		t.Fatal(err)
@@ -160,6 +170,133 @@ func TestVaultsOnFirstUse(t *testing.T) {
 	}
 	if a, b := builtVaults(d), builtVaults(fresh); !reflect.DeepEqual(a, b) {
 		t.Errorf("vaults built after Reset+Trim %v, fresh %v", a, b)
+	}
+}
+
+// builtPorts lists the ports the device has built.
+func builtPorts(d *Device) []int {
+	var ids []int
+	for i, p := range d.ports {
+		if p != nil {
+			ids = append(ids, i)
+		}
+	}
+	return ids
+}
+
+// TestPortsOnFirstUse pins the ports' first-use rule: New builds none, a
+// round trip on link 0 builds port 0 only, and the crossbar statistics,
+// the report, the metrics-facing occupancies and Recv read an unbuilt
+// port as the idle port it stands for without building it — the same
+// statistics a port built at cycle zero and never used reports. Link
+// builds the port it is asked for. Reset+Trim drops the ports, after
+// which the device runs as a fresh one does.
+func TestPortsOnFirstUse(t *testing.T) {
+	for _, cfg := range []config.Config{config.FourLink4GB(), config.EightLink8GB()} {
+		d := newDev(t, cfg)
+		if ids := builtPorts(d); ids != nil {
+			t.Fatalf("%v: New built ports %v", cfg, ids)
+		}
+		// ref builds every port at cycle zero, walks them every cycle,
+		// and runs the same traffic.
+		ref := newDev(t, cfg)
+		ref.ForceWalk = true
+		for i := 0; i < cfg.Links; i++ {
+			if _, err := ref.Link(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, dev := range []*Device{d, ref} {
+			roundTrip(t, dev, &packet.Rqst{Cmd: hmccmd.WR16, ADRS: 0x40, TAG: 1, Payload: []uint64{1, 2}})
+			roundTrip(t, dev, &packet.Rqst{Cmd: hmccmd.RD16, ADRS: 0x40, TAG: 2})
+			for i := 0; i < 3; i++ {
+				dev.Clock()
+			}
+		}
+		if ids := builtPorts(d); !reflect.DeepEqual(ids, []int{0}) {
+			t.Fatalf("%v: ports built by link-0 round trips: %v, want [0]", cfg, ids)
+		}
+		if d.Stats() != ref.Stats() {
+			t.Errorf("%v: stats %+v, with every port built %+v", cfg, d.Stats(), ref.Stats())
+		}
+		if a, b := d.BuildReport(), ref.BuildReport(); !reflect.DeepEqual(a, b) {
+			t.Errorf("%v: report %+v, with every port built %+v", cfg, a, b)
+		}
+		last := cfg.Links - 1
+		for i := 0; i < cfg.Links; i++ {
+			if a, b := d.Xbar().RqstStats(i), ref.Xbar().RqstStats(i); a != b {
+				t.Errorf("%v: crossbar port %d request stats %+v, want %+v", cfg, i, a, b)
+			}
+			if a, b := d.Xbar().RspStats(i), ref.Xbar().RspStats(i); a != b {
+				t.Errorf("%v: crossbar port %d response stats %+v, want %+v", cfg, i, a, b)
+			}
+		}
+		if _, ok := d.Recv(last); ok || d.HostRspQueued() || d.Xbar().TotalOccupancy() != 0 {
+			t.Errorf("%v: an idle device reports a queued packet", cfg)
+		}
+		if ids := builtPorts(d); !reflect.DeepEqual(ids, []int{0}) {
+			t.Fatalf("%v: reading statistics built ports: %v, want [0]", cfg, ids)
+		}
+		l, err := d.Link(last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rl, _ := ref.Link(last)
+		if l.RqstStats() != rl.RqstStats() || l.RspStats() != rl.RspStats() {
+			t.Errorf("%v: late link %d stats %+v/%+v, want %+v/%+v", cfg, last,
+				l.RqstStats(), l.RspStats(), rl.RqstStats(), rl.RspStats())
+		}
+		if got := l.RqstStats().Samples(); got != d.Cycle() {
+			t.Errorf("%v: late link samples %d, want the %d cycles", cfg, got, d.Cycle())
+		}
+		if ids := builtPorts(d); !reflect.DeepEqual(ids, []int{0, last}) {
+			t.Fatalf("%v: ports after Link(%d): %v", cfg, last, ids)
+		}
+
+		d.Reset()
+		if ids := builtPorts(d); !reflect.DeepEqual(ids, []int{0, last}) {
+			t.Fatalf("%v: Reset dropped ports: %v", cfg, ids)
+		}
+		d.Trim()
+		if ids := builtPorts(d); ids != nil {
+			t.Fatalf("%v: ports after Reset+Trim: %v", cfg, ids)
+		}
+		fresh := newDev(t, cfg)
+		for _, dev := range []*Device{d, fresh} {
+			for i := 0; i < 4; i++ {
+				r := &packet.Rqst{Cmd: hmccmd.RD16, ADRS: uint64(i) * 0x40, TAG: uint16(i), SLID: 1}
+				if err := dev.Send(1, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for c := 0; c < 8; c++ {
+				dev.Clock()
+			}
+		}
+		for {
+			a, okA := d.Recv(1)
+			b, okB := fresh.Recv(1)
+			if okA != okB {
+				t.Fatalf("%v: trimmed device recv %v, fresh %v", cfg, okA, okB)
+			}
+			if !okA {
+				break
+			}
+			wa, errA := a.Encode()
+			wb, errB := b.Encode()
+			if errA != nil || errB != nil || !reflect.DeepEqual(wa, wb) {
+				t.Fatalf("%v: responses diverge: %x vs %x (%v, %v)", cfg, wa, wb, errA, errB)
+			}
+		}
+		if d.Stats() != fresh.Stats() {
+			t.Errorf("%v: stats after Reset+Trim %+v, fresh %+v", cfg, d.Stats(), fresh.Stats())
+		}
+		if a, b := d.BuildReport(), fresh.BuildReport(); !reflect.DeepEqual(a, b) {
+			t.Errorf("%v: report after Reset+Trim %+v, fresh %+v", cfg, a, b)
+		}
+		if a, b := builtPorts(d), builtPorts(fresh); !reflect.DeepEqual(a, b) || !reflect.DeepEqual(a, []int{1}) {
+			t.Errorf("%v: ports built after Reset+Trim %v, fresh %v, want [1]", cfg, a, b)
+		}
 	}
 }
 
@@ -246,8 +383,8 @@ func TestResetTrimFootprint(t *testing.T) {
 	if ids := bankArrays(d); ids != nil {
 		t.Errorf("bank arrays after Reset+Trim: vaults %v", ids)
 	}
-	if d.cmcCtx != nil || d.flightPool != nil || d.rqstPool != nil {
-		t.Error("Trim kept the CMC context or the flight/request free lists")
+	if d.cmcCtx != nil || d.flights != nil {
+		t.Error("Trim kept the CMC context or the flight free list")
 	}
 
 	// held goes back to the trimmed device's list and is the first

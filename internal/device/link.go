@@ -68,9 +68,9 @@ type linkDir struct {
 // layer above the device); the device model itself is agnostic — both
 // kinds of traffic enter through the same queues.
 //
-// Links are held by value in the device. Their queue ring buffers
-// materialize on first use, and their retry rings only with a fault plan
-// (Device.SetFaultPlan).
+// A link lives in its port, built on first use (Device.port); its queue
+// ring buffers materialize on first use in turn, and its retry rings
+// only with a fault plan (Device.SetFaultPlan).
 type Link struct {
 	// ID is the link index, matching the SLID field of packets that enter
 	// on it.
@@ -88,10 +88,13 @@ type Link struct {
 	Retries uint64
 }
 
-func (l *Link) init(id, depth int, cycles *uint64) {
-	l.ID = id
-	l.rqst.Init(depth, cycles)
-	l.rsp.Init(depth, cycles)
+// port is one host link together with its crossbar port: the link's
+// queues and retry state, and the crossbar request and response queues
+// that serve it. A device builds a port when the first request is sent
+// on its link, so a session that drives one link pays for one port.
+type port struct {
+	Link
+	xrqst, xrsp queue.Queue[*Flight]
 }
 
 // reset rewinds one direction's retry-protocol state to power-on. The

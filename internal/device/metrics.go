@@ -62,11 +62,22 @@ func (d *Device) RegisterMetrics(reg *metrics.Registry) {
 	reg.CounterFunc(metrics.NameLinkFlits, func() uint64 { return d.stats.RqstFlits }, dev, metrics.L("dir", "rqst"))
 	reg.CounterFunc(metrics.NameLinkFlits, func() uint64 { return d.stats.RspFlits }, dev, metrics.L("dir", "rsp"))
 
-	for i := range d.links {
-		l := &d.links[i]
+	// An unbuilt port holds no packet; the gauges read it without
+	// building it.
+	for i := range d.ports {
 		link := metrics.L("link", strconv.Itoa(i))
-		reg.GaugeFunc(metrics.NameLinkRqstOcc, func() float64 { return float64(l.rqst.Len()) }, dev, link)
-		reg.GaugeFunc(metrics.NameLinkRspOcc, func() float64 { return float64(l.rsp.Len()) }, dev, link)
+		reg.GaugeFunc(metrics.NameLinkRqstOcc, func() float64 {
+			if p := d.ports[i]; p != nil {
+				return float64(p.rqst.Len())
+			}
+			return 0
+		}, dev, link)
+		reg.GaugeFunc(metrics.NameLinkRspOcc, func() float64 {
+			if p := d.ports[i]; p != nil {
+				return float64(p.rsp.Len())
+			}
+			return 0
+		}, dev, link)
 	}
 	// An unbuilt vault holds no request.
 	reg.GaugeFunc(metrics.NameVaultOccTotal, func() float64 {

@@ -84,7 +84,7 @@ type traceSink struct {
 
 func (s *traceSink) Observe(e Event) {
 	f := e.Flight
-	r := f.Rqst
+	r := &f.Rqst
 	switch e.Stage {
 	case StageSendStall:
 		s.request(trace.LevelStall, e, -1, "send stall: link request queue full")
@@ -129,7 +129,7 @@ var faultDetails = map[fault.Kind]string{
 // when t collects the level.
 func (s *traceSink) request(level trace.Level, e Event, bank int, detail string) {
 	if s.t.Enabled(level) {
-		r := e.Flight.Rqst
+		r := &e.Flight.Rqst
 		s.emit(level, e, bank, r.Cmd.String(), r.ADRS, 0, detail)
 	}
 }
@@ -206,7 +206,7 @@ func (s *powerSink) Observe(e Event) {
 	if e.Stage != StageExecute {
 		return
 	}
-	r := e.Flight.Rqst
+	r := &e.Flight.Rqst
 	info := r.Cmd.InfoRef()
 	rqstFlits := int(r.LNG)
 	if rqstFlits == 0 {

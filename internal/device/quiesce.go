@@ -1,5 +1,7 @@
 package device
 
+import "math/bits"
+
 // Quiescence tracking: the device-level half of the event-driven cycle
 // scheduler. NextEventCycle computes a lower bound on the next cycle
 // whose Clock() could change observable state, and SkipCycles
@@ -8,7 +10,7 @@ package device
 // every cycle.
 //
 // The bound leans on the same lazy-evaluation discipline that makes the
-// dirty-bitset idle skipping of the serial clock exact: bank readyAt,
+// activity-mask idle skipping of the serial clock exact: bank readyAt,
 // retry-slot retirement and fault-injector draws are all evaluated at
 // the moment a packet moves, never per cycle, so a device whose queues
 // cannot move has literally nothing to do. The only per-cycle mutations
@@ -55,45 +57,28 @@ func (d *Device) NextEventCycle() uint64 {
 	// Queued vault work executes (or counts bank-conflict/backpressure
 	// stalls) every cycle, and queued crossbar requests route every
 	// cycle (or count xbar backpressure): both pin the bound.
-	for _, w := range d.vaultRqstMask {
-		if w != 0 {
-			return next
-		}
+	if d.vaultRqst|d.vaultRsp|d.xbarRqst != 0 {
+		return next
 	}
-	for _, w := range d.vaultRspMask {
-		if w != 0 {
-			return next
-		}
-	}
-	for li := range d.xbar.rqst {
-		if !d.xbar.rqst[li].Empty() {
-			return next
-		}
-	}
+	// Only the ports whose link request or crossbar response queue holds
+	// a head can bound the skip. A port's link response queue (responses
+	// awaiting Recv) is deliberately not a bound: the device itself
+	// never moves it, so it only freezes across a skip. A remote cube's
+	// is drained at every cycle it steps (Simulator.step collects it),
+	// so it is empty at every cycle boundary there.
 	bound := NeverCycle
-	for li := range d.links {
-		l := &d.links[li]
-		if f, ok := l.rqst.Peek(); ok {
+	for w := d.linkRqst | d.xbarRsp; w != 0; w &= w - 1 {
+		p := d.ports[bits.TrailingZeros64(w)]
+		if f, ok := p.rqst.Peek(); ok {
 			flits := int(f.Rqst.LNG)
 			if flits == 0 {
 				flits = int(f.Rqst.Cmd.InfoRef().RqstFlits)
 			}
-			e := d.headParkedUntil(l, &l.rqstDir, flits)
-			if e < bound {
-				bound = e
-			}
+			bound = min(bound, d.headParkedUntil(&p.Link, &p.rqstDir, flits))
 		}
-		if f, ok := d.xbar.rsp[li].Peek(); ok {
-			e := d.headParkedUntil(l, &l.rspDir, int(f.Rsp.LNG))
-			if e < bound {
-				bound = e
-			}
+		if f, ok := p.xrsp.Peek(); ok {
+			bound = min(bound, d.headParkedUntil(&p.Link, &p.rspDir, int(f.Rsp.LNG)))
 		}
-		// l.rsp (host-facing responses awaiting Recv) is deliberately
-		// not a bound: the device itself never moves it, so it only
-		// freezes across a skip. Topology-attached remote cubes drain
-		// it at every stepped cycle, so it is empty at every cycle
-		// boundary there (see topo's collect loop).
 		if bound == next {
 			return next
 		}
@@ -142,11 +127,8 @@ func (d *Device) SkipCycles(n uint64) {
 // (its responses must start their return hop the cycle they surface);
 // for the host-attached device it is also the run-until-event loop's
 // "response available" signal.
-func (d *Device) HostRspQueued() bool {
-	for i := range d.links {
-		if !d.links[i].rsp.Empty() {
-			return true
-		}
-	}
-	return false
-}
+func (d *Device) HostRspQueued() bool { return d.linkRsp != 0 }
+
+// HostRspLinks returns the host links holding a response awaiting Recv,
+// bit i for link i.
+func (d *Device) HostRspLinks() uint64 { return d.linkRsp }

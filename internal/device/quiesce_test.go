@@ -206,7 +206,7 @@ func TestNextEventLowerBoundProperty(t *testing.T) {
 func clockUntilParked(t *testing.T, d *Device, window func() uint64) {
 	t.Helper()
 	for c := 0; c < 256; c++ {
-		if window() > d.cycle+1 && !d.links[0].rqst.Empty() {
+		if window() > d.cycle+1 && !d.ports[0].rqst.Empty() {
 			return
 		}
 		d.Clock()
@@ -233,7 +233,7 @@ func TestSkipNeverJumpsDownWindow(t *testing.T) {
 	if err := d.Send(0, r); err != nil {
 		t.Fatal(err)
 	}
-	l := &d.links[0]
+	l := d.ports[0]
 	clockUntilParked(t, d, func() uint64 { return l.downUntil })
 	wake := l.downUntil
 	if until := l.rqstDir.retryUntil; until > wake {
@@ -277,7 +277,7 @@ func TestSkipNeverJumpsDropTimeout(t *testing.T) {
 	if err := d.Send(0, r); err != nil {
 		t.Fatal(err)
 	}
-	l := &d.links[0]
+	l := d.ports[0]
 	dir := &l.rqstDir
 	clockUntilParked(t, d, func() uint64 { return dir.retryUntil })
 	wake := dir.retryUntil

@@ -40,11 +40,13 @@ func (d *Device) BuildReport() Report {
 		}
 	}
 	var sum float64
-	for i := range d.links {
-		sum += d.links[i].RqstStats().AvgOccupancy()
+	for _, p := range d.ports {
+		if p != nil { // an unbuilt port's mean occupancy is zero
+			sum += p.RqstStats().AvgOccupancy()
+		}
 	}
-	if len(d.links) > 0 {
-		r.AvgLinkRqstOcc = sum / float64(len(d.links))
+	if len(d.ports) > 0 {
+		r.AvgLinkRqstOcc = sum / float64(len(d.ports))
 	}
 	return r
 }

@@ -11,10 +11,12 @@ import (
 // workload.Session). Every run-visible structure is rewound in place:
 //
 //   - queues: drained (in-flight packets recycle into the device pools)
-//     and their occupancy statistics cleared; the ring buffers and the
-//     sample-counter wiring survive.
+//     and their occupancy statistics cleared, and every activity mask
+//     with them; the ring buffers and the sample-counter wiring survive.
 //   - link retry state: both directions' SEQ/FRP rings (built only
-//     with a fault plan), traversal counters, park and down windows.
+//     with a fault plan), traversal counters, park and down windows, in
+//     the ports that exist (a port is built when a request is first
+//     sent on its link; an unbuilt one has nothing to clear).
 //   - vaults: bank availability/open-row state and per-bank op counts,
 //     in the vaults and bank arrays that exist (a vault is built when a
 //     request is first routed to it and allocates its banks on its
@@ -29,22 +31,28 @@ import (
 //
 // Deliberately retained: the CMC registration table (operations are
 // stateless; reloading them is the session's concern) and its slot
-// array, the flight, request and response free lists, the built vaults
-// and their bank arrays, scratch buffers, the attached observers, and
+// array, the flight and response free lists, the built ports, vaults
+// and bank arrays, scratch buffers, the attached observers, and
 // any registered metrics instruments (which accumulate across runs —
 // reusable sessions are built without metrics). After Reset the device
 // is indistinguishable, in every statistic and every packet it emits,
 // from a freshly constructed one with the same CMC table (the reset
 // bit-identity suite pins this).
 func (d *Device) Reset() {
-	for i := range d.links {
-		d.drainQueue(&d.links[i].rqst)
-		d.drainQueue(&d.links[i].rsp)
-		d.links[i].reset()
-	}
-	for i := range d.xbar.rqst {
-		d.drainQueue(&d.xbar.rqst[i])
-		d.drainQueue(&d.xbar.rsp[i])
+	for _, p := range d.ports {
+		if p == nil {
+			continue
+		}
+		d.drainQueue(&p.rqst)
+		d.drainQueue(&p.rsp)
+		d.drainQueue(&p.xrqst)
+		d.drainQueue(&p.xrsp)
+		p.reset()
+		if d.faultPlan.Enabled() {
+			stream := d.faultStream(p.ID)
+			p.rqstDir.inj.Reset(d.faultPlan, stream)
+			p.rspDir.inj.Reset(d.faultPlan, stream|1)
+		}
 	}
 	for _, v := range d.vaults {
 		if v != nil {
@@ -53,26 +61,17 @@ func (d *Device) Reset() {
 			clear(v.banks)
 		}
 	}
-	clear(d.vaultRqstMask)
-	clear(d.vaultRspMask)
+	d.linkRqst, d.linkRsp, d.xbarRqst, d.xbarRsp, d.vaultRqst, d.vaultRsp = 0, 0, 0, 0, 0, 0
 	d.cycle = 0
 	d.stats = Stats{}
 	d.regs.reset(d.Cfg)
 	d.store.Zero()
-	if d.faultPlan.Enabled() {
-		for i := range d.links {
-			l := &d.links[i]
-			stream := uint64(d.ID)<<16 | uint64(i)<<1
-			l.rqstDir.inj.Reset(d.faultPlan, stream)
-			l.rspDir.inj.Reset(d.faultPlan, stream|1)
-		}
-	}
 }
 
 // Trim releases the reusable capacity Reset deliberately keeps warm,
 // shrinking an idle device toward its freshly built footprint: the
 // backing store's materialized pages scrub back to the process-wide page
-// pool, and the flight, request and response free lists, the vaults
+// pool, and the flight and response free lists, the ports, the vaults
 // with their bank arrays, an empty CMC slot array and the CMC scratch
 // context are dropped. Call it after Reset on a device headed for an
 // idle pool — a parked session then costs only its structural
@@ -84,10 +83,10 @@ func (d *Device) Reset() {
 // holds may be released afterwards: it rejoins the emptied list.
 func (d *Device) Trim() {
 	d.store.Trim()
-	d.flightPool = nil
-	d.rqstPool = nil
+	d.flights = nil
 	d.rsps = packet.RspList{}
 	d.cmcCtx = nil
+	clear(d.ports)
 	clear(d.vaults)
 	d.cmcTab.Trim()
 }
@@ -105,14 +104,9 @@ func (d *Device) drainQueue(q *queue.Queue[*Flight]) {
 	q.Reset()
 }
 
-// recycleFlight returns a flight and whatever packets it still carries
-// to their free lists.
+// recycleFlight returns a flight and the response it may carry to their
+// free lists.
 func (d *Device) recycleFlight(f *Flight) {
-	if f.Rqst != nil {
-		d.putRqst(f.Rqst)
-	}
-	if f.Rsp != nil {
-		packet.PutRsp(f.Rsp)
-	}
+	packet.PutRsp(f.Rsp)
 	d.putFlight(f)
 }

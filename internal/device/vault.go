@@ -80,7 +80,7 @@ func (v *Vault) BankOps() []uint64 {
 // execVault services vault i's request queue for the current cycle:
 // FIFO order, head-of-line blocking on busy banks and on a full response
 // queue. This is the hmcsim_process_rqst() stage of paper Figure 3. On
-// the way out it reconciles the vault's dirty bits with its queues.
+// the way out it reconciles the vault's activity bits with its queues.
 func (d *Device) execVault(i int) {
 	v := d.vaults[i]
 	for {
@@ -88,7 +88,7 @@ func (d *Device) execVault(i int) {
 		if !ok {
 			break
 		}
-		r := f.Rqst
+		r := &f.Rqst
 		info := r.Cmd.InfoRef()
 		loc, locErr := d.amap.Decode(r.ADRS)
 
@@ -134,16 +134,12 @@ func (d *Device) execVault(i int) {
 			b.Ops++
 		}
 
-		// f.Rqst stays attached so Recv can recycle the adopted request
-		// into the device pool along with the envelope.
 		f.Rsp = d.executeRqst(v, f, info, loc, locErr)
 		if d.obs != nil {
 			d.observe(Event{Stage: StageExecute, Flight: f, Link: -1, Vault: v.ID, Arg: bankOf(loc, locErr)})
 		}
 		if f.Rsp == nil {
-			// Posted or flow: no response packet — the envelope and the
-			// adopted request die here.
-			d.putRqst(r)
+			// Posted or flow: no response packet — the flight ends here.
 			d.putFlight(f)
 			continue
 		}
@@ -152,10 +148,10 @@ func (d *Device) execVault(i int) {
 		_ = v.rsp.Push(f)
 	}
 	if v.rqst.Empty() {
-		clearBit(d.vaultRqstMask, i)
+		d.vaultRqst &^= 1 << i
 	}
 	if !v.rsp.Empty() {
-		setBit(d.vaultRspMask, i)
+		d.vaultRsp |= 1 << i
 	}
 }
 
@@ -182,7 +178,7 @@ func bankOf(loc addr.Location, err error) int {
 // executeRqst performs one request in-situ and builds its response (nil
 // for posted/flow commands).
 func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Location, locErr error) *packet.Rsp {
-	r := f.Rqst
+	r := &f.Rqst
 
 	// Poisoned packets are never executed: a request that reaches the
 	// vault with Pb set (stamped by an upstream cube that detected
@@ -270,7 +266,7 @@ func (d *Device) executeRqst(v *Vault, f *Flight, info *hmccmd.Info, loc addr.Lo
 // response, active commands run the user's execute function (the trace
 // sink names them by the op's registered name).
 func (d *Device) executeCMC(v *Vault, f *Flight, loc addr.Location, locErr error) *packet.Rsp {
-	r := f.Rqst
+	r := &f.Rqst
 	slot, ok := d.cmcTab.Slot(r.Cmd.Code())
 	if !ok {
 		return d.errorRsp(f, ErrstatInactiveCMC)
@@ -340,7 +336,7 @@ func (d *Device) executeCMC(v *Vault, f *Flight, loc addr.Location, locErr error
 // executeMode services MD_RD/MD_WR mode requests: the ADRS field selects
 // the register.
 func (d *Device) executeMode(f *Flight) *packet.Rsp {
-	r := f.Rqst
+	r := &f.Rqst
 	reg := Reg(r.ADRS & 0xFF)
 	switch r.Cmd {
 	case hmccmd.MDRD:
@@ -379,7 +375,7 @@ func (d *Device) blockViolation(r *packet.Rqst, info *hmccmd.Info) bool {
 // zeroed payload is sized to the response length; a non-nil payload
 // argument is copied in (and zero-padded by construction when shorter).
 func (d *Device) dataRsp(f *Flight, cmd hmccmd.Resp, flits uint8, payload []uint64, dinv bool) *packet.Rsp {
-	r := f.Rqst
+	r := &f.Rqst
 	rsp := d.rsps.Get(2 * (int(flits) - 1))
 	copy(rsp.Payload, payload)
 	rsp.Cmd = cmd
@@ -397,7 +393,7 @@ func (d *Device) dataRsp(f *Flight, cmd hmccmd.Resp, flits uint8, payload []uint
 // errorRsp builds a one-FLIT error response carrying an ERRSTAT code.
 func (d *Device) errorRsp(f *Flight, errstat uint8) *packet.Rsp {
 	d.stats.ErrResponses++
-	r := f.Rqst
+	r := &f.Rqst
 	code, _ := hmccmd.RspError.Code()
 	rsp := d.rsps.Get(0)
 	rsp.Cmd = hmccmd.RspError

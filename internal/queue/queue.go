@@ -83,7 +83,7 @@ type Queue[T any] struct {
 var stopped uint64
 
 // minRing is the smallest materialized ring; growth doubles from here.
-const minRing = 8
+const minRing = 2
 
 // New returns a queue with the given capacity and no sample counter. It
 // panics if capacity is not positive, which always indicates a

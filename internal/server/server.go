@@ -576,8 +576,8 @@ func fail(rsp *Response, code, msg string) {
 // Session churn on a warm pool allocates almost nothing in the device
 // model: init pops a clean simulator, close Resets and pushes it back.
 // Parked simulators are additionally Trimmed — their store pages scrub
-// back to the shared page pool and their packet free lists and vaults
-// drop — so an idle pool holds only structural memory, not the peak
+// back to the shared page pool and their packet free lists, ports and
+// vaults drop — so an idle pool holds only structural memory, not the peak
 // footprint of its last tenant.
 type simPool struct {
 	mu   sync.Mutex
