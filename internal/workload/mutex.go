@@ -146,7 +146,10 @@ func RunMutex(cfg config.Config, threads int, lockAddr uint64, opts ...sim.Optio
 }
 
 // Mutex is the Session form of RunMutex: the same workload against this
-// session's simulator, Reset in place instead of rebuilt.
+// session's simulator, Reset in place instead of rebuilt. On a
+// multi-cube session the lock block lives on the last cube, so every
+// lock request and its response cross the topology's hops between the
+// host cube and that one.
 func (ss *Session) Mutex(threads int, lockAddr uint64) (MutexRun, error) {
 	s, err := ss.begin(threads, "hmc_lock", "hmc_trylock", "hmc_unlock")
 	if err != nil {
@@ -158,8 +161,9 @@ func (ss *Session) Mutex(threads int, lockAddr uint64) (MutexRun, error) {
 	agents := ss.agentSlice(threads)
 	ss.muts = grow(ss.muts, threads)
 	muts := ss.muts
+	cub := len(s.Devices()) - 1
 	for i := range muts {
-		muts[i] = MutexAgent{TID: uint64(i) + 1, Addr: lockAddr} // TID 0 means "free"
+		muts[i] = MutexAgent{TID: uint64(i) + 1, CUB: cub, Addr: lockAddr} // TID 0 means "free"
 		agents[i] = &muts[i]
 	}
 	res, err := ss.run(agents, 1_000_000)
@@ -177,7 +181,7 @@ func (ss *Session) Mutex(threads int, lockAddr uint64) (MutexRun, error) {
 		run.Trylocks += muts[i].Trylocks
 	}
 	// Post-condition: the lock must end free (every thread unlocked).
-	d, err := s.Device(0)
+	d, err := s.Device(cub)
 	if err != nil {
 		return MutexRun{}, err
 	}

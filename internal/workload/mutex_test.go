@@ -26,6 +26,38 @@ func TestMutexTwoThreads(t *testing.T) {
 	}
 }
 
+// TestMutexLockOnLastCube pins where a multi-cube session places the
+// lock block: on the last cube, whose report counts every lock, trylock
+// and unlock request, while the host cube and the cubes between execute
+// none. The hops each way lift the uncongested minimum above the
+// single cube's six cycles.
+func TestMutexLockOnLastCube(t *testing.T) {
+	const threads = 8
+	for _, kind := range []sim.Kind{sim.KindChain, sim.KindStar, sim.KindRing} {
+		ss, err := NewSession(config.FourLink4GB(), sim.WithDevices(4, kind))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := ss.Mutex(threads, 0x40)
+		if err != nil {
+			t.Fatalf("%v: %v", kind, err)
+		}
+		if run.Min <= 6 {
+			t.Errorf("%v: min = %d, want above the single cube's 6", kind, run.Min)
+		}
+		rqsts := 2*threads + run.Trylocks // a lock and an unlock per thread
+		for i, d := range ss.Sim().Devices() {
+			want := uint64(0)
+			if i == 3 {
+				want = rqsts
+			}
+			if got := d.BuildReport().TotalOps(); got != want {
+				t.Errorf("%v: cube %d executed %d requests, want %d", kind, i, got, want)
+			}
+		}
+	}
+}
+
 func TestMutexMinIsSixAcrossSweep(t *testing.T) {
 	// Table VI: Min Cycle Count = 6 for both configurations.
 	for _, cfg := range []config.Config{config.FourLink4GB(), config.EightLink8GB()} {
