@@ -55,6 +55,9 @@ func main() {
 	faults := cliflag.RegisterFaults()
 	spanFlags := cliflag.RegisterSpans()
 	flag.Parse()
+	if err := checkSampleEvery(*sampleEvery); err != nil {
+		fatal(err)
+	}
 
 	var opts []hmcsim.Option
 	if faults.Enabled() {
@@ -138,6 +141,15 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "hmc-bench:", err)
 	os.Exit(1)
+}
+
+// checkSampleEvery refuses a sampling period below one cycle: a period
+// of 0 samples nothing but each preset's final snapshot.
+func checkSampleEvery(n uint64) error {
+	if n < 1 {
+		return fmt.Errorf("-sample-every must be at least 1, got %d", n)
+	}
+	return nil
 }
 
 // sweepProgress registers the aggregate sweep-progress instruments on

@@ -63,3 +63,21 @@ func TestReportUnderFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckSampleEvery pins -sample-every's floor of one cycle.
+func TestCheckSampleEvery(t *testing.T) {
+	for _, c := range []struct {
+		n  uint64
+		ok bool
+	}{{64, true}, {1, true}, {0, false}} {
+		err := checkSampleEvery(c.n)
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("-sample-every %d refused: %v", c.n, err)
+		case !c.ok && err == nil:
+			t.Errorf("-sample-every %d accepted", c.n)
+		case !c.ok && !strings.HasPrefix(err.Error(), "-sample-every "):
+			t.Errorf("-sample-every %d: %v does not name the flag", c.n, err)
+		}
+	}
+}
