@@ -220,3 +220,67 @@ func TestStarRemoteToRemote(t *testing.T) {
 		t.Errorf("leaf RTT %d, want %d", leaf, local+2)
 	}
 }
+
+// TestRspAvailableMatchesRecv pins the forwarded-response poll on every
+// multi-cube wiring, with responses returning on several host links: at
+// every cycle RspAvailable reports exactly whether a Recv on some link
+// succeeds, and ClockUntilRecv stops on each cycle at which a driver
+// that clocks and tries Recv on every link every cycle first receives.
+func TestRspAvailableMatchesRecv(t *testing.T) {
+	cfg := config.FourLink4GB()
+	drain := func(s *Simulator) int {
+		n := 0
+		for link := 0; link < cfg.Links; link++ {
+			for {
+				rsp, ok := s.Recv(link)
+				if !ok {
+					break
+				}
+				ReleaseRsp(rsp)
+				n++
+			}
+		}
+		return n
+	}
+	for _, kind := range []Kind{KindChain, KindStar, KindRing} {
+		var sims [2]*Simulator
+		for i := range sims {
+			s, err := New(cfg, WithDevices(4, kind))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for cub := 1; cub < 4; cub++ {
+				for link := 0; link < cfg.Links; link++ {
+					r := &packet.Rqst{Cmd: hmccmd.RD16, CUB: uint8(cub), ADRS: uint64(cub*cfg.Links+link) * 64,
+						TAG: uint16(cub*cfg.Links + link), SLID: uint8(link)}
+					if err := s.Send(link, r); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			sims[i] = s
+		}
+		poll, jump := sims[0], sims[1]
+		want := 3 * cfg.Links
+		for got := 0; got < want; {
+			if poll.Cycle() > 1000 {
+				t.Fatalf("%v: %d of %d responses after %d cycles", kind, got, want, poll.Cycle())
+			}
+			poll.Clock()
+			avail := poll.RspAvailable()
+			n := drain(poll)
+			if avail != (n > 0) {
+				t.Fatalf("%v: cycle %d: RspAvailable %v with %d responses to Recv", kind, poll.Cycle(), avail, n)
+			}
+			if n == 0 {
+				continue
+			}
+			got += n
+			jump.ClockUntilRecv(1000)
+			if m := drain(jump); jump.Cycle() != poll.Cycle() || m != n {
+				t.Fatalf("%v: ClockUntilRecv stopped at cycle %d with %d responses, want cycle %d with %d",
+					kind, jump.Cycle(), m, poll.Cycle(), n)
+			}
+		}
+	}
+}
