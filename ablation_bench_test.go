@@ -116,7 +116,7 @@ func BenchmarkAblation_RowBuffer(b *testing.B) {
 			if thrash && i%2 == 1 {
 				row = 2
 			}
-			ops[i] = ReplayOp{Cmd: rd16Cmd(), Addr: row << rowBits, Bytes: 16}
+			ops[i] = ReplayOp{Cmd: hmccmd.RD16, Addr: row << rowBits}
 		}
 		r, err := workload.RunReplay(cfg, 4, ops)
 		if err != nil {
@@ -134,8 +134,6 @@ func BenchmarkAblation_RowBuffer(b *testing.B) {
 		run(4, true)
 	}
 }
-
-func rd16Cmd() RqstCmd { return hmccmd.RD16 }
 
 // BenchmarkAblation_TicketVsSpin compares the paper's spin mutex against
 // the ticket-lock extension (the "more expressive locks" of §V-A):
@@ -244,7 +242,7 @@ held:
 		b.Fatal(err)
 	}
 	drive := func(cmd RqstCmd, addr uint64) {
-		r, err := BuildCMC(cmd, 0, addr, 1, 0, []uint64{1, 0})
+		r, err := Build(cmd, 0, addr, 1, 0, []uint64{1, 0})
 		if err != nil {
 			b.Fatal(err)
 		}

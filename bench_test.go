@@ -115,7 +115,7 @@ func BenchmarkTableII_AMOEfficiency(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := BuildAtomic(hmccmd.INC8, 0, 0x80, 1, 0, nil)
+		r, err := Build(hmccmd.INC8, 0, 0x80, 1, 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func BenchmarkTableV_MutexOps(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, cmd := range []RqstCmd{hmccmd.CMC125, hmccmd.CMC127} {
-			r, err := BuildCMC(cmd, 0, lockAddr, 1, 0, []uint64{7, 0})
+			r, err := Build(cmd, 0, lockAddr, 1, 0, []uint64{7, 0})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -26,7 +26,7 @@ func TestCMCLockStateAcrossVaults(t *testing.T) {
 	// 32 distinct locks across 32 vaults, all in flight at once.
 	done := 0
 	for i := 0; i < 32; i++ {
-		r, err := BuildCMC(hmccmd.CMC125, 0, uint64(i)*64, uint16(i), i%4, []uint64{uint64(i) + 1, 0})
+		r, err := Build(hmccmd.CMC125, 0, uint64(i)*64, uint16(i), i%4, []uint64{uint64(i) + 1, 0})
 		if err != nil {
 			t.Fatal(err)
 		}

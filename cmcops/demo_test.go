@@ -12,7 +12,7 @@ import (
 func TestPopCount16(t *testing.T) {
 	store := mem.New(1 << 12)
 	_ = store.WriteBlock(0x20, mem.Block{Lo: 0b1011, Hi: 0xFF})
-	op := PopCount16{}
+	op := popCount16
 	d := op.Register()
 	if d.RspCmd != hmccmd.RspCMC || d.RspCmdCode != PopCountRspCode {
 		t.Fatalf("descriptor %+v must use a custom RSP_CMC code", d)
@@ -28,7 +28,7 @@ func TestPopCount16(t *testing.T) {
 
 func TestPopCount16Quick(t *testing.T) {
 	store := mem.New(1 << 12)
-	op := PopCount16{}
+	op := popCount16
 	f := func(lo, hi uint64) bool {
 		if err := store.WriteBlock(0, mem.Block{Lo: lo, Hi: hi}); err != nil {
 			return false
@@ -54,7 +54,7 @@ func TestPopCount16Quick(t *testing.T) {
 func TestMaxSwap64(t *testing.T) {
 	store := mem.New(1 << 12)
 	_ = store.WriteUint64(8, 50)
-	op := MaxSwap64{}
+	op := maxSwap64
 	run := func(cand uint64) uint64 {
 		ctx := &cmc.ExecContext{
 			Addr:        8,
@@ -83,7 +83,7 @@ func TestMaxSwap64(t *testing.T) {
 
 func TestVisitNode(t *testing.T) {
 	store := mem.New(1 << 12)
-	op := VisitNode{}
+	op := visitNode
 	run := func(tid uint64) uint64 {
 		ctx := &cmc.ExecContext{
 			Addr:        0x10,
@@ -109,7 +109,7 @@ func TestVisitNode(t *testing.T) {
 }
 
 func TestDemoDescriptorsValid(t *testing.T) {
-	for _, op := range []cmc.Operation{PopCount16{}, MaxSwap64{}, VisitNode{}} {
+	for _, op := range []cmc.Operation{popCount16, maxSwap64, visitNode} {
 		if err := op.Register().Validate(); err != nil {
 			t.Errorf("%s: %v", op.Str(), err)
 		}
@@ -120,7 +120,7 @@ func TestAllOpsLoadIntoOneTable(t *testing.T) {
 	// The paper's "creative experimentation" requirement: disparate
 	// combinations of CMC operations coexist in one simulation.
 	table := cmc.NewTable()
-	for _, op := range []cmc.Operation{Lock{}, TryLock{}, Unlock{}, PopCount16{}, MaxSwap64{}, VisitNode{}} {
+	for _, op := range []cmc.Operation{lock, tryLock, unlock, popCount16, maxSwap64, visitNode} {
 		if err := table.Load(op); err != nil {
 			t.Fatalf("%s: %v", op.Str(), err)
 		}

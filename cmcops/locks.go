@@ -3,7 +3,6 @@ package cmcops
 import (
 	"repro/internal/cmc"
 	"repro/internal/hmccmd"
-	"repro/internal/mem"
 )
 
 // The paper reserves the lock-value encoding space for "more expressive
@@ -21,233 +20,154 @@ import (
 //	bits [63:0]    reader count (0 = no readers)
 //	bits [127:64]  writer TID (0 = no writer)
 
-// TicketTake implements hmc_ticket (command code 56): atomically dispense
-// the next ticket. The response carries [my ticket, now serving], so the
+// ticketTake is hmc_ticket (command code 56): atomically dispense the
+// next ticket. The response carries [my ticket, now serving], so the
 // caller learns immediately whether it already holds the lock.
-type TicketTake struct{}
-
-// Register implements cmc.Operation.
-func (TicketTake) Register() cmc.Descriptor {
-	return cmc.Descriptor{
-		OpName:  "hmc_ticket",
-		Rqst:    hmccmd.CMC56,
-		Cmd:     56,
-		RqstLen: 1,
-		RspLen:  2,
-		RspCmd:  hmccmd.RdRS,
-	}
+var ticketTake = &Template{
+	Name:    "hmc_ticket",
+	Rqst:    hmccmd.CMC56,
+	RqstLen: 1,
+	RspLen:  2,
+	RspCmd:  hmccmd.RdRS,
+	Fn: func(ctx *cmc.ExecContext) error {
+		base := ctx.Addr &^ 0xF
+		blk, err := ctx.Mem.ReadBlock(base)
+		if err != nil {
+			return err
+		}
+		ctx.RspPayload[0] = blk.Lo // my ticket
+		ctx.RspPayload[1] = blk.Hi // now serving
+		blk.Lo++
+		return ctx.Mem.WriteBlock(base, blk)
+	},
 }
 
-// Str implements cmc.Operation.
-func (TicketTake) Str() string { return "hmc_ticket" }
-
-// Execute implements cmc.Operation.
-func (TicketTake) Execute(ctx *cmc.ExecContext) error {
-	base := ctx.Addr &^ 0xF
-	blk, err := ctx.Mem.ReadBlock(base)
-	if err != nil {
-		return err
-	}
-	ctx.RspPayload[0] = blk.Lo // my ticket
-	ctx.RspPayload[1] = blk.Hi // now serving
-	blk.Lo++
-	return ctx.Mem.WriteBlock(base, blk)
+// ticketNext is hmc_ticket_next (command code 57): release the critical
+// section by advancing the now-serving counter. The response carries the
+// new serving value.
+var ticketNext = &Template{
+	Name:    "hmc_ticket_next",
+	Rqst:    hmccmd.CMC57,
+	RqstLen: 1,
+	RspLen:  2,
+	RspCmd:  hmccmd.RdRS,
+	Fn: func(ctx *cmc.ExecContext) error {
+		base := ctx.Addr &^ 0xF
+		blk, err := ctx.Mem.ReadBlock(base)
+		if err != nil {
+			return err
+		}
+		blk.Hi++
+		ctx.RspPayload[0] = blk.Hi
+		return ctx.Mem.WriteBlock(base, blk)
+	},
 }
 
-// TicketNext implements hmc_ticket_next (command code 57): release the
-// critical section by advancing the now-serving counter. The response
-// carries the new serving value.
-type TicketNext struct{}
-
-// Register implements cmc.Operation.
-func (TicketNext) Register() cmc.Descriptor {
-	return cmc.Descriptor{
-		OpName:  "hmc_ticket_next",
-		Rqst:    hmccmd.CMC57,
-		Cmd:     57,
-		RqstLen: 1,
-		RspLen:  2,
-		RspCmd:  hmccmd.RdRS,
-	}
-}
-
-// Str implements cmc.Operation.
-func (TicketNext) Str() string { return "hmc_ticket_next" }
-
-// Execute implements cmc.Operation.
-func (TicketNext) Execute(ctx *cmc.ExecContext) error {
-	base := ctx.Addr &^ 0xF
-	blk, err := ctx.Mem.ReadBlock(base)
-	if err != nil {
-		return err
-	}
-	blk.Hi++
-	ctx.RspPayload[0] = blk.Hi
-	return ctx.Mem.WriteBlock(base, blk)
-}
-
-// RdLock implements hmc_rdlock (command code 58): acquire the lock for
-// reading when no writer holds it. Returns 1 on success (reader count
+// rdLock is hmc_rdlock (command code 58): acquire the lock for reading
+// when no writer holds it. Returns 1 on success (reader count
 // incremented), 0 otherwise.
-type RdLock struct{}
-
-// Register implements cmc.Operation.
-func (RdLock) Register() cmc.Descriptor {
-	return cmc.Descriptor{
-		OpName:  "hmc_rdlock",
-		Rqst:    hmccmd.CMC58,
-		Cmd:     58,
-		RqstLen: 1,
-		RspLen:  2,
-		RspCmd:  hmccmd.WrRS,
-	}
+var rdLock = &Template{
+	Name:    "hmc_rdlock",
+	Rqst:    hmccmd.CMC58,
+	RqstLen: 1,
+	RspLen:  2,
+	RspCmd:  hmccmd.WrRS,
+	Fn: func(ctx *cmc.ExecContext) error {
+		base := ctx.Addr &^ 0xF
+		blk, err := ctx.Mem.ReadBlock(base)
+		if err != nil {
+			return err
+		}
+		if blk.Hi != 0 {
+			ctx.RspPayload[0] = RetFailure
+			return nil
+		}
+		blk.Lo++
+		ctx.RspPayload[0] = RetSuccess
+		return ctx.Mem.WriteBlock(base, blk)
+	},
 }
 
-// Str implements cmc.Operation.
-func (RdLock) Str() string { return "hmc_rdlock" }
-
-// Execute implements cmc.Operation.
-func (RdLock) Execute(ctx *cmc.ExecContext) error {
-	base := ctx.Addr &^ 0xF
-	blk, err := ctx.Mem.ReadBlock(base)
-	if err != nil {
-		return err
-	}
-	if blk.Hi != 0 {
-		ctx.RspPayload[0] = RetFailure
-		return nil
-	}
-	blk.Lo++
-	ctx.RspPayload[0] = RetSuccess
-	return ctx.Mem.WriteBlock(base, blk)
+// rdUnlock is hmc_rdunlock (command code 59): release one read hold.
+// Returns 1 on success, 0 when no readers hold the lock.
+var rdUnlock = &Template{
+	Name:    "hmc_rdunlock",
+	Rqst:    hmccmd.CMC59,
+	RqstLen: 1,
+	RspLen:  2,
+	RspCmd:  hmccmd.WrRS,
+	Fn: func(ctx *cmc.ExecContext) error {
+		base := ctx.Addr &^ 0xF
+		blk, err := ctx.Mem.ReadBlock(base)
+		if err != nil {
+			return err
+		}
+		if blk.Lo == 0 {
+			ctx.RspPayload[0] = RetFailure
+			return nil
+		}
+		blk.Lo--
+		ctx.RspPayload[0] = RetSuccess
+		return ctx.Mem.WriteBlock(base, blk)
+	},
 }
 
-// RdUnlock implements hmc_rdunlock (command code 59): release one read
-// hold. Returns 1 on success, 0 when no readers hold the lock.
-type RdUnlock struct{}
-
-// Register implements cmc.Operation.
-func (RdUnlock) Register() cmc.Descriptor {
-	return cmc.Descriptor{
-		OpName:  "hmc_rdunlock",
-		Rqst:    hmccmd.CMC59,
-		Cmd:     59,
-		RqstLen: 1,
-		RspLen:  2,
-		RspCmd:  hmccmd.WrRS,
-	}
+// wrLock is hmc_wrlock (command code 60): acquire the lock for writing
+// when neither readers nor a writer hold it. The request payload carries
+// the writer's TID (which must be non-zero).
+var wrLock = &Template{
+	Name:    "hmc_wrlock",
+	Rqst:    hmccmd.CMC60,
+	RqstLen: 2,
+	RspLen:  2,
+	RspCmd:  hmccmd.WrRS,
+	Fn: func(ctx *cmc.ExecContext) error {
+		base := ctx.Addr &^ 0xF
+		blk, err := ctx.Mem.ReadBlock(base)
+		if err != nil {
+			return err
+		}
+		tid := ctx.RqstPayload[0]
+		if tid == 0 || blk.Hi != 0 || blk.Lo != 0 {
+			ctx.RspPayload[0] = RetFailure
+			return nil
+		}
+		blk.Hi = tid
+		ctx.RspPayload[0] = RetSuccess
+		return ctx.Mem.WriteBlock(base, blk)
+	},
 }
 
-// Str implements cmc.Operation.
-func (RdUnlock) Str() string { return "hmc_rdunlock" }
-
-// Execute implements cmc.Operation.
-func (RdUnlock) Execute(ctx *cmc.ExecContext) error {
-	base := ctx.Addr &^ 0xF
-	blk, err := ctx.Mem.ReadBlock(base)
-	if err != nil {
-		return err
-	}
-	if blk.Lo == 0 {
-		ctx.RspPayload[0] = RetFailure
-		return nil
-	}
-	blk.Lo--
-	ctx.RspPayload[0] = RetSuccess
-	return ctx.Mem.WriteBlock(base, blk)
-}
-
-// WrLock implements hmc_wrlock (command code 60): acquire the lock for
-// writing when neither readers nor a writer hold it. The request payload
-// carries the writer's TID (which must be non-zero).
-type WrLock struct{}
-
-// Register implements cmc.Operation.
-func (WrLock) Register() cmc.Descriptor {
-	return cmc.Descriptor{
-		OpName:  "hmc_wrlock",
-		Rqst:    hmccmd.CMC60,
-		Cmd:     60,
-		RqstLen: 2,
-		RspLen:  2,
-		RspCmd:  hmccmd.WrRS,
-	}
-}
-
-// Str implements cmc.Operation.
-func (WrLock) Str() string { return "hmc_wrlock" }
-
-// Execute implements cmc.Operation.
-func (WrLock) Execute(ctx *cmc.ExecContext) error {
-	base := ctx.Addr &^ 0xF
-	blk, err := ctx.Mem.ReadBlock(base)
-	if err != nil {
-		return err
-	}
-	tid := ctx.RqstPayload[0]
-	if tid == 0 || blk.Hi != 0 || blk.Lo != 0 {
-		ctx.RspPayload[0] = RetFailure
-		return nil
-	}
-	blk.Hi = tid
-	ctx.RspPayload[0] = RetSuccess
-	return ctx.Mem.WriteBlock(base, blk)
-}
-
-// WrUnlock implements hmc_wrunlock (command code 61): release the write
-// hold; only the owning TID succeeds.
-type WrUnlock struct{}
-
-// Register implements cmc.Operation.
-func (WrUnlock) Register() cmc.Descriptor {
-	return cmc.Descriptor{
-		OpName:  "hmc_wrunlock",
-		Rqst:    hmccmd.CMC61,
-		Cmd:     61,
-		RqstLen: 2,
-		RspLen:  2,
-		RspCmd:  hmccmd.WrRS,
-	}
-}
-
-// Str implements cmc.Operation.
-func (WrUnlock) Str() string { return "hmc_wrunlock" }
-
-// Execute implements cmc.Operation.
-func (WrUnlock) Execute(ctx *cmc.ExecContext) error {
-	base := ctx.Addr &^ 0xF
-	blk, err := ctx.Mem.ReadBlock(base)
-	if err != nil {
-		return err
-	}
-	if blk.Hi != ctx.RqstPayload[0] {
-		ctx.RspPayload[0] = RetFailure
-		return nil
-	}
-	return finishWrUnlock(ctx, base, blk)
-}
-
-func finishWrUnlock(ctx *cmc.ExecContext, base uint64, blk mem.Block) error {
-	blk.Hi = 0
-	ctx.RspPayload[0] = RetSuccess
-	return ctx.Mem.WriteBlock(base, blk)
+// wrUnlock is hmc_wrunlock (command code 61): release the write hold;
+// only the owning TID succeeds.
+var wrUnlock = &Template{
+	Name:    "hmc_wrunlock",
+	Rqst:    hmccmd.CMC61,
+	RqstLen: 2,
+	RspLen:  2,
+	RspCmd:  hmccmd.WrRS,
+	Fn: func(ctx *cmc.ExecContext) error {
+		base := ctx.Addr &^ 0xF
+		blk, err := ctx.Mem.ReadBlock(base)
+		if err != nil {
+			return err
+		}
+		if blk.Hi != ctx.RqstPayload[0] {
+			ctx.RspPayload[0] = RetFailure
+			return nil
+		}
+		blk.Hi = 0
+		ctx.RspPayload[0] = RetSuccess
+		return ctx.Mem.WriteBlock(base, blk)
+	},
 }
 
 // TicketOps returns the ticket-lock operation pair.
 func TicketOps() []cmc.Operation {
-	return []cmc.Operation{TicketTake{}, TicketNext{}}
+	return []cmc.Operation{ticketTake, ticketNext}
 }
 
 // RWLockOps returns the reader-writer lock operation set.
 func RWLockOps() []cmc.Operation {
-	return []cmc.Operation{RdLock{}, RdUnlock{}, WrLock{}, WrUnlock{}}
-}
-
-func init() {
-	cmc.RegisterFactory("hmc_ticket", func() cmc.Operation { return TicketTake{} })
-	cmc.RegisterFactory("hmc_ticket_next", func() cmc.Operation { return TicketNext{} })
-	cmc.RegisterFactory("hmc_rdlock", func() cmc.Operation { return RdLock{} })
-	cmc.RegisterFactory("hmc_rdunlock", func() cmc.Operation { return RdUnlock{} })
-	cmc.RegisterFactory("hmc_wrlock", func() cmc.Operation { return WrLock{} })
-	cmc.RegisterFactory("hmc_wrunlock", func() cmc.Operation { return WrUnlock{} })
+	return []cmc.Operation{rdLock, rdUnlock, wrLock, wrUnlock}
 }

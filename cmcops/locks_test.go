@@ -30,16 +30,16 @@ func TestTicketDispenseAndServe(t *testing.T) {
 
 	// Three takers receive tickets 0, 1, 2; serving starts at 0.
 	for want := uint64(0); want < 3; want++ {
-		out := execOut(t, TicketTake{}, store, addr, 0)
+		out := execOut(t, ticketTake, store, addr, 0)
 		if out[0] != want || out[1] != 0 {
 			t.Fatalf("take %d: got ticket %d serving %d", want, out[0], out[1])
 		}
 	}
 	// Ticket 0's holder releases: serving advances to 1, then 2.
-	if out := execOut(t, TicketNext{}, store, addr, 0); out[0] != 1 {
+	if out := execOut(t, ticketNext, store, addr, 0); out[0] != 1 {
 		t.Fatalf("first release: serving %d", out[0])
 	}
-	if out := execOut(t, TicketNext{}, store, addr, 0); out[0] != 2 {
+	if out := execOut(t, ticketNext, store, addr, 0); out[0] != 2 {
 		t.Fatalf("second release: serving %d", out[0])
 	}
 	blk, _ := store.ReadBlock(addr)
@@ -54,7 +54,7 @@ func TestTicketFairnessProperty(t *testing.T) {
 	store := mem.New(1 << 12)
 	prev := ^uint64(0)
 	for i := 0; i < 50; i++ {
-		out := execOut(t, TicketTake{}, store, 0, 0)
+		out := execOut(t, ticketTake, store, 0, 0)
 		if prev != ^uint64(0) && out[0] != prev+1 {
 			t.Fatalf("ticket %d after %d", out[0], prev)
 		}
@@ -67,7 +67,7 @@ func TestRWLockReadersShare(t *testing.T) {
 	const addr = 0x80
 	// Three concurrent readers succeed.
 	for i := 0; i < 3; i++ {
-		if out := execOut(t, RdLock{}, store, addr, 0); out[0] != RetSuccess {
+		if out := execOut(t, rdLock, store, addr, 0); out[0] != RetSuccess {
 			t.Fatalf("reader %d refused", i)
 		}
 	}
@@ -76,27 +76,27 @@ func TestRWLockReadersShare(t *testing.T) {
 		t.Fatalf("reader count %d", blk.Lo)
 	}
 	// A writer is excluded while readers hold it.
-	if out := execOut(t, WrLock{}, store, addr, 7); out[0] != RetFailure {
+	if out := execOut(t, wrLock, store, addr, 7); out[0] != RetFailure {
 		t.Fatal("writer acquired over readers")
 	}
 	// Readers drain; the writer then succeeds.
 	for i := 0; i < 3; i++ {
-		if out := execOut(t, RdUnlock{}, store, addr, 0); out[0] != RetSuccess {
+		if out := execOut(t, rdUnlock, store, addr, 0); out[0] != RetSuccess {
 			t.Fatalf("rdunlock %d failed", i)
 		}
 	}
-	if out := execOut(t, WrLock{}, store, addr, 7); out[0] != RetSuccess {
+	if out := execOut(t, wrLock, store, addr, 7); out[0] != RetSuccess {
 		t.Fatal("writer refused on free lock")
 	}
 	// Readers are excluded while the writer holds it.
-	if out := execOut(t, RdLock{}, store, addr, 0); out[0] != RetFailure {
+	if out := execOut(t, rdLock, store, addr, 0); out[0] != RetFailure {
 		t.Fatal("reader acquired over writer")
 	}
 	// Only the owner releases.
-	if out := execOut(t, WrUnlock{}, store, addr, 9); out[0] != RetFailure {
+	if out := execOut(t, wrUnlock, store, addr, 9); out[0] != RetFailure {
 		t.Fatal("non-owner wrunlock succeeded")
 	}
-	if out := execOut(t, WrUnlock{}, store, addr, 7); out[0] != RetSuccess {
+	if out := execOut(t, wrUnlock, store, addr, 7); out[0] != RetSuccess {
 		t.Fatal("owner wrunlock failed")
 	}
 }
@@ -104,11 +104,11 @@ func TestRWLockReadersShare(t *testing.T) {
 func TestRWLockEdgeCases(t *testing.T) {
 	store := mem.New(1 << 12)
 	// rdunlock with no readers fails.
-	if out := execOut(t, RdUnlock{}, store, 0, 0); out[0] != RetFailure {
+	if out := execOut(t, rdUnlock, store, 0, 0); out[0] != RetFailure {
 		t.Error("rdunlock on free lock succeeded")
 	}
 	// wrlock with TID 0 is rejected (0 encodes "no writer").
-	if out := execOut(t, WrLock{}, store, 0, 0); out[0] != RetFailure {
+	if out := execOut(t, wrLock, store, 0, 0); out[0] != RetFailure {
 		t.Error("wrlock with TID 0 succeeded")
 	}
 }
@@ -125,7 +125,7 @@ func TestRWLockInvariantQuick(t *testing.T) {
 			tid := uint64(i%5) + 1
 			switch op % 4 {
 			case 0: // rdlock
-				out := execOutQuick(RdLock{}, store, tid)
+				out := execOutQuick(rdLock, store, tid)
 				if (writer == 0) != (out == RetSuccess) {
 					return false
 				}
@@ -133,7 +133,7 @@ func TestRWLockInvariantQuick(t *testing.T) {
 					readers++
 				}
 			case 1: // rdunlock
-				out := execOutQuick(RdUnlock{}, store, tid)
+				out := execOutQuick(rdUnlock, store, tid)
 				if (readers > 0) != (out == RetSuccess) {
 					return false
 				}
@@ -141,7 +141,7 @@ func TestRWLockInvariantQuick(t *testing.T) {
 					readers--
 				}
 			case 2: // wrlock
-				out := execOutQuick(WrLock{}, store, tid)
+				out := execOutQuick(wrLock, store, tid)
 				want := writer == 0 && readers == 0
 				if want != (out == RetSuccess) {
 					return false
@@ -150,7 +150,7 @@ func TestRWLockInvariantQuick(t *testing.T) {
 					writer = tid
 				}
 			case 3: // wrunlock
-				out := execOutQuick(WrUnlock{}, store, tid)
+				out := execOutQuick(wrUnlock, store, tid)
 				want := writer == tid && writer != 0
 				if want != (out == RetSuccess) {
 					return false
@@ -216,12 +216,12 @@ func TestLockOpStrNames(t *testing.T) {
 		op   cmc.Operation
 		want string
 	}{
-		{TicketTake{}, "hmc_ticket"},
-		{TicketNext{}, "hmc_ticket_next"},
-		{RdLock{}, "hmc_rdlock"},
-		{RdUnlock{}, "hmc_rdunlock"},
-		{WrLock{}, "hmc_wrlock"},
-		{WrUnlock{}, "hmc_wrunlock"},
+		{ticketTake, "hmc_ticket"},
+		{ticketNext, "hmc_ticket_next"},
+		{rdLock, "hmc_rdlock"},
+		{rdUnlock, "hmc_rdunlock"},
+		{wrLock, "hmc_wrlock"},
+		{wrUnlock, "hmc_wrunlock"},
 	} {
 		if tc.op.Str() != tc.want {
 			t.Errorf("Str() = %q, want %q", tc.op.Str(), tc.want)

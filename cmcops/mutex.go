@@ -35,139 +35,100 @@ const (
 	RetFailure = 0
 )
 
-// Lock implements the hmc_lock operation (Table V, command code 125):
+// lock is the hmc_lock operation (Table V, command code 125):
 //
 //	IF (ADDR[63:0] == 0) { ADDR[127:64] = TID; ADDR[63:0] = 1; RET 1 }
 //	ELSE { RET 0 }
 //
 // The request payload word 0 carries the requesting thread ID; the
 // response payload word 0 carries 1 on success and 0 on failure.
-type Lock struct{}
-
-// Register implements cmc.Operation.
-func (Lock) Register() cmc.Descriptor {
-	return cmc.Descriptor{
-		OpName:  "hmc_lock",
-		Rqst:    hmccmd.CMC125,
-		Cmd:     125,
-		RqstLen: 2,
-		RspLen:  2,
-		RspCmd:  hmccmd.WrRS,
-	}
-}
-
-// Str implements cmc.Operation.
-func (Lock) Str() string { return "hmc_lock" }
-
-// Execute implements cmc.Operation.
-func (Lock) Execute(ctx *cmc.ExecContext) error {
-	tid := ctx.RqstPayload[0]
-	base := ctx.Addr &^ 0xF
-	blk, err := ctx.Mem.ReadBlock(base)
-	if err != nil {
-		return err
-	}
-	if blk.Lo == 0 {
-		if err := ctx.Mem.WriteBlock(base, mem.Block{Lo: 1, Hi: tid}); err != nil {
+var lock = &Template{
+	Name:    "hmc_lock",
+	Rqst:    hmccmd.CMC125,
+	RqstLen: 2,
+	RspLen:  2,
+	RspCmd:  hmccmd.WrRS,
+	Fn: func(ctx *cmc.ExecContext) error {
+		tid := ctx.RqstPayload[0]
+		base := ctx.Addr &^ 0xF
+		blk, err := ctx.Mem.ReadBlock(base)
+		if err != nil {
 			return err
 		}
-		ctx.RspPayload[0] = RetSuccess
-	} else {
-		ctx.RspPayload[0] = RetFailure
-	}
-	return nil
+		if blk.Lo == 0 {
+			if err := ctx.Mem.WriteBlock(base, mem.Block{Lo: 1, Hi: tid}); err != nil {
+				return err
+			}
+			ctx.RspPayload[0] = RetSuccess
+		} else {
+			ctx.RspPayload[0] = RetFailure
+		}
+		return nil
+	},
 }
 
-// TryLock implements the hmc_trylock operation (Table V, command code
-// 126). If the lock is free it is acquired for the requesting thread;
-// either way the response payload word 0 carries the thread ID that owns
-// the lock after the operation — "it is up to the encountering thread to
-// check the response payload against its respective thread ID" (§V-A).
-type TryLock struct{}
-
-// Register implements cmc.Operation.
-func (TryLock) Register() cmc.Descriptor {
-	return cmc.Descriptor{
-		OpName:  "hmc_trylock",
-		Rqst:    hmccmd.CMC126,
-		Cmd:     126,
-		RqstLen: 2,
-		RspLen:  2,
-		RspCmd:  hmccmd.RdRS,
-	}
-}
-
-// Str implements cmc.Operation.
-func (TryLock) Str() string { return "hmc_trylock" }
-
-// Execute implements cmc.Operation.
-func (TryLock) Execute(ctx *cmc.ExecContext) error {
-	tid := ctx.RqstPayload[0]
-	base := ctx.Addr &^ 0xF
-	blk, err := ctx.Mem.ReadBlock(base)
-	if err != nil {
-		return err
-	}
-	if blk.Lo == 0 {
-		if err := ctx.Mem.WriteBlock(base, mem.Block{Lo: 1, Hi: tid}); err != nil {
+// tryLock is the hmc_trylock operation (Table V, command code 126). If
+// the lock is free it is acquired for the requesting thread; either way
+// the response payload word 0 carries the thread ID that owns the lock
+// after the operation — "it is up to the encountering thread to check
+// the response payload against its respective thread ID" (§V-A).
+var tryLock = &Template{
+	Name:    "hmc_trylock",
+	Rqst:    hmccmd.CMC126,
+	RqstLen: 2,
+	RspLen:  2,
+	RspCmd:  hmccmd.RdRS,
+	Fn: func(ctx *cmc.ExecContext) error {
+		tid := ctx.RqstPayload[0]
+		base := ctx.Addr &^ 0xF
+		blk, err := ctx.Mem.ReadBlock(base)
+		if err != nil {
 			return err
 		}
-		ctx.RspPayload[0] = tid
-	} else {
-		ctx.RspPayload[0] = blk.Hi
-	}
-	return nil
+		if blk.Lo == 0 {
+			if err := ctx.Mem.WriteBlock(base, mem.Block{Lo: 1, Hi: tid}); err != nil {
+				return err
+			}
+			ctx.RspPayload[0] = tid
+		} else {
+			ctx.RspPayload[0] = blk.Hi
+		}
+		return nil
+	},
 }
 
-// Unlock implements the hmc_unlock operation (Table V, command code 127):
+// unlock is the hmc_unlock operation (Table V, command code 127):
 //
 //	IF (ADDR[127:64] == TID && ADDR[63:0] == 1) { ADDR[63:0] = 0; RET 1 }
 //	ELSE { RET 0 }
 //
 // Only the owning thread can release the lock.
-type Unlock struct{}
-
-// Register implements cmc.Operation.
-func (Unlock) Register() cmc.Descriptor {
-	return cmc.Descriptor{
-		OpName:  "hmc_unlock",
-		Rqst:    hmccmd.CMC127,
-		Cmd:     127,
-		RqstLen: 2,
-		RspLen:  2,
-		RspCmd:  hmccmd.WrRS,
-	}
-}
-
-// Str implements cmc.Operation.
-func (Unlock) Str() string { return "hmc_unlock" }
-
-// Execute implements cmc.Operation.
-func (Unlock) Execute(ctx *cmc.ExecContext) error {
-	tid := ctx.RqstPayload[0]
-	base := ctx.Addr &^ 0xF
-	blk, err := ctx.Mem.ReadBlock(base)
-	if err != nil {
-		return err
-	}
-	if blk.Hi == tid && blk.Lo == 1 {
-		if err := ctx.Mem.WriteBlock(base, mem.Block{Lo: 0, Hi: blk.Hi}); err != nil {
+var unlock = &Template{
+	Name:    "hmc_unlock",
+	Rqst:    hmccmd.CMC127,
+	RqstLen: 2,
+	RspLen:  2,
+	RspCmd:  hmccmd.WrRS,
+	Fn: func(ctx *cmc.ExecContext) error {
+		tid := ctx.RqstPayload[0]
+		base := ctx.Addr &^ 0xF
+		blk, err := ctx.Mem.ReadBlock(base)
+		if err != nil {
 			return err
 		}
-		ctx.RspPayload[0] = RetSuccess
-	} else {
-		ctx.RspPayload[0] = RetFailure
-	}
-	return nil
+		if blk.Hi == tid && blk.Lo == 1 {
+			if err := ctx.Mem.WriteBlock(base, mem.Block{Lo: 0, Hi: blk.Hi}); err != nil {
+				return err
+			}
+			ctx.RspPayload[0] = RetSuccess
+		} else {
+			ctx.RspPayload[0] = RetFailure
+		}
+		return nil
+	},
 }
 
 // MutexOps returns the coupled mutex operation set in load order.
 func MutexOps() []cmc.Operation {
-	return []cmc.Operation{Lock{}, TryLock{}, Unlock{}}
-}
-
-func init() {
-	cmc.RegisterFactory("hmc_lock", func() cmc.Operation { return Lock{} })
-	cmc.RegisterFactory("hmc_trylock", func() cmc.Operation { return TryLock{} })
-	cmc.RegisterFactory("hmc_unlock", func() cmc.Operation { return Unlock{} })
+	return []cmc.Operation{lock, tryLock, unlock}
 }

@@ -36,9 +36,9 @@ func TestTableV(t *testing.T) {
 		rspCmd  hmccmd.Resp
 		rspLen  uint8
 	}{
-		{Lock{}, "hmc_lock", hmccmd.CMC125, 125, 2, hmccmd.WrRS, 2},
-		{TryLock{}, "hmc_trylock", hmccmd.CMC126, 126, 2, hmccmd.RdRS, 2},
-		{Unlock{}, "hmc_unlock", hmccmd.CMC127, 127, 2, hmccmd.WrRS, 2},
+		{lock, "hmc_lock", hmccmd.CMC125, 125, 2, hmccmd.WrRS, 2},
+		{tryLock, "hmc_trylock", hmccmd.CMC126, 126, 2, hmccmd.RdRS, 2},
+		{unlock, "hmc_unlock", hmccmd.CMC127, 127, 2, hmccmd.WrRS, 2},
 	}
 	for _, row := range rows {
 		d := row.op.Register()
@@ -64,7 +64,7 @@ func TestLockAcquireRelease(t *testing.T) {
 	store := mem.New(1 << 12)
 	const addr, tid = 0x40, 7
 
-	if got := exec(t, Lock{}, store, addr, tid); got != RetSuccess {
+	if got := exec(t, lock, store, addr, tid); got != RetSuccess {
 		t.Fatalf("first lock returned %d", got)
 	}
 	blk, _ := store.ReadBlock(addr)
@@ -73,7 +73,7 @@ func TestLockAcquireRelease(t *testing.T) {
 	}
 
 	// Second lock by another thread fails and leaves state untouched.
-	if got := exec(t, Lock{}, store, addr, 9); got != RetFailure {
+	if got := exec(t, lock, store, addr, 9); got != RetFailure {
 		t.Fatalf("contended lock returned %d", got)
 	}
 	blk, _ = store.ReadBlock(addr)
@@ -82,11 +82,11 @@ func TestLockAcquireRelease(t *testing.T) {
 	}
 
 	// Non-owner unlock fails.
-	if got := exec(t, Unlock{}, store, addr, 9); got != RetFailure {
+	if got := exec(t, unlock, store, addr, 9); got != RetFailure {
 		t.Fatalf("non-owner unlock returned %d", got)
 	}
 	// Owner unlock succeeds and clears only the lock word.
-	if got := exec(t, Unlock{}, store, addr, tid); got != RetSuccess {
+	if got := exec(t, unlock, store, addr, tid); got != RetSuccess {
 		t.Fatalf("owner unlock returned %d", got)
 	}
 	blk, _ = store.ReadBlock(addr)
@@ -95,7 +95,7 @@ func TestLockAcquireRelease(t *testing.T) {
 	}
 
 	// Unlocking an already-free lock fails.
-	if got := exec(t, Unlock{}, store, addr, tid); got != RetFailure {
+	if got := exec(t, unlock, store, addr, tid); got != RetFailure {
 		t.Fatalf("double unlock returned %d", got)
 	}
 }
@@ -105,11 +105,11 @@ func TestTryLockReturnsOwnerTID(t *testing.T) {
 	const addr = 0x80
 
 	// Free lock: trylock acquires and returns the caller's TID.
-	if got := exec(t, TryLock{}, store, addr, 5); got != 5 {
+	if got := exec(t, tryLock, store, addr, 5); got != 5 {
 		t.Fatalf("trylock on free lock returned %d, want caller TID 5", got)
 	}
 	// Held lock: trylock returns the holder's TID, not the caller's.
-	if got := exec(t, TryLock{}, store, addr, 6); got != 5 {
+	if got := exec(t, tryLock, store, addr, 6); got != 5 {
 		t.Fatalf("trylock on held lock returned %d, want owner TID 5", got)
 	}
 	blk, _ := store.ReadBlock(addr)
@@ -122,7 +122,7 @@ func TestLockUnalignedAddressUsesBlockBase(t *testing.T) {
 	store := mem.New(1 << 12)
 	// Target inside a block: the op must operate on the enclosing 16-byte
 	// block (DRAM minimum granularity).
-	if got := exec(t, Lock{}, store, 0x48, 3); got != RetSuccess {
+	if got := exec(t, lock, store, 0x48, 3); got != RetSuccess {
 		t.Fatalf("lock returned %d", got)
 	}
 	blk, _ := store.ReadBlock(0x40)
@@ -138,7 +138,7 @@ func TestMutualExclusionInvariant(t *testing.T) {
 	const addr = 0
 	holder := uint64(0) // 0 = free
 	for step, tid := range []uint64{1, 2, 3, 2, 1, 4, 4, 2, 3, 1} {
-		got := exec(t, Lock{}, store, addr, tid)
+		got := exec(t, lock, store, addr, tid)
 		if holder == 0 {
 			if got != RetSuccess {
 				t.Fatalf("step %d: free lock refused tid %d", step, tid)
@@ -148,7 +148,7 @@ func TestMutualExclusionInvariant(t *testing.T) {
 			t.Fatalf("step %d: tid %d acquired lock held by %d", step, tid, holder)
 		}
 		// Random-ish release attempts by tid; only the holder succeeds.
-		rel := exec(t, Unlock{}, store, addr, tid)
+		rel := exec(t, unlock, store, addr, tid)
 		if tid == holder {
 			if rel != RetSuccess {
 				t.Fatalf("step %d: holder %d failed to unlock", step, tid)

@@ -10,7 +10,9 @@ import (
 // CMC template source within the HMC-Sim 2.0 source tree", leaving the
 // user to implement only the operation itself. Template does the same in
 // Go: fill in the descriptor fields and the Execute function; Register
-// and Str come for free.
+// and Str come for free. Every operation this package ships is a
+// Template, held behind a pointer so that binding it allocates nothing
+// (a *Template satisfies cmc.Operation through the value methods).
 //
 //	op := cmcops.Template{
 //	    Name:    "hmc_fetchadd",
@@ -64,3 +66,13 @@ func (t Template) Str() string { return t.Name }
 
 // Execute implements cmc.Operation.
 func (t Template) Execute(ctx *cmc.ExecContext) error { return t.Fn(ctx) }
+
+func init() {
+	for _, op := range []*Template{
+		lock, tryLock, unlock,
+		ticketTake, ticketNext, rdLock, rdUnlock, wrLock, wrUnlock,
+		popCount16, maxSwap64, visitNode,
+	} {
+		cmc.RegisterFactory(op.Name, func() cmc.Operation { return op })
+	}
+}

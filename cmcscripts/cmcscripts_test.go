@@ -62,9 +62,9 @@ func TestScriptMutexMatchesCompiledOps(t *testing.T) {
 		name     string
 		compiled cmc.Operation
 	}{
-		{"hmc_lock", cmcops.Lock{}},
-		{"hmc_trylock", cmcops.TryLock{}},
-		{"hmc_unlock", cmcops.Unlock{}},
+		{"hmc_lock", cmcops.MutexOps()[0]},
+		{"hmc_trylock", cmcops.MutexOps()[1]},
+		{"hmc_unlock", cmcops.MutexOps()[2]},
 	}
 	sStore := mem.New(1 << 12)
 	gStore := mem.New(1 << 12)

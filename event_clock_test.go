@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/hmccmd"
 	"repro/internal/sim"
 )
 
@@ -113,7 +114,7 @@ func runChainEngine(t *testing.T, plan FaultPlan, event bool) string {
 		for i := 0; i < n; i++ {
 			cub := int(next() % 4)
 			v := int(next() % uint64(cfg.Vaults))
-			r, err := BuildRead(cub, uint64(v)*uint64(cfg.MaxBlockSize), uint16(i), 0, 64)
+			r, err := Build(hmccmd.RD64, cub, uint64(v)*uint64(cfg.MaxBlockSize), uint16(i), 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,7 +223,7 @@ func runBatchedTopology(t *testing.T, kind sim.Kind, plan FaultPlan, seed uint64
 				v := next() % uint64(cfg.Vaults)
 				adrs := (next()%8*uint64(cfg.Vaults) + v) * uint64(cfg.MaxBlockSize)
 				link := int(next() % uint64(cfg.Links))
-				r, err := BuildRead(cub, adrs, tag, link, 16<<(next()%3))
+				r, err := Build([...]RqstCmd{hmccmd.RD16, hmccmd.RD32, hmccmd.RD64}[next()%3], cub, adrs, tag, link, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -321,7 +322,7 @@ func observedClock(t *testing.T, devices int, kind sim.Kind, plan FaultPlan, unt
 		for i := 0; i < n; i++ {
 			cub := int(next() % uint64(devices))
 			v := int(next() % uint64(cfg.Vaults))
-			r, err := BuildRead(cub, uint64(v)*uint64(cfg.MaxBlockSize), uint16(i), 0, 64)
+			r, err := Build(hmccmd.RD64, cub, uint64(v)*uint64(cfg.MaxBlockSize), uint16(i), 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -46,7 +46,7 @@ func main() {
 	}
 
 	do := func(cmd hmcsim.RqstCmd, addr uint64, payload []uint64) []uint64 {
-		r, err := hmcsim.BuildCMC(cmd, 0, addr, 1, 0, payload)
+		r, err := hmcsim.Build(cmd, 0, addr, 1, 0, payload)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,6 +12,7 @@ import (
 
 	hmcsim "repro"
 	"repro/internal/device"
+	"repro/internal/hmccmd"
 	"repro/internal/jtag"
 )
 
@@ -56,7 +57,7 @@ func main() {
 	// --- Drive traffic through the faulty links ---
 	const n = 48
 	for i := 0; i < n; i++ {
-		r, err := hmcsim.BuildRead(0, uint64(i)*64, uint16(i), i%4, 64)
+		r, err := hmcsim.Build(hmccmd.RD64, 0, uint64(i)*64, uint16(i), i%4, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -54,7 +54,7 @@ func main() {
 		}
 	}
 	do := func(cmd hmcsim.RqstCmd, tid uint64) uint64 {
-		r, err := hmcsim.BuildCMC(cmd, 0, lockAddr, 1, 0, []uint64{tid, 0})
+		r, err := hmcsim.Build(cmd, 0, lockAddr, 1, 0, []uint64{tid, 0})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -38,7 +38,7 @@ func main() {
 	}
 
 	// Write 64 bytes.
-	wr, err := hmcsim.BuildWrite(0, 0x1000, 1, 0, []uint64{10, 20, 30, 40, 50, 60, 70, 80}, false)
+	wr, err := hmcsim.Build(hmccmd.WR64, 0, 0x1000, 1, 0, []uint64{10, 20, 30, 40, 50, 60, 70, 80})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func main() {
 	fmt.Printf("WR64  @0x1000 -> %v in %d cycles\n", rsp.Cmd, s.Cycle()-start)
 
 	// Read them back.
-	rd, err := hmcsim.BuildRead(0, 0x1000, 2, 0, 64)
+	rd, err := hmcsim.Build(hmccmd.RD64, 0, 0x1000, 2, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,12 +57,12 @@ func main() {
 
 	// Atomic increment in the vault logic (no read-modify-write on the
 	// host side): the Gen2 INC8 command.
-	inc, err := hmcsim.BuildAtomic(hmccmd.INC8, 0, 0x1000, 3, 0, nil)
+	inc, err := hmcsim.Build(hmccmd.INC8, 0, 0x1000, 3, 0, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	rsp = roundTrip(inc)
-	rd2, _ := hmcsim.BuildRead(0, 0x1000, 4, 0, 16)
+	rd2, _ := hmcsim.Build(hmccmd.RD16, 0, 0x1000, 4, 0, nil)
 	rsp = roundTrip(rd2)
 	fmt.Printf("INC8  @0x1000 -> word now %d\n", rsp.Payload[0])
 

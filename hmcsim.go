@@ -14,7 +14,7 @@
 //
 //	s, err := hmcsim.New(hmcsim.FourLink4GB())
 //	_ = s.LoadCMC("hmc_lock")   // bind a CMC op to command code 125
-//	r, _ := hmcsim.BuildRead(0, 0x1000, tag, link, 64)
+//	r, _ := hmcsim.Build(hmccmd.RD64, 0, 0x1000, tag, link, nil)
 //	_ = s.Send(link, r)
 //	s.Clock()
 //	rsp, ok := s.Recv(link)
@@ -27,7 +27,9 @@
 // CMCOperation) and are bound at run time with Simulator.LoadCMC (by
 // registry name) or Simulator.LoadCMCOp (a value, such as the program
 // LoadCMCScriptFile parses from a .cmc file). The cmcops package ships
-// the paper's mutex trio plus demonstration operations.
+// the paper's mutex trio plus demonstration operations, each a
+// cmcops.Template: descriptor fields and an Execute body, with Register
+// and Str supplied, as the paper's CMC template source supplies them.
 //
 // # Evaluation harness
 //
@@ -137,12 +139,12 @@ const (
 	TopoRing   = sim.KindRing
 )
 
-// Request builders (the hmcsim_build_memrequest equivalents).
+// Request construction (the hmcsim_build_memrequest equivalent).
 var (
-	BuildRead   = sim.BuildRead
-	BuildWrite  = sim.BuildWrite
-	BuildAtomic = sim.BuildAtomic
-	BuildCMC    = sim.BuildCMC
+	// Build builds one request for any command (RD64, WR16, INC8,
+	// CMC125, ...); a ReqScratch builds them in a loop without
+	// allocating.
+	Build = sim.Build
 	// DecodeRqstInto and DecodeRspInto parse wire-form packets into a
 	// caller-reused packet without allocating.
 	DecodeRqstInto = packet.DecodeRqstInto

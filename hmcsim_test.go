@@ -20,7 +20,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if err := s.LoadCMC("hmc_lock"); err != nil {
 		t.Fatal(err)
 	}
-	r, err := BuildCMC(hmccmd.CMC125, 0, 0x40, 1, 0, []uint64{42, 0})
+	r, err := Build(hmccmd.CMC125, 0, 0x40, 1, 0, []uint64{42, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ exec:
 	if err := d.Store().WriteUint64(0x100, 10); err != nil {
 		t.Fatal(err)
 	}
-	r, err := BuildCMC(hmccmd.CMC85, 0, 0x100, 2, 0, []uint64{5, 0})
+	r, err := Build(hmccmd.CMC85, 0, 0x100, 2, 0, []uint64{5, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestTracerFacade(t *testing.T) {
 	if err := s.LoadCMC("hmc_popcount16"); err != nil {
 		t.Fatal(err)
 	}
-	r, err := BuildCMC(hmccmd.CMC69, 0, 0, 3, 0, nil)
+	r, err := Build(hmccmd.CMC69, 0, 0, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestMultiCubeFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wr, err := BuildWrite(1, 0x40, 4, 0, []uint64{9, 0}, false)
+	wr, err := Build(hmccmd.WR16, 1, 0x40, 4, 0, []uint64{9, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestPowerFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := BuildRead(0, 0, 5, 0, 64)
+	rd, err := Build(hmccmd.RD64, 0, 0, 5, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ exec:
 	}
 	// Execute one packet per slot; each op returns its unique marker.
 	for i, slot := range slots {
-		r, err := BuildCMC(slot, 0, 0x100, uint16(i), 0, nil)
+		r, err := Build(slot, 0, 0x100, uint16(i), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +119,7 @@ func TestIntegration_RemoteCubeMutex(t *testing.T) {
 		}
 	}
 	do := func(cmd RqstCmd, tid uint64) uint64 {
-		r, err := BuildCMC(cmd, 2, 0x40, 1, 0, []uint64{tid, 0})
+		r, err := Build(cmd, 2, 0x40, 1, 0, []uint64{tid, 0})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -79,7 +79,7 @@ func TestCMCSwappedRspPayload(t *testing.T) {
 		}
 	}
 
-	send(BuildCMC(hmccmd.CMC4, 0, 0x40, 1, 0, []uint64{0, 0}))
+	send(Build(hmccmd.CMC4, 0, 0x40, 1, 0, []uint64{0, 0}))
 	rsp := recvWire(t, s)
 	if rsp.Cmd != hmccmd.RspError || rsp.LNG != 1 || rsp.ERRSTAT != device.ErrstatCMCFault {
 		t.Fatalf("wrong-length payload: %+v, want a 1-FLIT error response with ERRSTAT %#x", rsp, device.ErrstatCMCFault)
@@ -88,19 +88,19 @@ func TestCMCSwappedRspPayload(t *testing.T) {
 		t.Errorf("ERR register %#x (%v): CMC fault bit not latched", v, err)
 	}
 
-	send(BuildWrite(0, 0x80, 2, 0, []uint64{0xDEAD, 0xBEEF}, false))
+	send(Build(hmccmd.WR16, 0, 0x80, 2, 0, []uint64{0xDEAD, 0xBEEF}))
 	recvWire(t, s)
 	for i := 0; i < 3; i++ {
-		send(BuildCMC(hmccmd.CMC5, 0, 0x40, uint16(10+i), 0, []uint64{0, 0}))
+		send(Build(hmccmd.CMC5, 0, 0x40, uint16(10+i), 0, []uint64{0, 0}))
 		rsp := recvWire(t, s)
 		if rsp.Cmd != hmccmd.RdRS || rsp.ERRSTAT != 0 || len(rsp.Payload) != 2 || rsp.Payload[0] != 0xA1 || rsp.Payload[1] != 0xB2 {
 			t.Fatalf("right-length payload: %+v, want RD_RS carrying [0xa1 0xb2]", rsp)
 		}
 		// Reads through both host paths recycle responses; none may land
 		// in the operation's slice.
-		send(BuildRead(0, 0x80, uint16(20+i), 0, 16))
+		send(Build(hmccmd.RD16, 0, 0x80, uint16(20+i), 0, nil))
 		recvWire(t, s)
-		send(BuildRead(0, 0x80, uint16(30+i), 0, 16))
+		send(Build(hmccmd.RD16, 0, 0x80, uint16(30+i), 0, nil))
 		for c := 0; c < 64; c++ {
 			s.Clock()
 			if r, ok := s.Recv(0); ok {

@@ -27,7 +27,7 @@ func TestTracedCMCLockUnlock(t *testing.T) {
 	const n = 32
 	for round, cmd := range []hmccmd.Rqst{hmccmd.CMC125, hmccmd.CMC127} {
 		for i := 0; i < n; i++ {
-			r, err := BuildCMC(cmd, 0, uint64(i)*64, uint16(round*n+i), i%4, []uint64{uint64(i) + 1, 0})
+			r, err := Build(cmd, 0, uint64(i)*64, uint16(round*n+i), i%4, []uint64{uint64(i) + 1, 0})
 			if err != nil {
 				t.Fatal(err)
 			}

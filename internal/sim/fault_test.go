@@ -7,6 +7,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/device"
 	"repro/internal/fault"
+	"repro/internal/hmccmd"
 	"repro/internal/packet"
 )
 
@@ -21,7 +22,7 @@ func driveSim(t *testing.T, opts ...Option) device.Stats {
 	const n = 50
 	got := 0
 	for i := 0; i < n; i++ {
-		r, err := BuildWrite(0, uint64(i)*64, uint16(i), 0, []uint64{uint64(i), 0}, false)
+		r, err := Build(hmccmd.WR16, 0, uint64(i)*64, uint16(i), 0, []uint64{uint64(i), 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +103,7 @@ func TestSendWithRetryAbsorbsStall(t *testing.T) {
 	var r *packet.Rqst
 	stalled := false
 	for i := 0; i < cfg.LinkDepth+1; i++ {
-		r, err = BuildRead(0, uint64(i)*64, uint16(i), 0, 16)
+		r, err = Build(hmccmd.RD16, 0, uint64(i)*64, uint16(i), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func TestSendWithRetryTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Non-stall errors pass through untouched.
-	bad, err := BuildRead(7, 0, 0, 0, 16)
+	bad, err := Build(hmccmd.RD16, 7, 0, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestSendWithRetryTimeout(t *testing.T) {
 	}
 	// Zero budget: one attempt, then the typed timeout.
 	for i := 0; ; i++ {
-		r, err := BuildRead(0, uint64(i)*64, uint16(i), 0, 16)
+		r, err := Build(hmccmd.RD16, 0, uint64(i)*64, uint16(i), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -20,7 +20,7 @@ func TestMetricsWiring(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s := newSim(t, WithMetrics(reg), WithPowerModel(power.New(power.DefaultParams())))
 
-	rd, err := BuildRead(0, 0x4000, 3, 0, 64)
+	rd, err := Build(hmccmd.RD64, 0, 0x4000, 3, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestSamplerWiring(t *testing.T) {
 		t.Fatal("Sampler accessor")
 	}
 
-	rd, err := BuildRead(0, 0x1000, 1, 0, 64)
+	rd, err := Build(hmccmd.RD64, 0, 0x1000, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

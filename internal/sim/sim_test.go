@@ -38,7 +38,7 @@ func drive(t *testing.T, s *Simulator, link int) *packet.Rsp {
 
 func TestReadWriteThroughContext(t *testing.T) {
 	s := newSim(t)
-	wr, err := BuildWrite(0, 0x2000, 1, 0, []uint64{9, 8, 7, 6, 5, 4, 3, 2}, false)
+	wr, err := Build(hmccmd.WR64, 0, 0x2000, 1, 0, []uint64{9, 8, 7, 6, 5, 4, 3, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestReadWriteThroughContext(t *testing.T) {
 	if rsp := drive(t, s, 0); rsp.Cmd != hmccmd.WrRS {
 		t.Fatalf("write rsp %+v", rsp)
 	}
-	rd, err := BuildRead(0, 0x2000, 2, 0, 64)
+	rd, err := Build(hmccmd.RD64, 0, 0x2000, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,30 +64,9 @@ func TestReadWriteThroughContext(t *testing.T) {
 	}
 }
 
-func TestBuilderValidation(t *testing.T) {
-	if _, err := BuildRead(0, 0, 0, 0, 24); !errors.Is(err, ErrBadSize) {
-		t.Errorf("BuildRead(24): %v", err)
-	}
-	if _, err := BuildWrite(0, 0, 0, 0, make([]uint64, 3), false); !errors.Is(err, ErrBadSize) {
-		t.Errorf("BuildWrite(24B): %v", err)
-	}
-	if _, err := BuildAtomic(hmccmd.RD16, 0, 0, 0, 0, nil); err == nil {
-		t.Error("BuildAtomic accepted RD16")
-	}
-	if _, err := BuildAtomic(hmccmd.ADD16, 0, 0, 0, 0, []uint64{1}); err == nil {
-		t.Error("BuildAtomic accepted short payload")
-	}
-	if _, err := BuildCMC(hmccmd.WR16, 0, 0, 0, 0, nil); err == nil {
-		t.Error("BuildCMC accepted architected command")
-	}
-	if _, err := BuildCMC(hmccmd.CMC125, 0, 0, 0, 0, []uint64{1}); err == nil {
-		t.Error("BuildCMC accepted odd payload")
-	}
-}
-
 func TestPostedWriteBuilder(t *testing.T) {
 	s := newSim(t)
-	wr, err := BuildWrite(0, 0x40, 3, 1, []uint64{0xAB, 0}, true)
+	wr, err := Build(hmccmd.PWR16, 0, 0x40, 3, 1, []uint64{0xAB, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +93,7 @@ func TestLoadCMCByNameAndRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	lock, err := BuildCMC(hmccmd.CMC125, 0, 0x40, 4, 0, []uint64{77, 0})
+	lock, err := Build(hmccmd.CMC125, 0, 0x40, 4, 0, []uint64{77, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +104,7 @@ func TestLoadCMCByNameAndRun(t *testing.T) {
 	if rsp.Cmd != hmccmd.WrRS || rsp.Payload[0] != cmcops.RetSuccess {
 		t.Fatalf("lock rsp %+v", rsp)
 	}
-	unlock, err := BuildCMC(hmccmd.CMC127, 0, 0x40, 5, 0, []uint64{77, 0})
+	unlock, err := Build(hmccmd.CMC127, 0, 0x40, 5, 0, []uint64{77, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,10 +126,10 @@ func TestLoadCMCUnknownName(t *testing.T) {
 
 func TestLoadCMCOpDoubleLoad(t *testing.T) {
 	s := newSim(t)
-	if err := s.LoadCMCOp(cmcops.Lock{}); err != nil {
+	if err := s.LoadCMCOp(cmcops.MutexOps()[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.LoadCMCOp(cmcops.Lock{}); !errors.Is(err, cmc.ErrSlotBusy) {
+	if err := s.LoadCMCOp(cmcops.MutexOps()[0]); !errors.Is(err, cmc.ErrSlotBusy) {
 		t.Errorf("double load: %v", err)
 	}
 }
@@ -164,7 +143,7 @@ func TestMultiDeviceContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Lock on the remote cube 2.
-	lock, _ := BuildCMC(hmccmd.CMC125, 2, 0x40, 6, 0, []uint64{5, 0})
+	lock, _ := Build(hmccmd.CMC125, 2, 0x40, 6, 0, []uint64{5, 0})
 	if err := s.Send(0, lock); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +163,7 @@ func TestPowerIntegration(t *testing.T) {
 	if s.Power() == nil {
 		t.Fatal("power model missing")
 	}
-	rd, _ := BuildRead(0, 0, 7, 0, 64)
+	rd, _ := Build(hmccmd.RD64, 0, 0, 7, 0, nil)
 	if err := s.Send(0, rd); err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +202,7 @@ func TestJTAGThroughContext(t *testing.T) {
 func TestTracerThroughContext(t *testing.T) {
 	rec := trace.NewRecorder(trace.LevelRqst | trace.LevelLatency)
 	s := newSim(t, WithTracer(rec))
-	rd, _ := BuildRead(0, 0, 8, 0, 16)
+	rd, _ := Build(hmccmd.RD16, 0, 0, 8, 0, nil)
 	if err := s.Send(0, rd); err != nil {
 		t.Fatal(err)
 	}
@@ -237,23 +216,26 @@ func TestTracerThroughContext(t *testing.T) {
 	}
 }
 
+// TestBuildersAllSizes builds every architected read and write size,
+// posted and not, with the payload its registered request length asks
+// for: none for a read, one word per eight data bytes for a write.
 func TestBuildersAllSizes(t *testing.T) {
-	for _, n := range []int{16, 32, 48, 64, 80, 96, 112, 128, 256} {
-		r, err := BuildRead(0, 0, 0, 0, n)
+	for _, cmd := range hmccmd.Architected() {
+		info := cmd.InfoRef()
+		words := int(info.DataBytes) / 8
+		switch info.Class {
+		case hmccmd.ClassRead:
+			words = 0
+		case hmccmd.ClassWrite, hmccmd.ClassPostedWrite:
+		default:
+			continue
+		}
+		r, err := Build(cmd, 0, 0, 0, 0, make([]uint64, words))
 		if err != nil {
-			t.Fatalf("read %d: %v", n, err)
+			t.Fatalf("%v: %v", cmd, err)
 		}
-		if int(r.Cmd.Info().DataBytes) != n {
-			t.Errorf("read %d built %v", n, r.Cmd)
-		}
-		for _, posted := range []bool{false, true} {
-			w, err := BuildWrite(0, 0, 0, 0, make([]uint64, n/8), posted)
-			if err != nil {
-				t.Fatalf("write %d posted=%v: %v", n, posted, err)
-			}
-			if int(w.Cmd.Info().DataBytes) != n || w.Cmd.Posted() != posted {
-				t.Errorf("write %d posted=%v built %v", n, posted, w.Cmd)
-			}
+		if r.Cmd != cmd || len(r.Payload) != words || r.Cmd.Posted() != (info.Class == hmccmd.ClassPostedWrite) {
+			t.Errorf("%v built %v with %d payload words", cmd, r.Cmd, len(r.Payload))
 		}
 	}
 }
@@ -280,7 +262,7 @@ func TestWithPowerModel(t *testing.T) {
 	if s.Power() != pm {
 		t.Error("caller-owned power model not installed")
 	}
-	rd, _ := BuildRead(0, 0, 1, 0, 16)
+	rd, _ := Build(hmccmd.RD16, 0, 0, 1, 0, nil)
 	if err := s.Send(0, rd); err != nil {
 		t.Fatal(err)
 	}

@@ -163,14 +163,14 @@ func (b *BFSAgent) Next(cycle uint64) *packet.Rqst {
 			b.state = bfsWaitVisit
 			pl := b.scratch.Payload(2)
 			pl[0], pl[1] = b.work.level, 0
-			r, err := b.scratch.BuildCMC(visitCmd, 0, b.visitAddr(v), 0, 0, pl)
+			r, err := b.scratch.Build(visitCmd, 0, b.visitAddr(v), 0, 0, pl)
 			if err != nil {
 				panic(err)
 			}
 			return r
 		}
 		b.state = bfsWaitRead
-		r, err := b.scratch.BuildRead(0, b.visitAddr(v), 0, 0, 16)
+		r, err := b.scratch.Build(hmccmd.RD16, 0, b.visitAddr(v), 0, 0, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -179,7 +179,7 @@ func (b *BFSAgent) Next(cycle uint64) *packet.Rqst {
 		b.state = bfsWaitWrite
 		pl := b.scratch.Payload(2)
 		pl[0], pl[1] = 1, b.work.level
-		r, err := b.scratch.BuildWrite(0, b.visitAddr(b.target), 0, 0, pl, false)
+		r, err := b.scratch.Build(hmccmd.WR16, 0, b.visitAddr(b.target), 0, 0, pl)
 		if err != nil {
 			panic(err)
 		}

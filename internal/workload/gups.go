@@ -98,14 +98,14 @@ func (g *GUPSAgent) Next(cycle uint64) *packet.Rqst {
 			g.state = gupsWaitAtomic
 			pl := g.scratch.Payload(2)
 			pl[0], pl[1] = g.ran, 0
-			r, err := g.scratch.BuildAtomic(hmccmd.XOR16, 0, g.target(), 0, 0, pl)
+			r, err := g.scratch.Build(hmccmd.XOR16, 0, g.target(), 0, 0, pl)
 			if err != nil {
 				panic(err)
 			}
 			return r
 		}
 		g.state = gupsWaitRead
-		r, err := g.scratch.BuildRead(0, g.target(), 0, 0, 16)
+		r, err := g.scratch.Build(hmccmd.RD16, 0, g.target(), 0, 0, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -115,7 +115,7 @@ func (g *GUPSAgent) Next(cycle uint64) *packet.Rqst {
 		g.state = gupsWaitWrite
 		pl := g.scratch.Payload(2)
 		pl[0], pl[1] = g.val, 0
-		r, err := g.scratch.BuildWrite(0, g.target(), 0, 0, pl, false)
+		r, err := g.scratch.Build(hmccmd.WR16, 0, g.target(), 0, 0, pl)
 		if err != nil {
 			panic(err)
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/hmccmd"
 	"repro/internal/packet"
 	"repro/internal/sim"
 )
@@ -180,7 +181,7 @@ func TestRandomGraphConnected(t *testing.T) {
 type spinForever struct{}
 
 func (spinForever) Next(cycle uint64) *packet.Rqst {
-	r, err := sim.BuildRead(0, 0, 0, 0, 16)
+	r, err := sim.Build(hmccmd.RD16, 0, 0, 0, 0, nil)
 	if err != nil {
 		panic(err)
 	}

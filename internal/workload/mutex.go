@@ -70,7 +70,7 @@ func (m *MutexAgent) Next(cycle uint64) *packet.Rqst {
 	}
 	pl := m.scratch.Payload(2)
 	pl[0], pl[1] = m.TID, 0
-	r, err := m.scratch.BuildCMC(cmd, m.CUB, m.Addr, 0, 0, pl)
+	r, err := m.scratch.Build(cmd, m.CUB, m.Addr, 0, 0, pl)
 	if err != nil {
 		// The three mutex ops are 2-FLIT requests by construction; a
 		// build failure is a programming error.

@@ -24,21 +24,22 @@ import (
 //
 // Trace format, one request per line ('#' starts a comment):
 //
-//	RD <addr> <bytes>     # architected read (16..256 bytes)
-//	WR <addr> <bytes>     # architected write
+//	RD <addr> <bytes>     # architected read: 16..128 bytes in steps of 16, or 256
+//	WR <addr> <bytes>     # architected write of the same sizes
 //	<MNEMONIC> <addr>     # any atomic, e.g. "INC8 0x40", "CASEQ8 0x80"
+//
+// The parser resolves each line to its request command, so a size with
+// no architected command is a malformed line.
 
 // ErrBadTrace reports a malformed trace line.
 var ErrBadTrace = errors.New("workload: malformed trace line")
 
 // ReplayOp is one parsed trace request.
 type ReplayOp struct {
-	// Cmd is the request command; reads and writes are selected by Bytes.
+	// Cmd is the request command: an architected read, write or atomic.
 	Cmd hmccmd.Rqst
 	// Addr is the target address.
 	Addr uint64
-	// Bytes is the data size for reads/writes (0 for atomics).
-	Bytes int
 }
 
 // ParseTrace reads a request trace.
@@ -70,48 +71,49 @@ func ParseTrace(r io.Reader) ([]ReplayOp, error) {
 
 func parseTraceLine(fields []string) (ReplayOp, error) {
 	mn := strings.ToUpper(fields[0])
+	var cmd hmccmd.Rqst
+	var ok bool
 	switch mn {
 	case "RD", "WR":
 		if len(fields) != 3 {
 			return ReplayOp{}, fmt.Errorf("%w: %s needs addr and bytes", ErrBadTrace, mn)
 		}
-		addr, err := strconv.ParseUint(fields[1], 0, 64)
-		if err != nil {
-			return ReplayOp{}, fmt.Errorf("%w: %v", ErrBadTrace, err)
-		}
 		n, err := strconv.Atoi(fields[2])
 		if err != nil {
 			return ReplayOp{}, fmt.Errorf("%w: %v", ErrBadTrace, err)
 		}
-		cmd := hmccmd.RD16
+		class := hmccmd.ClassRead
 		if mn == "WR" {
-			cmd = hmccmd.WR16
+			class = hmccmd.ClassWrite
 		}
-		return ReplayOp{Cmd: cmd, Addr: addr, Bytes: n}, nil
+		cmd, ok = findCommand(func(i *hmccmd.Info) bool { return i.Class == class && int(i.DataBytes) == n })
+		if !ok {
+			return ReplayOp{}, fmt.Errorf("%w: no %s of %d bytes", ErrBadTrace, mn, n)
+		}
 	default:
 		if len(fields) != 2 {
 			return ReplayOp{}, fmt.Errorf("%w: %s needs an address", ErrBadTrace, mn)
 		}
-		cmd, ok := commandByName(mn)
+		cmd, ok = findCommand(func(i *hmccmd.Info) bool { return i.Name == mn })
 		if !ok {
 			return ReplayOp{}, fmt.Errorf("%w: unknown command %q", ErrBadTrace, mn)
 		}
-		info := cmd.Info()
-		if info.Class != hmccmd.ClassAtomic && info.Class != hmccmd.ClassPostedAtomic {
+		if class := cmd.InfoRef().Class; class != hmccmd.ClassAtomic && class != hmccmd.ClassPostedAtomic {
 			return ReplayOp{}, fmt.Errorf("%w: %s is not replayable here (use RD/WR)", ErrBadTrace, mn)
 		}
-		addr, err := strconv.ParseUint(fields[1], 0, 64)
-		if err != nil {
-			return ReplayOp{}, fmt.Errorf("%w: %v", ErrBadTrace, err)
-		}
-		return ReplayOp{Cmd: cmd, Addr: addr}, nil
 	}
+	addr, err := strconv.ParseUint(fields[1], 0, 64)
+	if err != nil {
+		return ReplayOp{}, fmt.Errorf("%w: %v", ErrBadTrace, err)
+	}
+	return ReplayOp{Cmd: cmd, Addr: addr}, nil
 }
 
-// commandByName resolves an architected command mnemonic.
-func commandByName(name string) (hmccmd.Rqst, bool) {
+// findCommand returns the first architected command whose table entry
+// matches.
+func findCommand(match func(*hmccmd.Info) bool) (hmccmd.Rqst, bool) {
 	for _, cmd := range hmccmd.Architected() {
-		if cmd.Info().Name == name {
+		if match(cmd.InfoRef()) {
 			return cmd, true
 		}
 	}
@@ -123,7 +125,7 @@ func commandByName(name string) (hmccmd.Rqst, bool) {
 func GenerateStrideTrace(base uint64, n int) []ReplayOp {
 	ops := make([]ReplayOp, n)
 	for i := range ops {
-		ops[i] = ReplayOp{Cmd: hmccmd.RD16, Addr: base + uint64(i)*64, Bytes: 64}
+		ops[i] = ReplayOp{Cmd: hmccmd.RD64, Addr: base + uint64(i)*64}
 	}
 	return ops
 }
@@ -135,11 +137,11 @@ func GenerateRandomTrace(base, span uint64, n int, seed int64) []ReplayOp {
 	ops := make([]ReplayOp, n)
 	for i := range ops {
 		addr := base + uint64(rng.Int63n(int64(span/16)))*16
-		cmd, bytes := hmccmd.RD16, 16
+		cmd := hmccmd.RD16
 		if rng.Intn(2) == 1 {
 			cmd = hmccmd.WR16
 		}
-		ops[i] = ReplayOp{Cmd: cmd, Addr: addr, Bytes: bytes}
+		ops[i] = ReplayOp{Cmd: cmd, Addr: addr}
 	}
 	return ops
 }
@@ -166,21 +168,10 @@ func (a *ReplayAgent) Next(cycle uint64) *packet.Rqst {
 	op := a.Ops[a.cur]
 	a.cur++
 	a.issuedAt = cycle
-	info := op.Cmd.Info()
-	var r *packet.Rqst
-	var err error
-	switch {
-	case op.Cmd == hmccmd.RD16 && op.Bytes > 0:
-		r, err = a.scratch.BuildRead(0, op.Addr, 0, 0, op.Bytes)
-	case op.Cmd == hmccmd.WR16 && op.Bytes > 0:
-		pl := a.scratch.Payload(op.Bytes / 8)
-		clear(pl) // traces carry no data; replay writes zeros
-		r, err = a.scratch.BuildWrite(0, op.Addr, 0, 0, pl, false)
-	default:
-		pl := a.scratch.Payload(2 * (int(info.RqstFlits) - 1))
-		clear(pl)
-		r, err = a.scratch.BuildAtomic(op.Cmd, 0, op.Addr, 0, 0, pl)
-	}
+	// Traces carry no data: writes and atomic operands are zeros.
+	pl := a.scratch.Payload(2 * (int(op.Cmd.InfoRef().RqstFlits) - 1))
+	clear(pl)
+	r, err := a.scratch.Build(op.Cmd, 0, op.Addr, 0, 0, pl)
 	if err != nil {
 		panic(err)
 	}

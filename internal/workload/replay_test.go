@@ -24,10 +24,10 @@ CASEQ8 0x80
 	if len(ops) != 4 {
 		t.Fatalf("%d ops", len(ops))
 	}
-	if ops[0].Cmd != hmccmd.RD16 || ops[0].Addr != 0x1000 || ops[0].Bytes != 64 {
+	if ops[0].Cmd != hmccmd.RD64 || ops[0].Addr != 0x1000 {
 		t.Errorf("op 0: %+v", ops[0])
 	}
-	if ops[1].Cmd != hmccmd.WR16 || ops[1].Bytes != 16 {
+	if ops[1].Cmd != hmccmd.WR16 || ops[1].Addr != 0x2000 {
 		t.Errorf("op 1: %+v", ops[1])
 	}
 	if ops[2].Cmd != hmccmd.INC8 || ops[2].Addr != 0x40 {
@@ -47,6 +47,11 @@ func TestParseTraceErrors(t *testing.T) {
 		"WR64 0x10",    // architected but not an atomic mnemonic form
 		"INC8",         // missing addr
 		"INC8 0xZZ",    // bad addr
+		"RD 0x40 24",   // no read of this size
+		"WR 0x40 4096", // beyond the largest write
+		"RD 0x40 0",    // no data
+		"RD 0x40 -16",  // negative size
+		"WR 0x40 0",    // no data
 	} {
 		if _, err := ParseTrace(strings.NewReader(src)); !errors.Is(err, ErrBadTrace) {
 			t.Errorf("%q: %v", src, err)
@@ -56,8 +61,8 @@ func TestParseTraceErrors(t *testing.T) {
 
 func TestTraceRoundTrip(t *testing.T) {
 	ops := []ReplayOp{
-		{Cmd: hmccmd.RD16, Addr: 0x100, Bytes: 64},
-		{Cmd: hmccmd.WR16, Addr: 0x200, Bytes: 32},
+		{Cmd: hmccmd.RD64, Addr: 0x100},
+		{Cmd: hmccmd.WR32, Addr: 0x200},
 		{Cmd: hmccmd.INC8, Addr: 0x40},
 	}
 	back, err := ParseTrace(strings.NewReader("RD 0x100 64\nWR 0x200 32\nINC8 0x40\n"))
@@ -80,7 +85,7 @@ func TestGenerators(t *testing.T) {
 		t.Fatalf("%d stride ops", len(stride))
 	}
 	for i, op := range stride {
-		if op.Addr != 0x1000+uint64(i)*64 || op.Bytes != 64 {
+		if op.Addr != 0x1000+uint64(i)*64 || op.Cmd != hmccmd.RD64 {
 			t.Errorf("stride op %d: %+v", i, op)
 		}
 	}
@@ -124,7 +129,7 @@ func TestReplayStrideVsRandom(t *testing.T) {
 	// All to ONE vault: worst case.
 	hot := make([]ReplayOp, 512)
 	for i := range hot {
-		hot[i] = ReplayOp{Cmd: hmccmd.RD16, Addr: 0, Bytes: 16}
+		hot[i] = ReplayOp{Cmd: hmccmd.RD16, Addr: 0}
 	}
 	hotRes, err := RunReplay(cfg, 8, hot)
 	if err != nil {

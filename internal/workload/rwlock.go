@@ -75,24 +75,24 @@ func (a *RWAgent) Next(cycle uint64) *packet.Rqst {
 	case rwAcquire:
 		a.state = rwWaitAcquire
 		if a.Role == rwWriter {
-			r, err = a.scratch.BuildCMC(hmccmd.CMC60, 0, a.LockAddr, 0, 0, a.tidPayload())
+			r, err = a.scratch.Build(hmccmd.CMC60, 0, a.LockAddr, 0, 0, a.tidPayload())
 		} else {
-			r, err = a.scratch.BuildCMC(hmccmd.CMC58, 0, a.LockAddr, 0, 0, nil)
+			r, err = a.scratch.Build(hmccmd.CMC58, 0, a.LockAddr, 0, 0, nil)
 		}
 	case rwReadData:
 		a.state = rwWaitData
-		r, err = a.scratch.BuildRead(0, a.DataAddr, 0, 0, 16)
+		r, err = a.scratch.Build(hmccmd.RD16, 0, a.DataAddr, 0, 0, nil)
 	case rwWriteData:
 		a.state = rwWaitWrite
 		pl := a.scratch.Payload(2)
 		pl[0], pl[1] = a.seen+1, 0
-		r, err = a.scratch.BuildWrite(0, a.DataAddr, 0, 0, pl, false)
+		r, err = a.scratch.Build(hmccmd.WR16, 0, a.DataAddr, 0, 0, pl)
 	case rwRelease:
 		a.state = rwWaitRelease
 		if a.Role == rwWriter {
-			r, err = a.scratch.BuildCMC(hmccmd.CMC61, 0, a.LockAddr, 0, 0, a.tidPayload())
+			r, err = a.scratch.Build(hmccmd.CMC61, 0, a.LockAddr, 0, 0, a.tidPayload())
 		} else {
-			r, err = a.scratch.BuildCMC(hmccmd.CMC59, 0, a.LockAddr, 0, 0, nil)
+			r, err = a.scratch.Build(hmccmd.CMC59, 0, a.LockAddr, 0, 0, nil)
 		}
 	default:
 		return nil

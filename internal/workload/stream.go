@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/config"
+	"repro/internal/hmccmd"
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -56,21 +57,21 @@ func (a *StreamAgent) Next(cycle uint64) *packet.Rqst {
 	switch a.state {
 	case streamReadB:
 		a.state = streamWaitB
-		r, err := a.scratch.BuildRead(0, a.BBase+off, 0, 0, 64)
+		r, err := a.scratch.Build(hmccmd.RD64, 0, a.BBase+off, 0, 0, nil)
 		if err != nil {
 			panic(err)
 		}
 		return r
 	case streamReadC:
 		a.state = streamWaitC
-		r, err := a.scratch.BuildRead(0, a.CBase+off, 0, 0, 64)
+		r, err := a.scratch.Build(hmccmd.RD64, 0, a.CBase+off, 0, 0, nil)
 		if err != nil {
 			panic(err)
 		}
 		return r
 	case streamWriteA:
 		a.state = streamWaitA
-		r, err := a.scratch.BuildWrite(0, a.ABase+off, 0, 0, a.out[:], false)
+		r, err := a.scratch.Build(hmccmd.WR64, 0, a.ABase+off, 0, 0, a.out[:])
 		if err != nil {
 			panic(err)
 		}

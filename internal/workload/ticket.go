@@ -52,7 +52,7 @@ func (a *TicketAgent) Next(cycle uint64) *packet.Rqst {
 	switch a.state {
 	case ticketTake:
 		a.state = ticketWaitTake
-		r, err := a.scratch.BuildCMC(hmccmd.CMC56, a.CUB, a.Addr, 0, 0, nil)
+		r, err := a.scratch.Build(hmccmd.CMC56, a.CUB, a.Addr, 0, 0, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -60,14 +60,14 @@ func (a *TicketAgent) Next(cycle uint64) *packet.Rqst {
 	case ticketPoll:
 		a.state = ticketWaitPoll
 		a.Polls++
-		r, err := a.scratch.BuildRead(a.CUB, a.Addr, 0, 0, 16)
+		r, err := a.scratch.Build(hmccmd.RD16, a.CUB, a.Addr, 0, 0, nil)
 		if err != nil {
 			panic(err)
 		}
 		return r
 	case ticketRelease:
 		a.state = ticketWaitRelease
-		r, err := a.scratch.BuildCMC(hmccmd.CMC57, a.CUB, a.Addr, 0, 0, nil)
+		r, err := a.scratch.Build(hmccmd.CMC57, a.CUB, a.Addr, 0, 0, nil)
 		if err != nil {
 			panic(err)
 		}

@@ -61,7 +61,7 @@ func TestChainTraceGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
-		r, err := BuildRead(i%4, uint64(i)*64, uint16(i), i%4, 64)
+		r, err := Build(hmccmd.RD64, i%4, uint64(i)*64, uint16(i), i%4, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,36 +283,38 @@ func driveMixed(t *testing.T, ss *Session) string {
 		return r, err
 	}
 	builds := []func(tag uint16, link int) (*Rqst, error){
-		func(tag uint16, link int) (*Rqst, error) { return BuildWrite(0, 0x1000, tag, link, data, false) },
-		func(tag uint16, link int) (*Rqst, error) { return BuildRead(0, 0x1000, tag, link, 32) },
-		func(tag uint16, link int) (*Rqst, error) { return BuildWrite(0, 0x2000, tag, link, data[:2], true) },
+		func(tag uint16, link int) (*Rqst, error) { return Build(hmccmd.WR32, 0, 0x1000, tag, link, data) },
+		func(tag uint16, link int) (*Rqst, error) { return Build(hmccmd.RD32, 0, 0x1000, tag, link, nil) },
+		func(tag uint16, link int) (*Rqst, error) { return Build(hmccmd.PWR16, 0, 0x2000, tag, link, data[:2]) },
 		func(tag uint16, link int) (*Rqst, error) {
-			return BuildAtomic(hmccmd.ADD16, 0, 0x1000, tag, link, []uint64{5, 6})
+			return Build(hmccmd.ADD16, 0, 0x1000, tag, link, []uint64{5, 6})
 		},
-		func(tag uint16, link int) (*Rqst, error) { return BuildAtomic(hmccmd.INC8, 0, 0x3000, tag, link, nil) },
-		func(tag uint16, link int) (*Rqst, error) { return BuildAtomic(hmccmd.PINC8, 0, 0x3000, tag, link, nil) },
-		func(tag uint16, link int) (*Rqst, error) { return BuildRead(0, bad, tag, link, 16) },
-		func(tag uint16, link int) (*Rqst, error) { return BuildWrite(0, bad, tag, link, data[:2], true) },
+		func(tag uint16, link int) (*Rqst, error) { return Build(hmccmd.INC8, 0, 0x3000, tag, link, nil) },
+		func(tag uint16, link int) (*Rqst, error) { return Build(hmccmd.PINC8, 0, 0x3000, tag, link, nil) },
+		func(tag uint16, link int) (*Rqst, error) { return Build(hmccmd.RD16, 0, bad, tag, link, nil) },
+		func(tag uint16, link int) (*Rqst, error) { return Build(hmccmd.PWR16, 0, bad, tag, link, data[:2]) },
 		func(tag uint16, link int) (*Rqst, error) {
-			return BuildCMC(hmccmd.CMC125, 0, 0x4000, tag, link, []uint64{uint64(tag), 0})
-		},
-		func(tag uint16, link int) (*Rqst, error) {
-			return BuildCMC(hmccmd.CMC127, 0, 0x4000, tag, link, []uint64{uint64(tag) - 1, 0})
+			return Build(hmccmd.CMC125, 0, 0x4000, tag, link, []uint64{uint64(tag), 0})
 		},
 		func(tag uint16, link int) (*Rqst, error) {
-			return BuildCMC(hmccmd.CMC4, 0, 0x5000, tag, link, []uint64{9, 0})
-		},
-		func(tag uint16, link int) (*Rqst, error) { return BuildCMC(hmccmd.CMC5, 0, 0x5000, tag, link, nil) },
-		func(tag uint16, link int) (*Rqst, error) { return BuildCMC(hmccmd.CMC6, 0, 0x5000, tag, link, nil) },
-		func(tag uint16, link int) (*Rqst, error) {
-			return BuildCMC(hmccmd.CMC125, 0, bad, tag, link, []uint64{1, 0})
-		},
-		func(tag uint16, link int) (*Rqst, error) { return poisoned(BuildRead(0, 0x1000, tag, link, 16)) },
-		func(tag uint16, link int) (*Rqst, error) {
-			return poisoned(BuildCMC(hmccmd.CMC125, 0, 0x6000, tag, link, []uint64{1, 0}))
+			return Build(hmccmd.CMC127, 0, 0x4000, tag, link, []uint64{uint64(tag) - 1, 0})
 		},
 		func(tag uint16, link int) (*Rqst, error) {
-			return poisoned(BuildCMC(hmccmd.CMC4, 0, 0x6000, tag, link, []uint64{1, 0}))
+			return Build(hmccmd.CMC4, 0, 0x5000, tag, link, []uint64{9, 0})
+		},
+		func(tag uint16, link int) (*Rqst, error) { return Build(hmccmd.CMC5, 0, 0x5000, tag, link, nil) },
+		func(tag uint16, link int) (*Rqst, error) { return Build(hmccmd.CMC6, 0, 0x5000, tag, link, nil) },
+		func(tag uint16, link int) (*Rqst, error) {
+			return Build(hmccmd.CMC125, 0, bad, tag, link, []uint64{1, 0})
+		},
+		func(tag uint16, link int) (*Rqst, error) {
+			return poisoned(Build(hmccmd.RD16, 0, 0x1000, tag, link, nil))
+		},
+		func(tag uint16, link int) (*Rqst, error) {
+			return poisoned(Build(hmccmd.CMC125, 0, 0x6000, tag, link, []uint64{1, 0}))
+		},
+		func(tag uint16, link int) (*Rqst, error) {
+			return poisoned(Build(hmccmd.CMC4, 0, 0x6000, tag, link, []uint64{1, 0}))
 		},
 	}
 	got := 0
@@ -341,7 +343,7 @@ func driveFlood(t *testing.T, ss *Session) string {
 		for k := 0; k < 3; k++ {
 			// Tags repeat while their requests are in flight, so a
 			// stalled Send names a tracked span.
-			r, err := BuildRead(0, 0x40, uint16(sent%4), 0, 16)
+			r, err := Build(hmccmd.RD16, 0, 0x40, uint16(sent%4), 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -369,9 +371,9 @@ func driveBanked(t *testing.T, ss *Session) string {
 		var r *Rqst
 		var err error
 		if i%3 == 0 {
-			r, err = BuildWrite(0, adrs, uint16(i), 0, []uint64{uint64(i), 0}, false)
+			r, err = Build(hmccmd.WR16, 0, adrs, uint16(i), 0, []uint64{uint64(i), 0})
 		} else {
-			r, err = BuildRead(0, adrs, uint16(i), 0, 16)
+			r, err = Build(hmccmd.RD16, 0, adrs, uint16(i), 0, nil)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -402,9 +404,9 @@ func driveChain(t *testing.T, ss *Session) string {
 			var r *Rqst
 			var err error
 			if k%3 == 2 {
-				r, err = BuildWrite(cub, adrs, tag, link, []uint64{uint64(tag), 1}, false)
+				r, err = Build(hmccmd.WR16, cub, adrs, tag, link, []uint64{uint64(tag), 1})
 			} else {
-				r, err = BuildRead(cub, adrs, tag, link, 16)
+				r, err = Build(hmccmd.RD16, cub, adrs, tag, link, nil)
 			}
 			if err != nil {
 				t.Fatal(err)

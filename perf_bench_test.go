@@ -63,7 +63,7 @@ func roundTrip(b *testing.B, s *Simulator, link int, r *Rqst) {
 // Flight, the DRAM access and the response construction.
 func BenchmarkClockLoopRead64(b *testing.B) {
 	s := benchDevice(b)
-	r, err := BuildRead(0, 0x1000, 1, 0, 64)
+	r, err := Build(hmccmd.RD64, 0, 0x1000, 1, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func BenchmarkClockLoopRead64(b *testing.B) {
 // BenchmarkClockLoopWrite64 measures one uncongested WR64 round trip.
 func BenchmarkClockLoopWrite64(b *testing.B) {
 	s := benchDevice(b)
-	r, err := BuildWrite(0, 0x2000, 2, 0, make([]uint64, 8), false)
+	r, err := Build(hmccmd.WR64, 0, 0x2000, 2, 0, make([]uint64, 8))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -93,11 +93,11 @@ func BenchmarkClockLoopWrite64(b *testing.B) {
 // cost, including the CMC dispatch and execute context.
 func BenchmarkClockLoopCMC(b *testing.B) {
 	s := benchDevice(b, "hmc_lock", "hmc_unlock")
-	lock, err := BuildCMC(hmccmd.CMC125, 0, 0x40, 3, 0, []uint64{7, 0})
+	lock, err := Build(hmccmd.CMC125, 0, 0x40, 3, 0, []uint64{7, 0})
 	if err != nil {
 		b.Fatal(err)
 	}
-	unlock, err := BuildCMC(hmccmd.CMC127, 0, 0x40, 3, 0, []uint64{7, 0})
+	unlock, err := Build(hmccmd.CMC127, 0, 0x40, 3, 0, []uint64{7, 0})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func BenchmarkClockLoopIdle(b *testing.B) {
 // benchmarks (the mutex workload's wire shape).
 func benchCMCRqst(b *testing.B) *Rqst {
 	b.Helper()
-	r, err := BuildCMC(hmccmd.CMC125, 0, 0x40, 3, 0, []uint64{7, 0})
+	r, err := Build(hmccmd.CMC125, 0, 0x40, 3, 0, []uint64{7, 0})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func BenchmarkPacketDecode(b *testing.B) {
 // BenchmarkCRC measures the packet checksum over a maximum-length
 // (9-FLIT WR256) packet — the slicing-by-8 kernel.
 func BenchmarkCRC(b *testing.B) {
-	r, err := BuildWrite(0, 0x1000, 1, 0, make([]uint64, 32), false)
+	r, err := Build(hmccmd.WR256, 0, 0x1000, 1, 0, make([]uint64, 32))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func chainSim(b *testing.B, event bool, extra ...Option) (*Simulator, Config, []
 	tag := uint16(0)
 	for cub := 0; cub < 4; cub++ {
 		for v := 0; v < cfg.Vaults; v++ {
-			r, err := BuildRead(cub, uint64(v)*uint64(cfg.MaxBlockSize), tag, 0, 64)
+			r, err := Build(hmccmd.RD64, cub, uint64(v)*uint64(cfg.MaxBlockSize), tag, 0, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -405,7 +405,7 @@ func TestTopoChainZeroAlloc(t *testing.T) {
 		tag := uint16(0)
 		for cub := 0; cub < 4; cub++ {
 			for v := 0; v < cfg.Vaults; v++ {
-				r, err := BuildRead(cub, uint64(v)*uint64(cfg.MaxBlockSize), tag, 0, 64)
+				r, err := Build(hmccmd.RD64, cub, uint64(v)*uint64(cfg.MaxBlockSize), tag, 0, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -487,7 +487,7 @@ func BenchmarkPooledExecPhase(b *testing.B) {
 		}
 		var reqs []*Rqst
 		for v := 0; v < cfg.Vaults; v++ {
-			r, err := BuildRead(0, uint64(v)*uint64(cfg.MaxBlockSize), uint16(v), 0, 64)
+			r, err := Build(hmccmd.RD64, 0, uint64(v)*uint64(cfg.MaxBlockSize), uint16(v), 0, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -536,7 +536,7 @@ func BenchmarkClockLoopRead64Metrics(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := BuildRead(0, 0x1000, 1, 0, 64)
+	r, err := Build(hmccmd.RD64, 0, 0x1000, 1, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -574,7 +574,7 @@ func BenchmarkFaultFreeClockLoop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := BuildRead(0, 0x1000, 1, 0, 64)
+	r, err := Build(hmccmd.RD64, 0, 0x1000, 1, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -594,7 +594,7 @@ func BenchmarkFaultClockLoop1pct(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r, err := BuildRead(0, 0x1000, 1, 0, 64)
+	r, err := Build(hmccmd.RD64, 0, 0x1000, 1, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -614,7 +614,7 @@ func TestFaultFreeRoundTripZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := BuildRead(0, 0x1000, 1, 0, 64)
+	r, err := Build(hmccmd.RD64, 0, 0x1000, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,11 +686,11 @@ func TestSessionFootprintBytes(t *testing.T) {
 	var rqsts []*Rqst
 	for blk := uint64(0); blk < 256; blk += 64 {
 		adrs := blk*2048 + 5*64
-		wr, err := BuildWrite(0, adrs, 1, 0, data, false)
+		wr, err := Build(hmccmd.WR64, 0, adrs, 1, 0, data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rd, err := BuildRead(0, adrs, 2, 0, 64)
+		rd, err := Build(hmccmd.RD64, 0, adrs, 2, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -760,7 +760,7 @@ func TestClockLoopZeroAllocWithMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := BuildRead(0, 0x1000, 1, 0, 64)
+	r, err := Build(hmccmd.RD64, 0, 0x1000, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -790,7 +790,7 @@ func TestClockLoopZeroAllocWithMetrics(t *testing.T) {
 // point is one compare) and stay at 0 allocs/op.
 func BenchmarkClockLoopSpansOff(b *testing.B) {
 	s := benchDevice(b)
-	r, err := BuildRead(0, 0x1000, 1, 0, 64)
+	r, err := Build(hmccmd.RD64, 0, 0x1000, 1, 0, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -815,7 +815,7 @@ func BenchmarkClockLoopSpansSampled(b *testing.B) {
 	}
 	rqsts := make([]*Rqst, 16)
 	for tag := range rqsts {
-		r, err := BuildRead(0, 0x1000, uint16(tag), 0, 64)
+		r, err := Build(hmccmd.RD64, 0, 0x1000, uint16(tag), 0, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

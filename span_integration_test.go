@@ -66,7 +66,7 @@ func TestClockLoopSpansOffZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := BuildRead(0, 0x1000, 1, 0, 64)
+	r, err := Build(hmccmd.RD64, 0, 0x1000, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,9 +111,9 @@ func TestClockLoopObserversZeroAlloc(t *testing.T) {
 	}
 	var rqsts []*Rqst
 	for _, build := range []func() (*Rqst, error){
-		func() (*Rqst, error) { return BuildRead(0, 0x1000, 1, 0, 64) },
-		func() (*Rqst, error) { return BuildAtomic(hmccmd.ADD16, 0, 0x2000, 2, 1, []uint64{1, 2}) },
-		func() (*Rqst, error) { return BuildCMC(hmccmd.CMC125, 0, 0x40, 3, 2, []uint64{7, 0}) },
+		func() (*Rqst, error) { return Build(hmccmd.RD64, 0, 0x1000, 1, 0, nil) },
+		func() (*Rqst, error) { return Build(hmccmd.ADD16, 0, 0x2000, 2, 1, []uint64{1, 2}) },
+		func() (*Rqst, error) { return Build(hmccmd.CMC125, 0, 0x40, 3, 2, []uint64{7, 0}) },
 	} {
 		r, err := build()
 		if err != nil {
@@ -208,7 +208,7 @@ func TestSpanPerfettoGolden2Cube(t *testing.T) {
 	// Four remote reads: enough traversals that the periodic injector
 	// fires on traffic the tracer is following.
 	for i := 0; i < 4; i++ {
-		r, err := BuildRead(1, 0x1000, uint16(i+1), 0, 64)
+		r, err := Build(hmccmd.RD64, 1, 0x1000, uint16(i+1), 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
