@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -210,6 +211,31 @@ func TestSendValidation(t *testing.T) {
 	wantCode(t, err, CodeSim)
 	_, err = cl.Send(sess, 0, hmccmd.RD64.Code(), 7, 0, 1, nil) // bad cube
 	wantCode(t, err, CodeSim)
+}
+
+// TestSendRejectsCUBBeyondField pins the cube check on both wire
+// encodings: a send for a cube the 3-bit CUB field cannot hold is
+// refused naming that cube, never narrowed onto another cube.
+func TestSendRejectsCUBBeyondField(t *testing.T) {
+	for _, proto := range []string{ProtoJSON, ProtoBinary} {
+		t.Run(proto, func(t *testing.T) {
+			_, cl := newTestPair(t, Config{})
+			if err := cl.Hello(proto); err != nil {
+				t.Fatal(err)
+			}
+			sess, err := cl.Init("2gb-dev")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cub := range []int{256, 257} {
+				_, err := cl.Send(sess, 0, hmccmd.RD64.Code(), cub, 0, 1, nil)
+				wantCode(t, err, CodeSim)
+				if want := fmt.Sprintf("CUB %d ", cub); !strings.Contains(err.Error(), want) {
+					t.Errorf("cube %d refused with %q, want it named", cub, err)
+				}
+			}
+		})
+	}
 }
 
 // TestPooledSimulatorScrubbed pins the reuse contract: a simulator
