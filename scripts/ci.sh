@@ -2,8 +2,9 @@
 # CI gate: build, vet, gofmt, full test suite (this module and bench/), a
 # run of every example and of hmcsim on each of its six workloads (the
 # facade's only in-repo callers) and on a 4-cube chain, star and ring,
-# hmc-trace over a trace and a metrics series the other CLIs write, then
-# the race detector over the packages
+# hmc-trace over a trace and a metrics series the other CLIs write,
+# hmcsim replaying a committed trace file and refusing a malformed one,
+# then the race detector over the packages
 # whose state crosses goroutines (the parallel sweep running simulators
 # side by side through the shared session and page pools, each simulator
 # recycling responses through its own devices' free lists, the evaluation
@@ -74,6 +75,21 @@ trap 'if [ -n "$hmcd_pid" ]; then kill "$hmcd_pid" 2>/dev/null || true; fi; rm -
 go run ./cmd/hmcsim -workload mutex -threads 16 -trace "$tmp/t.jsonl" >/dev/null
 go run ./cmd/hmc-bench -sample "$tmp/s.jsonl" >/dev/null
 go run ./cmd/hmc-trace -sample "$tmp/s.jsonl" "$tmp/t.jsonl" >/dev/null
+# Replay from trace files, so the trace parser reads a file in CI: a
+# committed trace of reads and writes of several sizes and two atomics
+# must replay, and a malformed one (a read size with no command) must
+# exit 1 naming its line, without a panic. hmcsim is built rather than
+# run through go run, so the exit status is the program's own.
+go build -o "$tmp/hmcsim" ./cmd/hmcsim
+"$tmp/hmcsim" -workload replay -replay-file cmd/hmcsim/testdata/replay.trace >/dev/null
+status=0
+"$tmp/hmcsim" -workload replay -replay-file cmd/hmcsim/testdata/bad.trace >/dev/null 2>"$tmp/bad.err" || status=$?
+test "$status" -eq 1
+grep -q 'line 4' "$tmp/bad.err"
+if grep -q panic "$tmp/bad.err"; then
+    echo "ci: hmcsim panicked on a malformed trace" >&2
+    exit 1
+fi
 go test -race ./internal/device ./internal/fault ./internal/mem ./internal/metrics ./internal/paper ./internal/server ./internal/sim ./internal/span ./internal/workload
 equiv='TestClockModeEquivalence|TestEventClock|TestSpans|TestObservedClockMatchesPerCycle'
 check_run "$equiv" .
